@@ -5,15 +5,8 @@ intelligent-proportional feedback loop, closed-form windowed bandwidth
 estimation, reference replanning, and QoE reporting.
 """
 from ._accel import NUMBA_ENABLED
-from .controller import (BitrateLadder, ControllerConfig, ControllerState,
-                         decide_bitrate, feedforward, ip_control, quantize)
-from .estimation import (BandwidthEstimate, SampleWindow, estimate_F,
-                         estimate_bandwidth)
 from .metrics import QoEReport, avg_quality, batch_report, qoe_report, \
     quality_variation, rebuffering_time
-from .plant import (ChannelTrace, EpisodeLog, PlantParams, Regime,
-                    ScenarioConfig, SimState, build_scenario, run_episode, step)
-from .trajectory import (BezierProfile, ReplanState, bezier_derivative,
-                         bezier_eval, reference_at, replan_step)
+from .plant import ChannelTrace, EpisodeLog, build_scenario, run_episode
 
 __version__ = "0.1.0"

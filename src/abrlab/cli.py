@@ -10,12 +10,7 @@ from .plant import FMT, EpisodeLog, build_scenario, run_episode
 
 def run_single(cfg: RunConfig, seed: int) -> EpisodeLog:
     """One episode under the given config and seed."""
-    trace = build_scenario(cfg.scenario, seed, cfg.plant_params(), cfg.scenario_config())
-    return run_episode(trace, cfg.profile(), cfg.bitrate_ladder(),
-                       cfg.controller_config(), cfg.plant_params(),
-                       replan_enabled=cfg.replan,
-                       replan_lower=cfg.replan_lower, replan_upper=cfg.replan_upper,
-                       x_noise_level=cfg.x_noise)
+    return run_episode(build_scenario(cfg, seed), cfg)
 
 
 def _episode_tag(cfg: RunConfig, seed: int) -> str:

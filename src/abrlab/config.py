@@ -1,10 +1,13 @@
-"""Run configuration: defaults, file/flag parsing, validation, emission."""
+"""Run configuration: the one declaration of every parameter.
+
+Each ``RunConfig`` field carries its file section in its metadata.  The
+dotted file key (``section.name``), the command-line flag (``--name`` with
+``_`` as ``-``; booleans get a ``--no-name`` twin) and the text parse and
+format all derive from the field's name and type.
+"""
 import argparse
 from dataclasses import dataclass, field, fields
-
-from .controller import BitrateLadder, ControllerConfig, DEFAULT_LADDER
-from .plant import PlantParams, ScenarioConfig
-from .trajectory import BezierProfile
+from typing import get_args, get_origin
 
 EMIT_CHOICES = ("log", "qoe", "table", "plotdata")
 
@@ -13,158 +16,148 @@ class ConfigError(ValueError):
     pass
 
 
+def _param(section: str, default, help: str | None = None):
+    meta = {"section": section, "help": help}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class RunConfig:
-    scenario: int = 1
-    replan: bool = False
-    seeds: list = field(default_factory=lambda: [0])
-    out: str = "out"
-    emit: list = field(default_factory=lambda: ["qoe", "table"])
+    scenario: int = _param("run", 1, "1, 2 or 3")
+    replan: bool = _param("run", False)
+    seeds: list[int] = _param("run", [0], "e.g. '0..99' or '1,2,5'")
+    out: str = _param("run", "out", "output directory")
+    emit: list[str] = _param("run", ["qoe", "table"],
+                             "comma list from: " + ",".join(EMIT_CHOICES))
     # reference trajectory
-    t0: float = 0.0
-    tf: float = 10.0
-    x0: float = 0.0
-    xf: float = 4.0
-    replan_lower: float = 4.5
-    replan_upper: float = 12.0
+    t0: float = _param("trajectory", 0.0)
+    tf: float = _param("trajectory", 10.0)
+    x0: float = _param("trajectory", 0.0)
+    xf: float = _param("trajectory", 4.0)
+    replan_lower: float = _param("trajectory", 4.5)
+    replan_upper: float = _param("trajectory", 12.0)
     # controller
-    ladder: list = field(default_factory=lambda: list(DEFAULT_LADDER))
-    alpha: float = -10.0
-    kp: float = 0.25
-    tau: float = 1.0
-    decision_interval: float = 2.0
+    ladder: list[float] = _param("controller", [0.35, 0.6, 1.0, 2.0, 3.0, 5.0],
+                                 "comma list of admissible bitrates")
+    alpha: float = _param("controller", -10.0)
+    kp: float = _param("controller", 0.25)
+    tau: float = _param("controller", 1.0)
+    decision_interval: float = _param("controller", 2.0)
     # plant / scenarios
-    c0: float = 0.7
-    duration: float = 600.0
-    delta_startup: float = 5.0
-    chunk_duration: float = 2.0
-    te: float = 0.1
-    x_noise: float = 0.0
-    s2_segment: float = 60.0
-    s2_level_lo: float = 0.5
-    s2_level_hi: float = 2.5
-    s2_noise: float = 0.2
-    s3_segment: float = 20.0
-    s3_level_lo: float = 0.25
-    s3_level_hi: float = 1.5
-    s3_noise: float = 0.3
+    c0: float = _param("plant", 0.7)
+    duration: float = _param("plant", 600.0)
+    delta_startup: float = _param("plant", 5.0)
+    chunk_duration: float = _param("plant", 2.0)
+    te: float = _param("plant", 0.1)
+    x_noise: float = _param("plant", 0.0)
+    s2_segment: float = _param("scenario", 60.0)
+    s2_level_lo: float = _param("scenario", 0.5)
+    s2_level_hi: float = _param("scenario", 2.5)
+    s2_noise: float = _param("scenario", 0.2)
+    s3_segment: float = _param("scenario", 20.0)
+    s3_level_lo: float = _param("scenario", 0.25)
+    s3_level_hi: float = _param("scenario", 1.5)
+    s3_noise: float = _param("scenario", 0.3)
 
-    # ---- derived domain objects (validated on construction) ----
-
-    def profile(self) -> BezierProfile:
-        return BezierProfile(self.t0, self.tf, self.x0, self.xf)
-
-    def bitrate_ladder(self) -> BitrateLadder:
-        return BitrateLadder(tuple(self.ladder))
-
-    def controller_config(self) -> ControllerConfig:
-        return ControllerConfig(self.alpha, self.kp, self.decision_interval, self.tau)
-
-    def plant_params(self) -> PlantParams:
-        return PlantParams(self.delta_startup, self.chunk_duration, self.te, self.duration)
-
-    def scenario_config(self) -> ScenarioConfig:
-        return ScenarioConfig(self.c0, self.s2_segment, (self.s2_level_lo, self.s2_level_hi),
-                              self.s2_noise, self.s3_segment,
-                              (self.s3_level_lo, self.s3_level_hi), self.s3_noise)
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.duration / self.te))
 
     def validate(self) -> None:
+        for problem in self._problems():
+            raise ConfigError(problem)
+
+    def _problems(self):
+        """Yield what is wrong, in order; later checks rely on earlier ones."""
         if self.scenario not in (1, 2, 3):
-            raise ConfigError(f"scenario: must be 1, 2 or 3, got {self.scenario}")
+            yield f"scenario: must be 1, 2 or 3, got {self.scenario}"
         if not self.seeds:
-            raise ConfigError("seeds: at least one seed required")
+            yield "seeds: at least one seed required"
         for e in self.emit:
             if e not in EMIT_CHOICES:
-                raise ConfigError(f"emit: unknown format {e!r} (choose from {EMIT_CHOICES})")
+                yield f"emit: unknown format {e!r} (choose from {EMIT_CHOICES})"
         if self.c0 <= 0.0:
-            raise ConfigError("c0: nominal capacity must be positive")
+            yield "c0: nominal capacity must be positive"
         if self.x_noise < 0.0:
-            raise ConfigError("x_noise: must be non-negative")
+            yield "x_noise: must be non-negative"
         if not self.replan_lower < self.replan_upper:
-            raise ConfigError("replan_lower must be below replan_upper")
-        for name, builder in (("trajectory", self.profile),
-                              ("ladder", self.bitrate_ladder),
-                              ("controller", self.controller_config),
-                              ("plant", self.plant_params)):
-            try:
-                builder()
-            except ValueError as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
+            yield "replan_lower must be below replan_upper"
+        if not 0.0 <= self.t0 < self.tf:
+            yield f"trajectory: require 0 <= t0 < tf, got t0={self.t0}, tf={self.tf}"
+        if not self.ladder:
+            yield "ladder: must be non-empty"
+        if any(v <= 0.0 for v in self.ladder):
+            yield "ladder: rates must be positive"
+        if any(b <= a for a, b in zip(self.ladder, self.ladder[1:])):
+            yield "ladder: rates must be strictly increasing"
+        if self.kp <= 0.0:
+            yield "kp: must be positive (closed-loop stability)"
+        if self.alpha >= 0.0:
+            yield "alpha: must be negative, as the input gain -C/R^2 is"
+        if self.delta_startup < 0.0:
+            yield "delta_startup: must be non-negative"
+        if self.te <= 0.0 or self.duration < 0.0:
+            yield "te must be positive, duration non-negative"
+        for name in ("chunk_duration", "decision_interval", "tau"):
+            ratio = getattr(self, name) / self.te
+            if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
+                yield f"{name}: must be a positive whole multiple of te"
         if self.tau < 2.0 * self.te:
-            raise ConfigError("tau: must be at least 2*te")
-
-
-# dotted file key -> dataclass field
-_KEYMAP = {
-    "run.scenario": "scenario", "run.replan": "replan", "run.seeds": "seeds",
-    "run.out": "out", "run.emit": "emit",
-    "trajectory.t0": "t0", "trajectory.tf": "tf",
-    "trajectory.x0": "x0", "trajectory.xf": "xf",
-    "trajectory.replan_lower": "replan_lower", "trajectory.replan_upper": "replan_upper",
-    "controller.ladder": "ladder", "controller.alpha": "alpha",
-    "controller.kp": "kp", "controller.tau": "tau",
-    "controller.decision_interval": "decision_interval",
-    "plant.c0": "c0", "plant.duration": "duration",
-    "plant.delta_startup": "delta_startup", "plant.chunk_duration": "chunk_duration",
-    "plant.te": "te", "plant.x_noise": "x_noise",
-    "scenario.s2_segment": "s2_segment", "scenario.s2_level_lo": "s2_level_lo",
-    "scenario.s2_level_hi": "s2_level_hi", "scenario.s2_noise": "s2_noise",
-    "scenario.s3_segment": "s3_segment", "scenario.s3_level_lo": "s3_level_lo",
-    "scenario.s3_level_hi": "s3_level_hi", "scenario.s3_noise": "s3_noise",
-}
-_FIELD_TO_KEY = {v: k for k, v in _KEYMAP.items()}
+            yield "tau: must be at least 2*te"
 
 
 def parse_seeds(text: str) -> list:
     """Seed list syntax: 'a..b' inclusive range or comma-separated integers."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ConfigError(f"seeds: empty range {text!r}")
-        return list(range(lo, hi + 1))
+    lo, sep, hi = text.partition("..")
     try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
+        seeds = (list(range(int(lo), int(hi) + 1)) if sep
+                 else [int(v) for v in text.split(",") if v.strip()])
     except ValueError as exc:
         raise ConfigError(f"seeds: cannot parse {text!r}") from exc
+    if sep and not seeds:
+        raise ConfigError(f"seeds: empty range {text!r}")
+    return seeds
 
 
-def _parse_value(name: str, text: str):
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+
+def _parse_value(f, text: str):
     text = text.strip()
-    if name == "seeds":
+    if f.type == list[int]:
         return parse_seeds(text)
-    if name in ("emit",):
-        return [v.strip() for v in text.split(",") if v.strip()]
-    if name == "ladder":
-        return [float(v) for v in text.split(",") if v.strip()]
-    if name == "out":
-        return text
-    if name == "scenario":
-        return int(text)
-    if name == "replan":
-        if text.lower() in ("true", "1", "yes", "on"):
-            return True
-        if text.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"replan: expected a boolean, got {text!r}")
-    return float(text)
+    try:
+        if f.type is bool:
+            return _BOOLS[text.lower()]
+        if get_origin(f.type) is list:
+            item = get_args(f.type)[0]
+            return [item(v.strip()) for v in text.split(",") if v.strip()]
+        return f.type(text)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{f.name}: cannot parse {text!r}") from exc
 
 
-def _format_value(name: str, value) -> str:
-    if name in ("seeds",):
-        return ",".join(str(v) for v in value)
-    if name in ("emit",):
-        return ",".join(value)
-    if name == "ladder":
-        return ",".join("%.10g" % v for v in value)
-    if name == "replan":
+def _format_value(f, value) -> str:
+    if f.type is bool:
         return "true" if value else "false"
-    if name in ("out",):
-        return str(value)
-    if name == "scenario":
-        return str(value)
-    return "%.10g" % value
+    if get_origin(f.type) is list:
+        return ",".join(_format_item(v) for v in value)
+    return _format_item(value)
+
+
+def _format_item(value) -> str:
+    return "%.10g" % value if isinstance(value, float) else str(value)
+
+
+def _file_key(f) -> str:
+    return f"{f.metadata['section']}.{f.name}"
+
+
+_FIELDS_BY_KEY = {_file_key(f): f for f in fields(RunConfig)}
 
 
 def read_config_file(path) -> dict:
@@ -178,10 +171,10 @@ def read_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, text = (s.strip() for s in line.split("=", 1))
-            if key not in _KEYMAP:
+            if key not in _FIELDS_BY_KEY:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            name = _KEYMAP[key]
-            values[name] = _parse_value(name, text)
+            f = _FIELDS_BY_KEY[key]
+            values[f.name] = _parse_value(f, text)
     return values
 
 
@@ -189,7 +182,7 @@ def emit_config(cfg: RunConfig, path) -> None:
     """Write a config file that parses back to an equal RunConfig."""
     with open(path, "w") as fh:
         for f in fields(RunConfig):
-            fh.write(f"{_FIELD_TO_KEY[f.name]} = {_format_value(f.name, getattr(cfg, f.name))}\n")
+            fh.write(f"{_file_key(f)} = {_format_value(f, getattr(cfg, f.name))}\n")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -197,28 +190,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="abrlab",
         description="Adaptive-bitrate buffer-control scenario runner")
     p.add_argument("--config", metavar="PATH", help="config file (flags override it)")
-    p.add_argument("--scenario", type=int, choices=(1, 2, 3))
-    rp = p.add_mutually_exclusive_group()
-    rp.add_argument("--replan", dest="replan", action="store_true", default=None)
-    rp.add_argument("--no-replan", dest="replan", action="store_false", default=None)
-    p.add_argument("--seeds", help="e.g. '0..99' or '1,2,5'")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--emit", help="comma list from: " + ",".join(EMIT_CHOICES))
-    for flag, name in (
-            ("--t0", "t0"), ("--tf", "tf"), ("--x0", "x0"), ("--xf", "xf"),
-            ("--replan-lower", "replan_lower"), ("--replan-upper", "replan_upper"),
-            ("--alpha", "alpha"), ("--kp", "kp"), ("--tau", "tau"),
-            ("--decision-interval", "decision_interval"),
-            ("--c0", "c0"), ("--duration", "duration"),
-            ("--delta-startup", "delta_startup"),
-            ("--chunk-duration", "chunk_duration"), ("--te", "te"),
-            ("--x-noise", "x_noise"),
-            ("--s2-segment", "s2_segment"), ("--s2-level-lo", "s2_level_lo"),
-            ("--s2-level-hi", "s2_level_hi"), ("--s2-noise", "s2_noise"),
-            ("--s3-segment", "s3_segment"), ("--s3-level-lo", "s3_level_lo"),
-            ("--s3-level-hi", "s3_level_hi"), ("--s3-noise", "s3_noise")):
-        p.add_argument(flag, dest=name, type=float)
-    p.add_argument("--ladder", help="comma list of admissible bitrates")
+    # every flag stores text, parsed by parse_config exactly like a file value
+    for f in fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type is bool:
+            pair = p.add_mutually_exclusive_group()
+            pair.add_argument(flag, dest=f.name, action="store_const", const="true")
+            pair.add_argument("--no-" + flag[2:], dest=f.name, action="store_const",
+                              const="false")
+        else:
+            p.add_argument(flag, dest=f.name, help=f.metadata["help"])
     return p
 
 
@@ -230,17 +211,8 @@ def parse_config(argv) -> RunConfig:
         for name, value in read_config_file(args.config).items():
             setattr(cfg, name, value)
     for f in fields(RunConfig):
-        v = getattr(args, f.name, None)
-        if v is None:
-            continue
-        if f.name == "seeds":
-            v = parse_seeds(v)
-        elif f.name == "emit":
-            v = [s.strip() for s in v.split(",") if s.strip()]
-        elif f.name == "ladder":
-            v = [float(s) for s in v.split(",") if s.strip()]
-        elif f.name == "scenario":
-            v = int(v)
-        setattr(cfg, f.name, v)
+        text = getattr(args, f.name)
+        if text is not None:
+            setattr(cfg, f.name, _parse_value(f, text))
     cfg.validate()
     return cfg

@@ -6,12 +6,7 @@ tau.  The quadrature weights integrate the kernel exactly against the
 piecewise-linear interpolant of the samples, so affine signals are handled to
 machine precision.
 """
-from collections import deque
-from dataclasses import dataclass
-
 import numpy as np
-
-from . import kernels
 
 
 def _pl_weights(tau: float, n_seg: int, kfun) -> np.ndarray:
@@ -38,70 +33,3 @@ def linear_kernel_weights(tau: float, n_seg: int) -> np.ndarray:
 def bump_kernel_weights(tau: float, n_seg: int) -> np.ndarray:
     """Weights for the kernel s*(tau - s)."""
     return _pl_weights(tau, n_seg, lambda s: s * (tau - s))
-
-
-class SampleWindow:
-    """Fixed-capacity trailing window of (y, u) sample pairs at period Te."""
-
-    def __init__(self, tau: float, Te: float):
-        if tau <= 0.0 or Te <= 0.0:
-            raise ValueError("tau and Te must be positive")
-        if tau < 2.0 * Te:
-            raise ValueError("tau must be at least 2*Te")
-        self.tau = tau
-        self.Te = Te
-        self.n_seg = int(round(tau / Te))
-        self.capacity = self.n_seg + 1
-        self._buf: deque = deque(maxlen=self.capacity)
-
-    def push(self, y: float, u: float = 0.0) -> None:
-        self._buf.append((float(y), float(u)))
-
-    @property
-    def full(self) -> bool:
-        return len(self._buf) == self.capacity
-
-    def ys(self) -> np.ndarray:
-        return np.array([s[0] for s in self._buf])
-
-    def us(self) -> np.ndarray:
-        return np.array([s[1] for s in self._buf])
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-
-@dataclass(frozen=True)
-class BandwidthEstimate:
-    value: float
-    at_time: float
-    valid: bool
-
-
-def estimate_bandwidth(window: SampleWindow, R: float, at_time: float = 0.0,
-                       regime_ok: bool = True) -> BandwidthEstimate:
-    """Bandwidth estimate from buffer samples under a constant bitrate R.
-
-    Invalid (value nan) until the window is full or when the playback-regime
-    precondition was violated inside the window; the caller holds the last
-    valid value in that case.
-    """
-    if R <= 0.0:
-        raise ValueError("R must be positive")
-    if not window.full or not regime_ok:
-        return BandwidthEstimate(float("nan"), at_time, False)
-    w = linear_kernel_weights(window.tau, window.n_seg)
-    value = kernels.bandwidth_from_window(R, w, window.ys(), 0, window.tau)
-    return BandwidthEstimate(float(value), at_time, True)
-
-
-def estimate_F(window: SampleWindow, alpha: float) -> float | None:
-    """Ultra-local drift estimate from (y, u) samples; None until ready."""
-    if alpha == 0.0:
-        raise ValueError("alpha must be nonzero")
-    if not window.full:
-        return None
-    w_lin = linear_kernel_weights(window.tau, window.n_seg)
-    w_bump = bump_kernel_weights(window.tau, window.n_seg)
-    return float(kernels.f_from_window(w_lin, w_bump, window.ys(), window.us(),
-                                       0, alpha, window.tau))

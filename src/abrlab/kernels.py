@@ -1,17 +1,27 @@
-"""Hot numeric kernels.
+"""The control law and the plant, as numeric kernels.
 
 Everything here is written so it compiles under numba's nopython mode; with
 ABRLAB_DISABLE_NUMBA=1 the same source runs as plain Python/numpy.  The
-public modules (trajectory, estimation, controller, plant) wrap these with
-validation and richer types; the fused ``episode_loop`` drives a whole
-simulated episode so batches stay fast.
+fused ``episode_loop`` is the one implementation of the controller: flat
+feedforward, the iP correction on the ultra-local model and windowed
+replanning of the reference, stepped together with the client buffer.
 """
+from collections import namedtuple
+
 import numpy as np
 
 from ._accel import maybe_njit
 
 FILLING = 0
 PLAYING = 1
+
+# Distance between the measured buffer and the replanned reference beyond
+# which the reference correction restarts at the buffer.
+RESTART_GAP = 2.0
+
+# The episode kernel's result, named as the matching ``EpisodeLog`` fields.
+EpisodeArrays = namedtuple("EpisodeArrays", ("x", "x_meas", "R", "c_est", "u", "ref",
+                                             "regime", "stalled", "t_k", "R_k", "x_k"))
 
 
 @maybe_njit
@@ -140,7 +150,8 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
 
     Per Te step: measure, update estimator windows, replan the reference,
     at the chunk cadence pick the bitrate, then Euler-step the true plant.
-    Returns the per-step log arrays plus the chunk-grained records.
+    Returns the per-step log arrays plus the chunk-grained records as an
+    ``EpisodeArrays`` record.
     """
     n = c_true.shape[0]
     win = w_lin.shape[0]
@@ -231,7 +242,7 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
             # a capacity jump leaves the reference far from the buffer; restart
             # the correction there instead of burning switches on the transient
             base = bezier_eval(t, t0, tf, x0, xf)
-            if abs(xm - (base + y_ad)) > 2.0:
+            if abs(xm - (base + y_ad)) > RESTART_GAP:
                 y_ad = xm - base
 
         ref = bezier_eval(t, t0, tf, x0, xf) + y_ad
@@ -272,7 +283,7 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
 
         x = plant_step(x, t, cur_R, c_true[k], Te, delta, Delta)
 
-    return x_a, xm_a, R_a, cest_a, u_a, ref_a, regime_a, stall_a, tk, Rk, xk
+    return EpisodeArrays(x_a, xm_a, R_a, cest_a, u_a, ref_a, regime_a, stall_a, tk, Rk, xk)
 
 
 # Compiled entry point; _episode_loop itself stays callable as the

@@ -45,8 +45,7 @@ def rebuffering_time(chunk_buffers, delta: float) -> int:
     return int(np.count_nonzero(delta - xs >= 0.0))
 
 
-def qoe_report(log: EpisodeLog, delta_chunk: float = 2.0,
-               delta_startup: float = 5.0,
+def qoe_report(log: EpisodeLog, delta_chunk: float, delta_startup: float,
                count_startup_chunks: bool = False) -> QoEReport:
     """Full QoE report for one episode; startup chunks excluded from the
     rebuffering count by default (the buffer is legitimately below the chunk

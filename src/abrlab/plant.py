@@ -1,129 +1,53 @@
-"""Client-buffer plant, channel scenarios, and episode execution."""
+"""Channel scenarios, episode execution and the per-step episode log."""
 import csv
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import estimation, kernels
-from .controller import BitrateLadder, ControllerConfig
-from .trajectory import BezierProfile
+from .config import RunConfig
 
 FMT = "%.10g"  # stable float formatting for byte-identical reruns
 
+# Scenario 3 always dips under this capacity, the smallest default bitrate.
+S3_FORCE_BELOW = 0.35
 
-class Regime(Enum):
-    FILLING = "filling"
-    PLAYING = "playing"
-
-
-@dataclass(frozen=True)
-class PlantParams:
-    delta_startup: float = 5.0
-    chunk_duration: float = 2.0
-    Te: float = 0.1
-    duration: float = 600.0
-
-    def __post_init__(self):
-        if self.delta_startup < 0.0:
-            raise ValueError("delta_startup must be non-negative")
-        if self.chunk_duration <= 0.0 or self.Te <= 0.0 or self.duration < 0.0:
-            raise ValueError("chunk_duration and Te must be positive, duration non-negative")
-        ratio = self.chunk_duration / self.Te
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("Te must divide chunk_duration")
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.duration / self.Te))
-
-
-@dataclass(frozen=True)
-class SimState:
-    t: float = 0.0
-    x: float = 0.0
-    regime: Regime = Regime.FILLING
-    stalled: bool = False
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Generator knobs for the three capacity scenarios."""
-    c0: float = 0.7
-    s2_segment: float = 60.0
-    s2_levels: tuple = (0.5, 2.5)
-    s2_noise: float = 0.2
-    s3_segment: float = 20.0
-    s3_levels: tuple = (0.25, 1.5)
-    s3_noise: float = 0.3
-    s3_force_below: float = 0.35  # guarantee an excursion under the ladder minimum
+# First entropy word of the buffer-measurement noise stream, which keeps it
+# apart from the capacity stream of the same scenario and seed.
+X_NOISE_STREAM = 99
 
 
 @dataclass
 class ChannelTrace:
     true_capacity: np.ndarray
     measured_capacity: np.ndarray
-    Te: float
     seed: int
     scenario_id: int
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "c_true", "c_meas"])
-            for k in range(len(self.true_capacity)):
-                w.writerow([FMT % (k * self.Te),
-                            FMT % self.true_capacity[k],
-                            FMT % self.measured_capacity[k]])
 
-    @classmethod
-    def from_csv(cls, path, Te: float | None = None, seed: int = 0, scenario_id: int = 0):
-        ts, ct, cm = [], [], []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                ts.append(float(row["t"]))
-                ct.append(float(row["c_true"]))
-                cm.append(float(row["c_meas"]))
-        if Te is None:
-            Te = ts[1] - ts[0] if len(ts) > 1 else 0.1
-        return cls(np.array(ct), np.array(cm), Te, seed, scenario_id)
-
-
-def step(state: SimState, R: float, C: float, Te: float, params: PlantParams) -> SimState:
-    """One explicit-Euler step; regime and stall re-evaluated on the new state."""
-    if R <= 0.0 or C <= 0.0 or Te <= 0.0:
-        raise ValueError("R, C and Te must be positive")
-    xn = kernels.plant_step(state.x, state.t, R, C, Te, params.delta_startup,
-                            params.chunk_duration)
-    tn = state.t + Te
-    playing = tn >= params.delta_startup and xn >= params.chunk_duration
-    stalled = tn >= params.delta_startup and xn < params.chunk_duration
-    return SimState(tn, xn, Regime.PLAYING if playing else Regime.FILLING, stalled)
-
-
-def build_scenario(scenario_id: int, seed: int, params: PlantParams,
-                   scen: ScenarioConfig = ScenarioConfig()) -> ChannelTrace:
-    """Deterministic capacity trace for one of the three scenarios."""
-    n = params.n_steps
-    rng = np.random.default_rng([scenario_id, seed])
-    if scenario_id == 1:
-        true = np.full(n, scen.c0)
+def build_scenario(cfg: RunConfig, seed: int) -> ChannelTrace:
+    """Deterministic capacity trace for the config's scenario and one seed."""
+    n = cfg.n_steps
+    sid = cfg.scenario
+    rng = np.random.default_rng([sid, seed])
+    if sid == 1:
+        true = np.full(n, cfg.c0)
         meas = true.copy()
-    elif scenario_id in (2, 3):
-        if scenario_id == 2:
-            seg_len, levels, noise = scen.s2_segment, scen.s2_levels, scen.s2_noise
+    elif sid in (2, 3):
+        if sid == 2:
+            seg_len, lo, hi, noise = cfg.s2_segment, cfg.s2_level_lo, cfg.s2_level_hi, cfg.s2_noise
         else:
-            seg_len, levels, noise = scen.s3_segment, scen.s3_levels, scen.s3_noise
-        seg_steps = max(1, int(round(seg_len / params.Te)))
+            seg_len, lo, hi, noise = cfg.s3_segment, cfg.s3_level_lo, cfg.s3_level_hi, cfg.s3_noise
+        seg_steps = max(1, int(round(seg_len / cfg.te)))
         n_seg = (n + seg_steps - 1) // seg_steps
-        lv = rng.uniform(levels[0], levels[1], n_seg)
-        if scenario_id == 3 and lv.min() >= scen.s3_force_below:
-            lv[rng.integers(n_seg)] = rng.uniform(levels[0], scen.s3_force_below * 0.97)
+        lv = rng.uniform(lo, hi, n_seg)
+        if sid == 3 and lv.min() >= S3_FORCE_BELOW:
+            lv[rng.integers(n_seg)] = rng.uniform(lo, S3_FORCE_BELOW * 0.97)
         true = np.repeat(lv, seg_steps)[:n]
         meas = true * (1.0 + rng.uniform(-noise, noise, n))
     else:
-        raise ValueError(f"unknown scenario id {scenario_id}")
-    return ChannelTrace(true, meas, params.Te, seed, scenario_id)
+        raise ValueError(f"unknown scenario id {sid}")
+    return ChannelTrace(true, meas, seed, sid)
 
 
 @dataclass
@@ -142,10 +66,9 @@ class EpisodeLog:
     t_k: np.ndarray
     R_k: np.ndarray
     x_k: np.ndarray
-    scenario_id: int = 0
-    seed: int = 0
-    replan_enabled: bool = False
-    Te: float = 0.1
+    scenario_id: int
+    seed: int
+    replan_enabled: bool
 
     @property
     def n_chunks(self) -> int:
@@ -160,44 +83,33 @@ class EpisodeLog:
                 w.writerow([FMT % self.t[k], FMT % self.x[k], FMT % self.x_meas[k],
                             FMT % self.R[k], FMT % self.c_true[k], FMT % self.c_est[k],
                             FMT % self.u[k], FMT % self.ref[k],
-                            Regime.PLAYING.value if self.regime[k] else Regime.FILLING.value,
+                            "playing" if self.regime[k] else "filling",
                             int(self.stalled[k])])
 
 
-def run_episode(trace: ChannelTrace,
-                profile: BezierProfile = BezierProfile(0.0, 10.0, 0.0, 4.0),
-                ladder: BitrateLadder = BitrateLadder(),
-                cfg: ControllerConfig = ControllerConfig(),
-                params: PlantParams = PlantParams(),
-                replan_enabled: bool = False,
-                replan_lower: float = 4.5,
-                replan_upper: float = 12.0,
-                x_noise_level: float = 0.0) -> EpisodeLog:
-    """Run one full Te-stepped episode through the fused kernel."""
-    n = params.n_steps
+def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
+    """Run one full Te-stepped episode of the config through the fused kernel."""
+    n = cfg.n_steps
     if len(trace.true_capacity) < n:
         raise ValueError("trace shorter than episode duration")
-    n_seg = int(round(cfg.tau / params.Te))
+    n_seg = int(round(cfg.tau / cfg.te))
     if n_seg < 2:
         raise ValueError("tau must span at least two sampling periods")
     w_lin = estimation.linear_kernel_weights(cfg.tau, n_seg)
     w_bump = estimation.bump_kernel_weights(cfg.tau, n_seg)
-    if x_noise_level > 0.0:
-        rng = np.random.default_rng([99, trace.scenario_id, trace.seed])
-        x_noise = rng.uniform(-x_noise_level, x_noise_level, n)
+    if cfg.x_noise > 0.0:
+        rng = np.random.default_rng([X_NOISE_STREAM, trace.scenario_id, trace.seed])
+        x_noise = rng.uniform(-cfg.x_noise, cfg.x_noise, n)
     else:
         x_noise = np.zeros(n)
     out = kernels.episode_loop(
         trace.true_capacity[:n].astype(np.float64),
         trace.measured_capacity[:n].astype(np.float64),
-        x_noise, ladder.as_array(), w_lin, w_bump,
-        params.Te, params.delta_startup, params.chunk_duration,
-        profile.t0, profile.tf, profile.x0, profile.xf,
+        x_noise, np.array(cfg.ladder, dtype=np.float64), w_lin, w_bump,
+        cfg.te, cfg.delta_startup, cfg.chunk_duration,
+        cfg.t0, cfg.tf, cfg.x0, cfg.xf,
         cfg.alpha, cfg.kp, cfg.tau, cfg.decision_interval,
-        replan_enabled, replan_lower, replan_upper)
-    x_a, xm_a, R_a, cest_a, u_a, ref_a, regime_a, stall_a, tk, Rk, xk = out
-    t = np.arange(n) * params.Te
-    return EpisodeLog(t, x_a, xm_a, R_a, trace.true_capacity[:n], cest_a, u_a,
-                      ref_a, regime_a, stall_a, tk, Rk, xk,
+        cfg.replan, cfg.replan_lower, cfg.replan_upper)
+    return EpisodeLog(np.arange(n) * cfg.te, c_true=trace.true_capacity[:n], **out._asdict(),
                       scenario_id=trace.scenario_id, seed=trace.seed,
-                      replan_enabled=replan_enabled, Te=params.Te)
+                      replan_enabled=cfg.replan)

@@ -1,9 +1,23 @@
 """Configuration parsing, validation and the command-line runner."""
+from dataclasses import fields
+
 import pytest
 
 from abrlab.cli import main
-from abrlab.config import (ConfigError, RunConfig, emit_config, parse_config,
-                           parse_seeds, read_config_file)
+from abrlab.config import (ConfigError, RunConfig, build_arg_parser, emit_config,
+                           parse_config, parse_seeds, read_config_file)
+
+# A valid value different from the default for every RunConfig field.
+NON_DEFAULT = {
+    "scenario": 3, "replan": True, "seeds": [1, 2, 3], "out": "elsewhere",
+    "emit": ["log", "plotdata"], "t0": 0.5, "tf": 8.0, "x0": 0.25, "xf": 5.0,
+    "replan_lower": 3.5, "replan_upper": 10.0, "ladder": [0.5, 1.0, 4.0],
+    "alpha": -7.5, "kp": 0.3, "tau": 0.8, "decision_interval": 1.0,
+    "c0": 0.9, "duration": 300.0, "delta_startup": 4.0, "chunk_duration": 1.0,
+    "te": 0.05, "x_noise": 0.01, "s2_segment": 30.0, "s2_level_lo": 0.4,
+    "s2_level_hi": 2.0, "s2_noise": 0.1, "s3_segment": 10.0, "s3_level_lo": 0.3,
+    "s3_level_hi": 1.2, "s3_noise": 0.25,
+}
 
 
 class TestSeeds:
@@ -49,17 +63,35 @@ class TestParsing:
             parse_config(["--tau", "0.1", "--te", "0.1"])
         with pytest.raises(ConfigError):
             parse_config(["--replan-lower", "9", "--replan-upper", "8"])
+        with pytest.raises(ConfigError):
+            parse_config(["--alpha", "5"])
 
     def test_config_file_round_trip(self, tmp_path):
-        cfg = RunConfig()
-        cfg.scenario = 3
-        cfg.replan = True
-        cfg.seeds = [1, 2, 3]
-        cfg.kp = 0.3
-        cfg.ladder = [0.5, 1.0, 4.0]
+        assert set(NON_DEFAULT) == {f.name for f in fields(RunConfig)}
+        cfg = RunConfig(**NON_DEFAULT)
+        for name, value in NON_DEFAULT.items():
+            assert value != getattr(RunConfig(), name), name
+        cfg.validate()
         path = tmp_path / "run.cfg"
         emit_config(cfg, path)
         assert parse_config(["--config", str(path)]) == cfg
+
+    def test_one_flag_and_one_file_key_per_field(self, tmp_path):
+        names = [f.name for f in fields(RunConfig)]
+        flags = {}
+        for action in build_arg_parser()._actions:
+            for flag in action.option_strings:
+                flags.setdefault(action.dest, []).append(flag)
+        for name in names:
+            dashed = "--" + name.replace("_", "-")
+            expected = [dashed, "--no-" + dashed[2:]] if name == "replan" else [dashed]
+            assert flags[name] == expected
+        assert set(flags) == set(names) | {"help", "config"}
+        path = tmp_path / "run.cfg"
+        emit_config(RunConfig(), path)
+        keys = [line.split(" = ")[0] for line in path.read_text().splitlines()]
+        assert [key.split(".")[1] for key in keys] == names
+        assert len(set(keys)) == len(names)
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -109,6 +141,15 @@ class TestMain:
         code = main(["--kp", "-1", "--out", str(out)])
         assert code == 2
         assert not out.exists()
+        assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--decision-interval", "0.04"],
+                                       ["--decision-interval", "0.15"],
+                                       ["--tau", "1.05"]])
+    def test_off_grid_interval_exits_2(self, tmp_path, capsys, flags):
+        # decision instants and estimator windows must lie on the te grid
+        code = main(self.ARGS + flags + ["--out", str(tmp_path / "never")])
+        assert code == 2
         assert "invalid configuration" in capsys.readouterr().err
 
     def test_unwritable_out_exits_1(self, tmp_path):

@@ -2,17 +2,29 @@
 import numpy as np
 import pytest
 
-from abrlab.estimation import (SampleWindow, bump_kernel_weights, estimate_F,
-                               estimate_bandwidth, linear_kernel_weights)
+from abrlab.cli import run_single
+from abrlab.config import RunConfig
+from abrlab.estimation import bump_kernel_weights, linear_kernel_weights
+from abrlab.kernels import bandwidth_from_window, f_from_window, ring_dot
 
 TAU = 1.0
 TE = 0.1
+N_SEG = 10
+W_LIN = linear_kernel_weights(TAU, N_SEG)
+W_BUMP = bump_kernel_weights(TAU, N_SEG)
 
 
-def fill_affine(window, a, b, u=0.0):
-    for i in range(window.capacity):
-        window.push(a + b * i * window.Te, u)
-    return window
+def affine(a, b):
+    """Window samples a + b s, oldest first."""
+    return a + b * np.arange(N_SEG + 1) * TE
+
+
+def bandwidth(ys, R):
+    return bandwidth_from_window(R, W_LIN, ys, 0, TAU)
+
+
+def drift(ys, us, alpha):
+    return f_from_window(W_LIN, W_BUMP, ys, us, 0, alpha, TAU)
 
 
 class TestWeights:
@@ -40,96 +52,96 @@ class TestWeights:
         assert bump_kernel_weights(TAU, 10).sum() == pytest.approx(TAU**3 / 6, rel=1e-13)
 
 
-class TestSampleWindow:
+class TestRingWindow:
     def test_capacity_and_rollover(self):
-        w = SampleWindow(TAU, TE)
-        assert w.capacity == 11
-        for i in range(15):
-            w.push(float(i))
-        assert w.full
-        assert w.ys()[0] == 4.0 and w.ys()[-1] == 14.0
-
-    def test_not_full_initially(self):
-        w = SampleWindow(TAU, TE)
-        w.push(1.0)
-        assert not w.full and len(w) == 1
+        # the episode loop writes sample k at k % win and reads oldest-first
+        # from (k + 1) % win
+        win = N_SEG + 1
+        ring = np.zeros(win)
+        for k in range(15):
+            ring[k % win] = float(k)
+        start = (14 + 1) % win
+        first, last = np.eye(win)[0], np.eye(win)[-1]
+        assert ring_dot(first, ring, start) == 4.0
+        assert ring_dot(last, ring, start) == 14.0
+        assert ring_dot(np.arange(win, dtype=float), ring, start) == \
+            pytest.approx(np.arange(win) @ np.arange(4.0, 15.0))
 
     def test_invalid_params(self):
+        for tau, te in ((0.0, TE), (TAU, 0.0), (0.15, 0.1)):
+            with pytest.raises(ValueError):
+                RunConfig(tau=tau, te=te).validate()
         with pytest.raises(ValueError):
-            SampleWindow(0.0, TE)
-        with pytest.raises(ValueError):
-            SampleWindow(TAU, 0.0)
-        with pytest.raises(ValueError):
-            SampleWindow(0.15, 0.1)  # window shorter than two periods
+            RunConfig(tau=0.1, te=0.1).validate()  # window shorter than two periods
 
 
 class TestBandwidth:
     def test_constant_buffer_returns_rate(self):
-        w = fill_affine(SampleWindow(TAU, TE), 3.0, 0.0)
-        est = estimate_bandwidth(w, R=2.0)
-        assert est.valid
-        assert est.value == pytest.approx(2.0, rel=1e-12)
+        assert bandwidth(affine(3.0, 0.0), R=2.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_affine_buffer_exact(self):
-        w = fill_affine(SampleWindow(TAU, TE), 2.0, 0.5)
-        est = estimate_bandwidth(w, R=2.0)
-        assert est.value == pytest.approx(3.0, rel=1e-12)
+        assert bandwidth(affine(2.0, 0.5), R=2.0) == pytest.approx(3.0, rel=1e-12)
 
     def test_offset_invariance(self):
         # the kernel annihilates constants: shifting the window does nothing
-        a = estimate_bandwidth(fill_affine(SampleWindow(TAU, TE), 0.0, 0.3), 1.5)
-        b = estimate_bandwidth(fill_affine(SampleWindow(TAU, TE), 7.0, 0.3), 1.5)
-        assert a.value == pytest.approx(b.value, rel=1e-12)
+        a = bandwidth(affine(0.0, 0.3), 1.5)
+        b = bandwidth(affine(7.0, 0.3), 1.5)
+        assert a == pytest.approx(b, rel=1e-12)
 
     def test_invalid_until_full(self):
-        w = SampleWindow(TAU, TE)
-        w.push(3.0)
-        est = estimate_bandwidth(w, R=2.0)
-        assert not est.valid and np.isnan(est.value)
+        # scenario 1: playback starts at 5 s, so the window conditions first
+        # hold at step 61 (t = 6.1 s); the estimate is NaN until then
+        log = run_single(RunConfig(), 0)
+        assert np.all(np.isnan(log.c_est[:61]))
+        assert np.all(np.isfinite(log.c_est[61:]))
 
     def test_regime_violation_invalidates(self):
-        w = fill_affine(SampleWindow(TAU, TE), 3.0, 0.0)
-        est = estimate_bandwidth(w, R=2.0, regime_ok=False)
-        assert not est.valid and np.isnan(est.value)
+        # without a startup delay the time condition holds after one window,
+        # but the first estimate still waits for a full window of playback
+        # with the measured buffer above the chunk duration
+        cfg = RunConfig(delta_startup=0.0, duration=60.0)
+        log = run_single(cfg, 0)
+        win = N_SEG + 1
+        first = int(np.argmax(np.isfinite(log.c_est)))
+        ok = (log.regime == 1) & (log.x_meas > cfg.chunk_duration)
+        assert first > win
+        assert np.all(np.isnan(log.c_est[:first]))
+        assert np.all(ok[first - win + 1:first + 1])
+        assert not ok[first - win]
 
     def test_dither_is_attenuated(self):
         # alternating-sign noise of amplitude a shifts the estimate by at
         # most 6 R a / tau (integral filter, not differentiation)
         amp = 0.05
-        w = SampleWindow(TAU, TE)
-        for i in range(w.capacity):
-            w.push(3.0 + amp * (-1.0) ** i)
-        est = estimate_bandwidth(w, R=2.0)
-        assert abs(est.value - 2.0) <= 6.0 * 2.0 * amp / TAU + 1e-12
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            estimate_bandwidth(SampleWindow(TAU, TE), R=0.0)
+        ys = 3.0 + amp * (-1.0) ** np.arange(N_SEG + 1)
+        assert abs(bandwidth(ys, R=2.0) - 2.0) <= 6.0 * 2.0 * amp / TAU + 1e-12
 
 
 class TestDrift:
     ALPHA = -10.0
 
     def test_none_until_full(self):
-        w = SampleWindow(TAU, TE)
-        w.push(0.0, 0.0)
-        assert estimate_F(w, self.ALPHA) is None
+        # with 0.5 s decisions the steps 0 and 5 come before the first full
+        # drift window: their correction is zero, the one at step 10 is not
+        log = run_single(RunConfig(decision_interval=0.5, duration=20.0), 0)
+        assert np.all(log.u[:10] == 0.0)
+        assert log.u[10] != 0.0
 
     def test_zero_signal(self):
-        w = fill_affine(SampleWindow(TAU, TE), 0.0, 0.0)
-        assert estimate_F(w, self.ALPHA) == pytest.approx(0.0, abs=1e-12)
+        zeros = affine(0.0, 0.0)
+        assert drift(zeros, zeros, self.ALPHA) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_control_response(self):
         # y driven only by the control: slope alpha*u0, so F comes out zero
         u0 = 0.2
-        w = fill_affine(SampleWindow(TAU, TE), 1.0, self.ALPHA * u0, u=u0)
-        assert estimate_F(w, self.ALPHA) == pytest.approx(0.0, abs=1e-9)
+        ys, us = affine(1.0, self.ALPHA * u0), np.full(N_SEG + 1, u0)
+        assert drift(ys, us, self.ALPHA) == pytest.approx(0.0, abs=1e-9)
 
     def test_constant_drift_recovered(self):
         F0, u0 = 1.7, 0.1
-        w = fill_affine(SampleWindow(TAU, TE), 0.5, F0 + self.ALPHA * u0, u=u0)
-        assert estimate_F(w, self.ALPHA) == pytest.approx(F0, rel=1e-9)
+        ys, us = affine(0.5, F0 + self.ALPHA * u0), np.full(N_SEG + 1, u0)
+        assert drift(ys, us, self.ALPHA) == pytest.approx(F0, rel=1e-9)
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
-            estimate_F(SampleWindow(TAU, TE), 0.0)
+            RunConfig(alpha=0.0).validate()

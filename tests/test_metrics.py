@@ -7,7 +7,10 @@ import pytest
 from abrlab.metrics import (QoEReport, avg_quality, batch_report, format_table,
                             qoe_report, quality_variation, rebuffering_time,
                             reports_to_csv, reports_to_json, table_to_csv)
-from abrlab.plant import PlantParams, build_scenario, run_episode
+from abrlab.config import RunConfig
+from abrlab.plant import build_scenario, run_episode
+
+CFG = RunConfig()
 
 
 class TestAvgQuality:
@@ -55,20 +58,21 @@ class TestRebuffering:
 
 @pytest.fixture(scope="module")
 def log():
-    return run_episode(build_scenario(1, 0, PlantParams()))
+    return run_episode(build_scenario(CFG, 0), CFG)
 
 
 class TestReport:
     def test_full_report(self, log):
-        r = qoe_report(log)
+        r = qoe_report(log, CFG.chunk_duration, CFG.delta_startup)
         assert r.M == 300
         assert 0.0 < r.avg_quality <= 5.0
         assert r.quality_variation_normalized == pytest.approx(
             r.switch_count / (r.M - 1))
 
     def test_startup_exclusion(self, log):
-        default = qoe_report(log)
-        counted = qoe_report(log, count_startup_chunks=True)
+        default = qoe_report(log, CFG.chunk_duration, CFG.delta_startup)
+        counted = qoe_report(log, CFG.chunk_duration, CFG.delta_startup,
+                             count_startup_chunks=True)
         # the buffer is below the chunk duration while it first fills
         assert counted.rebuffer_count >= default.rebuffer_count + 1
 

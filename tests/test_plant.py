@@ -2,53 +2,50 @@
 import numpy as np
 import pytest
 
-from abrlab import kernels
-from abrlab.plant import (ChannelTrace, PlantParams, Regime, ScenarioConfig,
-                          SimState, build_scenario, run_episode, step)
+from abrlab.config import RunConfig
+from abrlab.kernels import plant_step
+from abrlab.plant import S3_FORCE_BELOW, build_scenario, run_episode
 
-PARAMS = PlantParams()
+CFG = RunConfig()
+DELTA, CHUNK = CFG.delta_startup, CFG.chunk_duration
+
+
+def step(x, t, R, C, Te=0.1):
+    return plant_step(x, t, R, C, Te, DELTA, CHUNK)
+
+
+def scenario(sid, **overrides):
+    return RunConfig(scenario=sid, **overrides)
 
 
 class TestParams:
     def test_n_steps(self):
-        assert PARAMS.n_steps == 6000
-        assert PlantParams(duration=10.0, Te=0.1).n_steps == 100
+        assert CFG.n_steps == 6000
+        assert RunConfig(duration=10.0, te=0.1).n_steps == 100
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PlantParams(Te=0.0)
-        with pytest.raises(ValueError):
-            PlantParams(delta_startup=-1.0)
-        with pytest.raises(ValueError):
-            PlantParams(chunk_duration=2.0, Te=0.3)  # Te must divide it
+        for overrides in ({"te": 0.0}, {"delta_startup": -1.0},
+                          {"chunk_duration": 2.0, "te": 0.3}):  # te must divide it
+            with pytest.raises(ValueError):
+                RunConfig(**overrides).validate()
 
 
 class TestStep:
     def test_startup_fills(self):
-        s = step(SimState(t=0.0, x=0.0), R=2.0, C=2.0, Te=0.1, params=PARAMS)
-        assert s.x == pytest.approx(0.1)
-        assert s.regime is Regime.FILLING and not s.stalled
+        assert step(0.0, 0.0, R=2.0, C=2.0) == pytest.approx(0.1)
 
     def test_playback_drains(self):
-        s = step(SimState(t=6.0, x=2.0, regime=Regime.PLAYING), R=2.0, C=1.0,
-                 Te=0.1, params=PARAMS)
-        assert s.x == pytest.approx(1.95)
-        assert s.regime is Regime.FILLING  # dropped below the chunk duration
-        assert s.stalled
+        assert step(2.0, 6.0, R=2.0, C=1.0) == pytest.approx(1.95)
 
     def test_playback_balanced(self):
-        s = step(SimState(t=10.0, x=4.0, regime=Regime.PLAYING), R=0.7, C=0.7,
-                 Te=0.1, params=PARAMS)
-        assert s.x == pytest.approx(4.0)
-        assert s.regime is Regime.PLAYING and not s.stalled
+        assert step(4.0, 10.0, R=0.7, C=0.7) == pytest.approx(4.0)
 
     def test_low_buffer_always_fills(self):
         # below the chunk duration the playout is frozen even after startup
-        s = step(SimState(t=50.0, x=1.0), R=2.0, C=1.0, Te=0.1, params=PARAMS)
-        assert s.x == pytest.approx(1.05)
+        assert step(1.0, 50.0, R=2.0, C=1.0) == pytest.approx(1.05)
 
     def test_clamped_at_zero(self):
-        x = kernels.plant_step(0.05, 6.0, 4.0, 0.1, 0.1, 5.0, 0.01)
+        x = plant_step(0.05, 6.0, 4.0, 0.1, 0.1, 5.0, 0.01)
         assert x == 0.0
 
     def test_regime_rule_property(self):
@@ -58,71 +55,53 @@ class TestStep:
             t = float(rng.uniform(0.0, 20.0))
             R = float(rng.uniform(0.35, 5.0))
             C = float(rng.uniform(0.1, 3.0))
-            s = step(SimState(t=t, x=x), R, C, 0.1, PARAMS)
             drain = 1.0 if (t >= 5.0 and x >= 2.0) else 0.0
-            assert s.x == pytest.approx(max(0.0, x + 0.1 * (C / R - drain)))
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            step(SimState(), R=0.0, C=1.0, Te=0.1, params=PARAMS)
-        with pytest.raises(ValueError):
-            step(SimState(), R=1.0, C=-1.0, Te=0.1, params=PARAMS)
+            assert step(x, t, R, C) == pytest.approx(max(0.0, x + 0.1 * (C / R - drain)))
 
 
 class TestScenarios:
     def test_scenario1_constant(self):
-        tr = build_scenario(1, 0, PARAMS)
+        tr = build_scenario(scenario(1), 0)
         assert np.all(tr.true_capacity == 0.7)
         assert np.array_equal(tr.true_capacity, tr.measured_capacity)
-        assert len(tr.true_capacity) == PARAMS.n_steps
+        assert len(tr.true_capacity) == CFG.n_steps
 
     def test_scenario2_piecewise_constant(self):
-        tr = build_scenario(2, 1, PARAMS)
-        seg = int(round(60.0 / PARAMS.Te))
-        for i in range(0, PARAMS.n_steps, seg):
+        tr = build_scenario(scenario(2), 1)
+        seg = int(round(60.0 / CFG.te))
+        for i in range(0, CFG.n_steps, seg):
             assert np.all(tr.true_capacity[i:i + seg] == tr.true_capacity[i])
         assert tr.true_capacity.min() >= 0.5 and tr.true_capacity.max() <= 2.5
         rel = tr.measured_capacity / tr.true_capacity - 1.0
         assert np.abs(rel).max() <= 0.2
 
     def test_scenario3_dips_below_ladder_min(self):
-        scen = ScenarioConfig()
         for seed in range(5):
-            tr = build_scenario(3, seed, PARAMS, scen)
-            assert tr.true_capacity.min() < scen.s3_force_below
+            tr = build_scenario(scenario(3), seed)
+            assert tr.true_capacity.min() < S3_FORCE_BELOW
 
     def test_determinism(self):
-        a = build_scenario(3, 42, PARAMS)
-        b = build_scenario(3, 42, PARAMS)
+        a = build_scenario(scenario(3), 42)
+        b = build_scenario(scenario(3), 42)
         assert np.array_equal(a.true_capacity, b.true_capacity)
         assert np.array_equal(a.measured_capacity, b.measured_capacity)
 
     def test_seeds_differ(self):
-        a = build_scenario(2, 0, PARAMS)
-        b = build_scenario(2, 1, PARAMS)
+        a = build_scenario(scenario(2), 0)
+        b = build_scenario(scenario(2), 1)
         assert not np.array_equal(a.true_capacity, b.true_capacity)
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
-            build_scenario(4, 0, PARAMS)
-
-    def test_trace_csv_round_trip(self, tmp_path):
-        tr = build_scenario(2, 7, PlantParams(duration=20.0))
-        path = tmp_path / "trace.csv"
-        tr.to_csv(path)
-        back = ChannelTrace.from_csv(path)
-        assert back.Te == pytest.approx(tr.Te)
-        np.testing.assert_allclose(back.true_capacity, tr.true_capacity, rtol=1e-9)
-        np.testing.assert_allclose(back.measured_capacity, tr.measured_capacity, rtol=1e-9)
+            build_scenario(scenario(4), 0)
 
 
 class TestEpisode:
     def test_shapes_and_grids(self):
-        tr = build_scenario(1, 0, PARAMS)
-        log = run_episode(tr)
-        n = PARAMS.n_steps
+        log = run_episode(build_scenario(CFG, 0), CFG)
+        n = CFG.n_steps
         assert len(log.t) == len(log.x) == len(log.R) == n
-        np.testing.assert_allclose(np.diff(log.t), PARAMS.Te)
+        np.testing.assert_allclose(np.diff(log.t), CFG.te)
         assert log.n_chunks == 300
         np.testing.assert_allclose(np.diff(log.t_k), 2.0)
         # bitrate only changes on the chunk grid
@@ -130,30 +109,39 @@ class TestEpisode:
         assert np.all(ch % 20 == 0)
 
     def test_chunk_rates_on_ladder(self):
-        log = run_episode(build_scenario(2, 3, PARAMS), replan_enabled=True)
+        cfg = scenario(2, replan=True)
+        log = run_episode(build_scenario(cfg, 3), cfg)
         assert set(np.unique(log.R_k)) <= {0.35, 0.6, 1.0, 2.0, 3.0, 5.0}
 
     def test_determinism(self):
-        a = run_episode(build_scenario(3, 5, PARAMS), replan_enabled=True,
-                        x_noise_level=0.05)
-        b = run_episode(build_scenario(3, 5, PARAMS), replan_enabled=True,
-                        x_noise_level=0.05)
+        cfg = scenario(3, replan=True, x_noise=0.05)
+        a = run_episode(build_scenario(cfg, 5), cfg)
+        b = run_episode(build_scenario(cfg, 5), cfg)
         for name in ("x", "x_meas", "R", "c_est", "u", "ref", "R_k", "x_k"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_startup_regime(self):
-        log = run_episode(build_scenario(1, 0, PARAMS))
+        log = run_episode(build_scenario(CFG, 0), CFG)
         assert np.all(log.regime[:50] == 0)   # filling until delta_startup
         assert np.all(log.stalled[:50] == 0)
 
+    def test_regime_and_stall_rule(self):
+        # after startup: playing at or above the chunk duration, stalled below
+        cfg = scenario(3)
+        log = run_episode(build_scenario(cfg, 0), cfg)
+        live = log.t >= cfg.delta_startup
+        np.testing.assert_array_equal(log.regime == 1, live & (log.x >= CHUNK))
+        np.testing.assert_array_equal(log.stalled == 1, live & (log.x < CHUNK))
+        assert log.stalled.sum() > 0
+
     def test_short_trace_rejected(self):
-        tr = build_scenario(1, 0, PlantParams(duration=10.0))
+        tr = build_scenario(RunConfig(duration=10.0), 0)
         with pytest.raises(ValueError):
-            run_episode(tr, params=PARAMS)
+            run_episode(tr, CFG)
 
     def test_episode_csv(self, tmp_path):
-        tr = build_scenario(1, 0, PlantParams(duration=20.0))
-        log = run_episode(tr, params=PlantParams(duration=20.0))
+        cfg = RunConfig(duration=20.0)
+        log = run_episode(build_scenario(cfg, 0), cfg)
         path = tmp_path / "episode.csv"
         log.to_csv(path)
         lines = path.read_text().splitlines()

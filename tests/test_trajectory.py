@@ -2,140 +2,141 @@
 import numpy as np
 import pytest
 
-from abrlab.controller import BitrateLadder
-from abrlab.trajectory import (BezierProfile, ReplanState, bezier_derivative,
-                               bezier_eval, reference_at, replan_step)
+from abrlab.cli import run_single
+from abrlab.config import RunConfig
+from abrlab.kernels import bezier_derivative, bezier_eval, ladder_above, ladder_below
 
-PROFILE = BezierProfile(0.0, 10.0, 0.0, 4.0)
+PROFILE = (0.0, 10.0, 0.0, 4.0)   # t0, tf, x0, xf
+LADDER = np.array(RunConfig().ladder)
+TE = 0.1
+RISE, FALL = 0.7 / 0.6 - 1.0, 0.7 / 1.0 - 1.0   # replan rates at c = 0.7
+
+
+def ev(t, profile=PROFILE):
+    return bezier_eval(t, *profile)
+
+
+def der(t, order, profile=PROFILE):
+    return bezier_derivative(t, *profile, order)
+
+
+def replan_episode(seed=0):
+    """Scenario 1 with replanning: the log and its per-step correction change."""
+    log = run_single(RunConfig(replan=True), seed)
+    base = np.array([ev(t) for t in log.t])
+    return log, np.diff(log.ref - base)
 
 
 class TestProfile:
     def test_endpoints_exact(self):
-        assert bezier_eval(PROFILE, 0.0) == 0.0
-        assert bezier_eval(PROFILE, 10.0) == 4.0
+        assert ev(0.0) == 0.0
+        assert ev(10.0) == 4.0
 
     def test_clamped_outside(self):
-        assert bezier_eval(PROFILE, -3.0) == 0.0
-        assert bezier_eval(PROFILE, 25.0) == 4.0
+        assert ev(-3.0) == 0.0
+        assert ev(25.0) == 4.0
 
     def test_midpoint_value(self):
-        assert bezier_eval(PROFILE, 5.0) == pytest.approx(2.546875, abs=1e-12)
+        assert ev(5.0) == pytest.approx(2.546875, abs=1e-12)
 
     def test_midpoint_derivatives(self):
-        assert bezier_derivative(PROFILE, 5.0, 1) == pytest.approx(0.875, abs=1e-12)
-        assert bezier_derivative(PROFILE, 5.0, 2) == pytest.approx(-0.175, abs=1e-12)
-        assert bezier_derivative(PROFILE, 5.0, 3) == pytest.approx(-0.21, abs=1e-12)
+        assert der(5.0, 1) == pytest.approx(0.875, abs=1e-12)
+        assert der(5.0, 2) == pytest.approx(-0.175, abs=1e-12)
+        assert der(5.0, 3) == pytest.approx(-0.21, abs=1e-12)
 
     def test_derivatives_vanish_at_ends(self):
         for order in (1, 2, 3):
-            assert bezier_derivative(PROFILE, 0.0, order) == 0.0
-            assert bezier_derivative(PROFILE, 10.0, order) == 0.0
+            assert der(0.0, order) == 0.0
+            assert der(10.0, order) == 0.0
             # continuous approach from inside (order n vanishes like T^(4-n))
-            assert abs(bezier_derivative(PROFILE, 1e-6, order)) < 1e-5
-            assert abs(bezier_derivative(PROFILE, 10.0 - 1e-6, order)) < 1e-5
+            assert abs(der(1e-6, order)) < 1e-5
+            assert abs(der(10.0 - 1e-6, order)) < 1e-5
 
     def test_monotone_ramp(self):
         ts = np.linspace(0.0, 10.0, 501)
-        xs = np.array([bezier_eval(PROFILE, t) for t in ts])
+        xs = np.array([ev(t) for t in ts])
         assert np.all(np.diff(xs) >= 0.0)
         assert np.all(xs >= 0.0) and np.all(xs <= 4.0)
 
     def test_scaling_and_offset(self):
-        p = BezierProfile(2.0, 6.0, 1.0, 9.0)
         # same shape as the unit ramp, scaled and shifted
-        base = bezier_eval(PROFILE, 5.0) / 4.0
-        assert bezier_eval(p, 4.0) == pytest.approx(1.0 + 8.0 * base, rel=1e-12)
+        base = ev(5.0) / 4.0
+        assert ev(4.0, (2.0, 6.0, 1.0, 9.0)) == pytest.approx(1.0 + 8.0 * base, rel=1e-12)
 
     def test_finite_difference_cross_check(self):
         for t in (2.3, 5.0, 7.9):
-            exact = bezier_derivative(PROFILE, t, 1)
+            exact = der(t, 1)
             for h in (1e-3, 1e-4):
-                fd = (bezier_eval(PROFILE, t + h) - bezier_eval(PROFILE, t - h)) / (2 * h)
+                fd = (ev(t + h) - ev(t - h)) / (2 * h)
                 assert fd == pytest.approx(exact, abs=5.0 * h * h)
 
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            bezier_derivative(PROFILE, 5.0, 4)
-        with pytest.raises(ValueError):
-            bezier_derivative(PROFILE, 5.0, 0)
-
     def test_invalid_profile(self):
-        with pytest.raises(ValueError):
-            BezierProfile(10.0, 10.0, 0.0, 4.0)
-        with pytest.raises(ValueError):
-            BezierProfile(-1.0, 10.0, 0.0, 4.0)
-        with pytest.raises(ValueError):
-            BezierProfile(5.0, 2.0, 0.0, 4.0)
+        for t0, tf in ((10.0, 10.0), (-1.0, 10.0), (5.0, 2.0)):
+            with pytest.raises(ValueError):
+                RunConfig(t0=t0, tf=tf).validate()
 
 
 class TestReplan:
-    LADDER = BitrateLadder()
-
     def test_increment_above_coef(self):
-        s = ReplanState()
-        s2 = replan_step(s, x_meas=3.0, c_est=0.7, ladder=self.LADDER, Te=0.1)
-        assert s2.coef == 0.6
-        assert s2.y_ad == pytest.approx(0.1 * (0.7 / 0.6 - 1.0), abs=1e-12)
-        assert s2.feed_rate == pytest.approx(0.7 / 0.6 - 1.0, abs=1e-12)
+        assert ladder_below(0.7, LADDER) == 0.6
 
     def test_increment_zero_at_ladder_floor(self):
         # estimate at the smallest rate: coef clamps there, no accumulation
-        s = replan_step(ReplanState(), 3.0, 0.35, self.LADDER, 0.1)
-        assert s.coef == 0.35
-        assert s.y_ad == 0.0
+        assert ladder_below(0.35, LADDER) == 0.35
 
     def test_direction_flips(self):
-        s = ReplanState(dirn=1)
-        up = replan_step(s, x_meas=12.5, c_est=0.7, ladder=self.LADDER, Te=0.1)
-        assert up.dirn == -1
-        assert up.coef == 1.0  # smallest element above the estimate
-        assert up.feed_rate < 0.0
-        down = replan_step(up, x_meas=4.0, c_est=0.7, ladder=self.LADDER, Te=0.1)
-        assert down.dirn == 1
-        assert down.coef == 0.6
+        assert ladder_above(0.7, LADDER) == 1.0  # smallest element above the estimate
+        # the episode runs both directions: rising below the band's top,
+        # falling after it was crossed
+        _, d = replan_episode()
+        assert np.any(np.abs(d - TE * RISE) < 1e-9)
+        assert np.any(np.abs(d - TE * FALL) < 1e-9)
 
     def test_no_flip_inside_band(self):
-        s = replan_step(ReplanState(dirn=1), 8.0, 0.7, self.LADDER, 0.1)
-        assert s.dirn == 1
-        s = replan_step(ReplanState(dirn=-1), 8.0, 0.7, self.LADDER, 0.1)
-        assert s.dirn == -1
+        # the direction turns down only above replan_upper and up only below
+        # replan_lower
+        log, d = replan_episode()
+        rising = np.abs(d - TE * RISE) < 1e-9
+        falling = np.abs(d - TE * FALL) < 1e-9
+        cfg = RunConfig()
+        down = np.nonzero(rising[:-1] & falling[1:])[0] + 2
+        up = np.nonzero(falling[:-1] & rising[1:])[0] + 2
+        assert down.size > 0 and up.size > 0
+        assert np.all(log.x_meas[down] > cfg.replan_upper)
+        assert np.all(log.x_meas[up] < cfg.replan_lower)
 
     def test_coef_clamps_at_extremes(self):
-        assert replan_step(ReplanState(dirn=1), 3.0, 0.2, self.LADDER, 0.1).coef == 0.35
-        assert replan_step(ReplanState(dirn=-1), 3.0, 9.0, self.LADDER, 0.1).coef == 5.0
+        assert ladder_below(0.2, LADDER) == 0.35
+        assert ladder_above(9.0, LADDER) == 5.0
 
     def test_accumulation_telescopes(self):
-        s = ReplanState()
-        for _ in range(50):
-            s = replan_step(s, 3.0, 0.7, self.LADDER, 0.1)
-        assert s.y_ad == pytest.approx(50 * 0.1 * (0.7 / 0.6 - 1.0), rel=1e-12)
+        # after the ramp, each step moves the correction by Te (c/coef - 1)
+        # for the coef of the current direction; the only other moves are
+        # the restarts at the buffer
+        for seed in (0, 1):
+            log, d = replan_episode(seed)
+            d = d[log.t[1:] > 12.0]
+            rising = np.abs(d - TE * RISE) < 1e-9
+            falling = np.abs(d - TE * FALL) < 1e-9
+            restarts = np.abs(d) > 1.9
+            assert (rising.sum(), falling.sum(), restarts.sum()) == (3970, 1905, 4)
+            assert np.all(rising | falling | restarts)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            replan_step(ReplanState(), 3.0, 0.0, self.LADDER, 0.1)
-        with pytest.raises(ValueError):
-            replan_step(ReplanState(), 3.0, 0.7, self.LADDER, -0.1)
-        with pytest.raises(ValueError):
-            ReplanState(dirn=0)
-        with pytest.raises(ValueError):
-            ReplanState(lower_bound=5.0, upper_bound=4.0)
+            RunConfig(replan_lower=5.0, replan_upper=4.0).validate()
 
 
 class TestReferenceAt:
     def test_replan_off_matches_profile(self):
-        state = ReplanState(y_ad=0.5, feed_rate=0.2)
-        ref, rate = reference_at(PROFILE, state, 50, 0.1, replan_enabled=False)
-        assert ref == pytest.approx(2.546875, abs=1e-12)
-        assert rate == pytest.approx(0.875, abs=1e-12)
+        log = run_single(RunConfig(duration=30.0), 0)
+        assert log.ref[50] == pytest.approx(2.546875, abs=1e-12)
+        np.testing.assert_array_equal(log.ref, [ev(t) for t in log.t])
 
     def test_replan_on_adds_correction(self):
-        state = ReplanState(y_ad=0.5, feed_rate=0.2)
-        ref, rate = reference_at(PROFILE, state, 200, 0.1, replan_enabled=True)
-        assert ref == pytest.approx(4.5, abs=1e-12)
-        assert rate == pytest.approx(0.2, abs=1e-12)
+        log, d = replan_episode()
+        assert log.ref[-1] != ev(log.t[-1])
+        assert np.abs(d).max() > 0.0
 
     def test_start_of_episode(self):
-        ref, rate = reference_at(PROFILE, ReplanState(), 0, 0.1, False)
-        assert ref == 0.0 and rate == 0.0
-        with pytest.raises(ValueError):
-            reference_at(PROFILE, ReplanState(), -1, 0.1, False)
+        assert run_single(RunConfig(replan=True, duration=10.0), 0).ref[0] == 0.0
