@@ -1,11 +1,10 @@
 """Command-line scenario runner and report generator."""
-import csv
 import sys
 from pathlib import Path
 
 from . import metrics
 from .config import ConfigError, RunConfig, parse_config
-from .plant import FMT, EpisodeLog, build_scenario, run_episode
+from .plant import FMT, EpisodeLog, build_scenario, run_episode, write_columns
 
 
 def run_single(cfg: RunConfig, seed: int) -> EpisodeLog:
@@ -18,17 +17,11 @@ def _episode_tag(cfg: RunConfig, seed: int) -> str:
 
 
 def _write_plotdata(log: EpisodeLog, cfg: RunConfig, outdir: Path, tag: str) -> None:
-    with open(outdir / f"capacity_{tag}.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "c_true", "c_est"])
-        for k in range(len(log.t)):
-            w.writerow([FMT % log.t[k], FMT % log.c_true[k], FMT % log.c_est[k]])
-    with open(outdir / f"buffer_{tag}.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x", "ref", "stall_threshold"])
-        for k in range(len(log.t)):
-            w.writerow([FMT % log.t[k], FMT % log.x[k], FMT % log.ref[k],
-                        FMT % cfg.chunk_duration])
+    write_columns(outdir / f"capacity_{tag}.csv", ("t", "c_true", "c_est"),
+                  f"{FMT},{FMT},{FMT}", (log.t, log.c_true, log.c_est))
+    # the stall threshold is constant: formatted once, into the row template
+    write_columns(outdir / f"buffer_{tag}.csv", ("t", "x", "ref", "stall_threshold"),
+                  f"{FMT},{FMT},{FMT},{FMT % cfg.chunk_duration}", (log.t, log.x, log.ref))
 
 
 def run(cfg: RunConfig) -> int:

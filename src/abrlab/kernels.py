@@ -2,6 +2,8 @@
 
 Everything here is written so it compiles under numba's nopython mode; with
 ABRLAB_DISABLE_NUMBA=1 the same source runs as plain Python/numpy.  The
+callees take arrays or lists alike: the interpreted episode loop hands them
+Python floats, which are much cheaper to compute with than NumPy scalars.  The
 fused ``episode_loop`` is the one implementation of the controller: flat
 feedforward, the iP correction on the ultra-local model and windowed
 replanning of the reference, stepped together with the client buffer.
@@ -10,7 +12,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._accel import maybe_njit
+from ._accel import as_floats, maybe_njit
 
 FILLING = 0
 PLAYING = 1
@@ -62,7 +64,7 @@ def quantize(r, ladder):
     best = 0
     best_d = abs(ladder[0] - r)
     tol = 1e-12 * (1.0 + abs(r))
-    for i in range(1, ladder.shape[0]):
+    for i in range(1, len(ladder)):
         d = abs(ladder[i] - r)
         if d < best_d - tol:
             best_d = d
@@ -74,7 +76,7 @@ def quantize(r, ladder):
 def ladder_below(c, ladder):
     """Largest ladder element strictly below c (clamped to the smallest)."""
     out = ladder[0]
-    for i in range(ladder.shape[0]):
+    for i in range(len(ladder)):
         if ladder[i] < c:
             out = ladder[i]
         else:
@@ -85,8 +87,8 @@ def ladder_below(c, ladder):
 @maybe_njit
 def ladder_above(c, ladder):
     """Smallest ladder element strictly above c (clamped to the largest)."""
-    out = ladder[ladder.shape[0] - 1]
-    for i in range(ladder.shape[0] - 1, -1, -1):
+    out = ladder[len(ladder) - 1]
+    for i in range(len(ladder) - 1, -1, -1):
         if ladder[i] > c:
             out = ladder[i]
         else:
@@ -97,7 +99,7 @@ def ladder_above(c, ladder):
 @maybe_njit
 def ring_dot(w, ring, start):
     """Dot of weights with a ring buffer read oldest-first from start."""
-    n = w.shape[0]
+    n = len(w)
     acc = 0.0
     for i in range(n):
         acc += w[i] * ring[(start + i) % n]
@@ -153,8 +155,8 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
     Returns the per-step log arrays plus the chunk-grained records as an
     ``EpisodeArrays`` record.
     """
-    n = c_true.shape[0]
-    win = w_lin.shape[0]
+    n = len(c_true)
+    win = len(w_lin)
     ratio = int(round(decision_interval / Te))
     n_chunks = (n + ratio - 1) // ratio
 
@@ -170,9 +172,16 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
     Rk = np.empty(n_chunks)
     xk = np.empty(n_chunks)
 
-    x_ring = np.zeros(win)
-    u_ring = np.zeros(win)
-    cm_ring = np.zeros(win)
+    # convert once: the interpreted loop then computes on Python floats
+    c_true = as_floats(c_true)
+    c_meas = as_floats(c_meas)
+    x_noise = as_floats(x_noise)
+    ladder = as_floats(ladder)
+    w_lin = as_floats(w_lin)
+    w_bump = as_floats(w_bump)
+    x_ring = as_floats(np.zeros(win))
+    u_ring = as_floats(np.zeros(win))
+    cm_ring = as_floats(np.zeros(win))
     cm_sum = 0.0
 
     x = 0.0
@@ -196,6 +205,7 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
         xm = x * (1.0 + x_noise[k])
         cm = c_meas[k]
 
+        base = bezier_eval(t, t0, tf, x0, xf)
         base_slope = bezier_derivative(t, t0, tf, x0, xf, 1)
 
         idx = k % win
@@ -208,12 +218,16 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
 
         # Bandwidth estimate: valid only late enough, in playback regime with
         # x above the chunk duration and an unchanged bitrate over the window.
+        # A non-positive value (measurement noise) is never acted on: the last
+        # positive estimate and its validity clock are kept instead.
         if not (playing and xm > Delta):
             last_bad = k
         if t > delta + tau and k - last_bad >= win and k - last_R_change >= win:
-            cest = bandwidth_from_window(cur_R, w_lin, x_ring, start, tau)
-            have_cest = True
-            last_valid = k
+            c_new = bandwidth_from_window(cur_R, w_lin, x_ring, start, tau)
+            if c_new > 0.0:
+                cest = c_new
+                have_cest = True
+                last_valid = k
 
         # the held estimate goes stale one window after validity is lost;
         # fall back to the window-averaged capacity measurement until it recovers
@@ -229,7 +243,7 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
                 coef = ladder_below(c_known, ladder)
                 # start the correction aligned with the measured buffer so the
                 # combined reference takes over without an error jump
-                y_ad = xm - bezier_eval(t, t0, tf, x0, xf)
+                y_ad = xm - base
             if xm > upper_bound and dirn == 1:
                 dirn = -1
             if xm < lower_bound and dirn == -1:
@@ -241,11 +255,10 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
             y_ad += (c_known / coef - 1.0) * Te
             # a capacity jump leaves the reference far from the buffer; restart
             # the correction there instead of burning switches on the transient
-            base = bezier_eval(t, t0, tf, x0, xf)
             if abs(xm - (base + y_ad)) > RESTART_GAP:
                 y_ad = xm - base
 
-        ref = bezier_eval(t, t0, tf, x0, xf) + y_ad
+        ref = base + y_ad
         ref_rate = base_slope
         if replan_active:
             ref_rate += c_known / coef - 1.0

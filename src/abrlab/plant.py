@@ -1,5 +1,4 @@
 """Channel scenarios, episode execution and the per-step episode log."""
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,6 +7,8 @@ from . import estimation, kernels
 from .config import RunConfig
 
 FMT = "%.10g"  # stable float formatting for byte-identical reruns
+REGIME_LABELS = np.array(["filling", "playing"])  # indexed by kernels.FILLING/PLAYING
+WRITE_ROWS = 1000  # CSV rows formatted per write
 
 # Scenario 3 always dips under this capacity, the smallest default bitrate.
 S3_FORCE_BELOW = 0.35
@@ -75,16 +76,26 @@ class EpisodeLog:
         return len(self.t_k)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "x", "x_meas", "R", "c_true", "c_est", "u", "ref",
-                        "regime", "stalled"])
-            for k in range(len(self.t)):
-                w.writerow([FMT % self.t[k], FMT % self.x[k], FMT % self.x_meas[k],
-                            FMT % self.R[k], FMT % self.c_true[k], FMT % self.c_est[k],
-                            FMT % self.u[k], FMT % self.ref[k],
-                            "playing" if self.regime[k] else "filling",
-                            int(self.stalled[k])])
+        write_columns(path, ("t", "x", "x_meas", "R", "c_true", "c_est", "u", "ref",
+                             "regime", "stalled"),
+                      ",".join([FMT] * 8) + ",%s,%d",
+                      (self.t, self.x, self.x_meas, self.R, self.c_true, self.c_est,
+                       self.u, self.ref, REGIME_LABELS[self.regime], self.stalled))
+
+
+def write_columns(path, header, row, columns) -> None:
+    """Write equal-length array columns as CSV, each row formatted by the
+    %-template ``row``, with the csv module's \\r\\n line endings.
+
+    Rows are formatted from Python values (``tolist``), which is much faster
+    than from NumPy scalars, WRITE_ROWS at a time to bound the memory held.
+    """
+    line = row + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for i in range(0, len(columns[0]), WRITE_ROWS):
+            block = zip(*(c[i:i + WRITE_ROWS].tolist() for c in columns))
+            fh.write("".join(map(line.__mod__, block)))
 
 
 def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
@@ -103,8 +114,8 @@ def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
     else:
         x_noise = np.zeros(n)
     out = kernels.episode_loop(
-        trace.true_capacity[:n].astype(np.float64),
-        trace.measured_capacity[:n].astype(np.float64),
+        np.asarray(trace.true_capacity[:n], dtype=np.float64),
+        np.asarray(trace.measured_capacity[:n], dtype=np.float64),
         x_noise, np.array(cfg.ladder, dtype=np.float64), w_lin, w_bump,
         cfg.te, cfg.delta_startup, cfg.chunk_duration,
         cfg.t0, cfg.tf, cfg.x0, cfg.xf,

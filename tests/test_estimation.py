@@ -109,6 +109,18 @@ class TestBandwidth:
         assert np.all(ok[first - win + 1:first + 1])
         assert not ok[first - win]
 
+    @pytest.mark.parametrize("replan", (False, True), ids=("noreplan", "replan"))
+    @pytest.mark.parametrize("scenario", (1, 2, 3))
+    def test_noisy_buffer_never_acts_on_non_positive_estimate(self, scenario, replan):
+        # 50% buffer-measurement noise drives the window estimate far below
+        # zero; the kernel keeps the last positive estimate instead
+        cfg = RunConfig(scenario=scenario, replan=replan, x_noise=0.5)
+        for seed in range(5):
+            log = run_single(cfg, seed)
+            assert np.all(np.isnan(log.c_est) | (log.c_est > 0.0)), seed
+            for name in ("ref", "u", "x"):
+                assert np.all(np.isfinite(getattr(log, name))), (seed, name)
+
     def test_dither_is_attenuated(self):
         # alternating-sign noise of amplitude a shifts the estimate by at
         # most 6 R a / tau (integral filter, not differentiation)

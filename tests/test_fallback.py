@@ -1,7 +1,10 @@
 """Compiled kernels against the plain-Python fallback path.
 
 Without numba both sides of each comparison run the fallback; every test
-prints which paths it compared (visible with pytest -s).
+prints which paths it compared (visible with pytest -s).  The interpreted
+loop computes on Python floats when numba is absent; forced to index NumPy
+arrays, as under numba and ``--kernel fallback`` with numba, it must give
+bitwise-equal results.
 """
 import json
 import os
@@ -10,6 +13,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abrlab import kernels
 from abrlab._accel import NUMBA_ENABLED
@@ -76,3 +80,53 @@ def test_fallback_episode_matches_subprocess():
     assert a["switches"] == b["switches"]
     assert a["rebuf"] == b["rebuf"]
     assert a["x_end"] == pytest.approx(b["x_end"], rel=1e-12)
+
+
+def _interpreted(cfg, seed, on_arrays):
+    """One episode through the interpreted loop, on arrays if ``on_arrays``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernels, "episode_loop", kernels._episode_loop)
+        if on_arrays:
+            m.setattr(kernels, "as_floats", lambda a: a)
+        return run_episode(build_scenario(cfg, seed), cfg)
+
+
+def _assert_paths_equal(cfg, seed):
+    a = _interpreted(cfg, seed, on_arrays=False)
+    b = _interpreted(cfg, seed, on_arrays=True)
+    for name in kernels.EpisodeArrays._fields:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (seed, name)
+
+
+@pytest.mark.parametrize("replan", (False, True), ids=("noreplan", "replan"))
+@pytest.mark.parametrize("scenario", (1, 2, 3))
+def test_float_path_matches_array_path(scenario, replan):
+    default = "Python floats" if isinstance(kernels.as_floats(np.zeros(1)), list) \
+        else "NumPy arrays"
+    print(f"compared the interpreted _episode_loop on {default} with it on NumPy arrays")
+    for seed in range(3):
+        _assert_paths_equal(RunConfig(scenario=scenario, replan=replan), seed)
+
+
+@st.composite
+def run_configs(draw):
+    """Valid configs over the window, cadence, replanning, ladder and noise."""
+    te = draw(st.sampled_from((0.05, 0.1, 0.2)))
+    lower = draw(st.floats(0.0, 10.0))
+    ladder = draw(st.lists(st.floats(0.1, 6.0), min_size=1, max_size=6, unique=True))
+    cfg = RunConfig(
+        scenario=draw(st.integers(1, 3)), replan=draw(st.booleans()), te=te,
+        tau=te * draw(st.integers(2, 30)),
+        decision_interval=te * draw(st.integers(1, 40)),
+        replan_lower=lower, replan_upper=lower + draw(st.floats(0.1, 10.0)),
+        ladder=sorted(ladder), x_noise=draw(st.floats(0.0, 0.5)),
+        duration=draw(st.floats(10.0, 60.0)))
+    cfg.validate()
+    return cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=run_configs(), seed=st.integers(0, 1000))
+def test_float_path_matches_array_path_over_configs(cfg, seed):
+    _assert_paths_equal(cfg, seed)
