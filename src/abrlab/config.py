@@ -11,6 +11,14 @@ from typing import get_args, get_origin
 
 EMIT_CHOICES = ("log", "qoe", "table", "plotdata")
 
+# Scenario 3 always dips under this capacity, the smallest default bitrate:
+# when no segment level is below it, one is redrawn at most S3_DIP_MAX.
+S3_FORCE_BELOW = 0.35
+S3_DIP_MAX = 0.97 * S3_FORCE_BELOW
+
+# Largest |slope| of the unit ramp 280 T^3 (1-T)^4, reached at T = 3/7.
+RAMP_PEAK_SLOPE = 1935360 / 823543
+
 
 class ConfigError(ValueError):
     pass
@@ -86,6 +94,9 @@ class RunConfig:
             yield "replan_lower must be below replan_upper"
         if not 0.0 <= self.t0 < self.tf:
             yield f"trajectory: require 0 <= t0 < tf, got t0={self.t0}, tf={self.tf}"
+        if RAMP_PEAK_SLOPE * (self.x0 - self.xf) >= self.tf - self.t0:
+            yield ("trajectory: the reference must fall slower than playback drains the"
+                   f" buffer: require x0 - xf < {1 / RAMP_PEAK_SLOPE:.4f} * (tf - t0)")
         if not self.ladder:
             yield "ladder: must be non-empty"
         if any(v <= 0.0 for v in self.ladder):
@@ -98,14 +109,26 @@ class RunConfig:
             yield "alpha: must be negative, as the input gain -C/R^2 is"
         if self.delta_startup < 0.0:
             yield "delta_startup: must be non-negative"
-        if self.te <= 0.0 or self.duration < 0.0:
-            yield "te must be positive, duration non-negative"
-        for name in ("chunk_duration", "decision_interval", "tau"):
+        if self.te <= 0.0:
+            yield "te: must be positive"
+        for name in ("chunk_duration", "decision_interval", "tau", "s2_segment", "s3_segment"):
             ratio = getattr(self, name) / self.te
             if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
                 yield f"{name}: must be a positive whole multiple of te"
         if self.tau < 2.0 * self.te:
             yield "tau: must be at least 2*te"
+        if self.n_steps <= round(self.decision_interval / self.te):
+            yield "duration: must span more than one decision interval (two decisions)"
+        for sid in (2, 3):
+            lo, hi, noise = (getattr(self, f"s{sid}_{name}")
+                             for name in ("level_lo", "level_hi", "noise"))
+            if not 0.0 < lo <= hi:
+                yield f"s{sid}_level_lo/hi: require 0 < level_lo <= level_hi"
+            if not 0.0 <= noise < 1.0:
+                yield f"s{sid}_noise: must lie in [0, 1), or measured capacity can be <= 0"
+        if self.s3_level_lo > S3_DIP_MAX:
+            yield (f"s3_level_lo: must be at most {S3_DIP_MAX:.4g}, as scenario 3 always"
+                   f" dips below {S3_FORCE_BELOW}")
 
 
 def parse_seeds(text: str) -> list:
@@ -145,12 +168,8 @@ def _format_value(f, value) -> str:
     if f.type is bool:
         return "true" if value else "false"
     if get_origin(f.type) is list:
-        return ",".join(_format_item(v) for v in value)
-    return _format_item(value)
-
-
-def _format_item(value) -> str:
-    return "%.10g" % value if isinstance(value, float) else str(value)
+        return ",".join(map(str, value))
+    return str(value)  # a float's shortest text that parses back to it
 
 
 def _file_key(f) -> str:

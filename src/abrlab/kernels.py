@@ -6,7 +6,11 @@ callees take arrays or lists alike: the interpreted episode loop hands them
 Python floats, which are much cheaper to compute with than NumPy scalars.  The
 fused ``episode_loop`` is the one implementation of the controller: flat
 feedforward, the iP correction on the ultra-local model and windowed
-replanning of the reference, stepped together with the client buffer.
+replanning of the reference, stepped together with the client buffer.  The
+loop records only what it alone knows: the buffer, the bandwidth estimate and
+the reference per step, the held bitrate and iP correction per decision.  The
+other log columns (clock, measured buffer, per-step bitrate and correction,
+regime, stall flag, per-decision samples) are derived from those after it.
 """
 from collections import namedtuple
 
@@ -14,15 +18,12 @@ import numpy as np
 
 from ._accel import as_floats, maybe_njit
 
-FILLING = 0
-PLAYING = 1
-
 # Distance between the measured buffer and the replanned reference beyond
 # which the reference correction restarts at the buffer.
 RESTART_GAP = 2.0
 
 # The episode kernel's result, named as the matching ``EpisodeLog`` fields.
-EpisodeArrays = namedtuple("EpisodeArrays", ("x", "x_meas", "R", "c_est", "u", "ref",
+EpisodeArrays = namedtuple("EpisodeArrays", ("t", "x", "x_meas", "R", "c_est", "u", "ref",
                                              "regime", "stalled", "t_k", "R_k", "x_k"))
 
 
@@ -152,8 +153,12 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
 
     Per Te step: measure, update estimator windows, replan the reference,
     at the chunk cadence pick the bitrate, then Euler-step the true plant.
-    Returns the per-step log arrays plus the chunk-grained records as an
-    ``EpisodeArrays`` record.
+    The loop stores the buffer ``x``, the estimate ``c_est`` and the
+    reference ``ref`` per step, and the held bitrate ``R_k`` and iP
+    correction ``u_k`` per decision.  Everything else in the returned
+    ``EpisodeArrays`` is derived from those after the loop: the bitrate and
+    correction are held between decisions, and the regime and stall flag are
+    functions of the clock and the buffer.
     """
     n = len(c_true)
     win = len(w_lin)
@@ -161,21 +166,16 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
     n_chunks = (n + ratio - 1) // ratio
 
     x_a = np.empty(n)
-    xm_a = np.empty(n)
-    R_a = np.empty(n)
     cest_a = np.empty(n)
-    u_a = np.empty(n)
     ref_a = np.empty(n)
-    regime_a = np.empty(n, dtype=np.int8)
-    stall_a = np.empty(n, dtype=np.int8)
-    tk = np.empty(n_chunks)
     Rk = np.empty(n_chunks)
-    xk = np.empty(n_chunks)
+    uk = np.empty(n_chunks)
 
     # convert once: the interpreted loop then computes on Python floats
+    # (x_noise stays an array for the measured buffer derived after the loop)
     c_true = as_floats(c_true)
     c_meas = as_floats(c_meas)
-    x_noise = as_floats(x_noise)
+    noise = as_floats(x_noise)
     ladder = as_floats(ladder)
     w_lin = as_floats(w_lin)
     w_bump = as_floats(w_bump)
@@ -196,13 +196,11 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
     dirn = 1
     coef = ladder[0]
     y_ad = 0.0
-    chunk = 0
 
     for k in range(n):
         t = k * Te
         playing = t >= delta and x >= Delta
-        stalled = t >= delta and x < Delta
-        xm = x * (1.0 + x_noise[k])
+        xm = x * (1.0 + noise[k])
         cm = c_meas[k]
 
         base = bezier_eval(t, t0, tf, x0, xf)
@@ -280,23 +278,22 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
                 cur_R = new_R
             u_held = u_cont
             u_ring[idx] = u_held
-            tk[chunk] = t
-            Rk[chunk] = cur_R
-            xk[chunk] = x
-            chunk += 1
+            Rk[k // ratio] = cur_R
+            uk[k // ratio] = u_held
 
         x_a[k] = x
-        xm_a[k] = xm
-        R_a[k] = cur_R
         cest_a[k] = cest
-        u_a[k] = u_held
         ref_a[k] = ref
-        regime_a[k] = PLAYING if playing else FILLING
-        stall_a[k] = 1 if stalled else 0
 
         x = plant_step(x, t, cur_R, c_true[k], Te, delta, Delta)
 
-    return EpisodeArrays(x_a, xm_a, R_a, cest_a, u_a, ref_a, regime_a, stall_a, tk, Rk, xk)
+    t_a = np.arange(n) * Te
+    started = t_a >= delta
+    return EpisodeArrays(t_a, x_a, x_a * (1.0 + x_noise),
+                         np.repeat(Rk, ratio)[:n], cest_a, np.repeat(uk, ratio)[:n], ref_a,
+                         (started & (x_a >= Delta)).astype(np.int8),
+                         (started & (x_a < Delta)).astype(np.int8),
+                         t_a[::ratio], Rk, x_a[::ratio])
 
 
 # Compiled entry point; _episode_loop itself stays callable as the

@@ -4,14 +4,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimation, kernels
-from .config import RunConfig
+from .config import S3_DIP_MAX, S3_FORCE_BELOW, RunConfig
 
 FMT = "%.10g"  # stable float formatting for byte-identical reruns
-REGIME_LABELS = np.array(["filling", "playing"])  # indexed by kernels.FILLING/PLAYING
+REGIME_LABELS = np.array(["filling", "playing"])  # indexed by the int8 regime flag
 WRITE_ROWS = 1000  # CSV rows formatted per write
-
-# Scenario 3 always dips under this capacity, the smallest default bitrate.
-S3_FORCE_BELOW = 0.35
 
 # First entropy word of the buffer-measurement noise stream, which keeps it
 # apart from the capacity stream of the same scenario and seed.
@@ -39,11 +36,11 @@ def build_scenario(cfg: RunConfig, seed: int) -> ChannelTrace:
             seg_len, lo, hi, noise = cfg.s2_segment, cfg.s2_level_lo, cfg.s2_level_hi, cfg.s2_noise
         else:
             seg_len, lo, hi, noise = cfg.s3_segment, cfg.s3_level_lo, cfg.s3_level_hi, cfg.s3_noise
-        seg_steps = max(1, int(round(seg_len / cfg.te)))
+        seg_steps = int(round(seg_len / cfg.te))
         n_seg = (n + seg_steps - 1) // seg_steps
         lv = rng.uniform(lo, hi, n_seg)
         if sid == 3 and lv.min() >= S3_FORCE_BELOW:
-            lv[rng.integers(n_seg)] = rng.uniform(lo, S3_FORCE_BELOW * 0.97)
+            lv[rng.integers(n_seg)] = rng.uniform(lo, S3_DIP_MAX)
         true = np.repeat(lv, seg_steps)[:n]
         meas = true * (1.0 + rng.uniform(-noise, noise, n))
     else:
@@ -121,6 +118,6 @@ def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
         cfg.t0, cfg.tf, cfg.x0, cfg.xf,
         cfg.alpha, cfg.kp, cfg.tau, cfg.decision_interval,
         cfg.replan, cfg.replan_lower, cfg.replan_upper)
-    return EpisodeLog(np.arange(n) * cfg.te, c_true=trace.true_capacity[:n], **out._asdict(),
+    return EpisodeLog(c_true=trace.true_capacity[:n], **out._asdict(),
                       scenario_id=trace.scenario_id, seed=trace.seed,
                       replan_enabled=cfg.replan)

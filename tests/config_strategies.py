@@ -1,0 +1,43 @@
+"""Hypothesis strategy over configurations that ``RunConfig.validate`` accepts."""
+from hypothesis import strategies as st
+
+from abrlab.config import RAMP_PEAK_SLOPE, S3_DIP_MAX, RunConfig
+
+
+def _levels(draw, lo_max):
+    lo = draw(st.floats(0.05, lo_max))
+    return lo, lo + draw(st.floats(0.0, 3.0))
+
+
+@st.composite
+def run_configs(draw):
+    """Valid configs over the window, cadence, replanning, ladder, noise, the
+    reference ramp, the duration, the controller gains, the plant and the
+    capacity scenarios."""
+    te = draw(st.sampled_from((0.05, 0.1, 0.2)))
+    decision_interval = te * draw(st.integers(1, 40))
+    lower = draw(st.floats(0.0, 10.0))
+    ladder = draw(st.lists(st.floats(0.1, 6.0), min_size=1, max_size=6, unique=True))
+    t0 = draw(st.floats(0.0, 20.0))
+    span = draw(st.floats(0.5, 40.0))
+    xf = draw(st.floats(0.0, 15.0))
+    # a falling ramp must stay slower than playback drains the buffer
+    x0 = xf + draw(st.floats(-15.0, 0.99 * span / RAMP_PEAK_SLOPE))
+    s2_lo, s2_hi = _levels(draw, 3.0)
+    s3_lo, s3_hi = _levels(draw, S3_DIP_MAX)
+    cfg = RunConfig(
+        scenario=draw(st.integers(1, 3)), replan=draw(st.booleans()), te=te,
+        tau=te * draw(st.integers(2, 30)), decision_interval=decision_interval,
+        replan_lower=lower, replan_upper=lower + draw(st.floats(0.1, 10.0)),
+        ladder=sorted(ladder), x_noise=draw(st.floats(0.0, 0.5)),
+        t0=t0, tf=t0 + span, x0=x0, xf=xf,
+        duration=draw(st.floats(decision_interval + te, 60.0)),
+        c0=draw(st.floats(0.05, 6.0)), kp=draw(st.floats(0.01, 2.0)),
+        alpha=draw(st.floats(-50.0, -0.5)), delta_startup=draw(st.floats(0.0, 20.0)),
+        chunk_duration=te * draw(st.integers(1, 60)),
+        s2_segment=te * draw(st.integers(1, 600)), s2_level_lo=s2_lo, s2_level_hi=s2_hi,
+        s2_noise=draw(st.floats(0.0, 0.99)),
+        s3_segment=te * draw(st.integers(1, 600)), s3_level_lo=s3_lo, s3_level_hi=s3_hi,
+        s3_noise=draw(st.floats(0.0, 0.99)))
+    cfg.validate()
+    return cfg

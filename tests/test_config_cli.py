@@ -1,11 +1,19 @@
 """Configuration parsing, validation and the command-line runner."""
+import contextlib
+import io
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from abrlab.cli import main
+from abrlab.cli import main, run_single
 from abrlab.config import (ConfigError, RunConfig, build_arg_parser, emit_config,
                            parse_config, parse_seeds, read_config_file)
+
+from config_strategies import run_configs
 
 # A valid value different from the default for every RunConfig field.
 NON_DEFAULT = {
@@ -65,6 +73,23 @@ class TestParsing:
             parse_config(["--replan-lower", "9", "--replan-upper", "8"])
         with pytest.raises(ConfigError):
             parse_config(["--alpha", "5"])
+        # a reference falling as fast as playback drains the buffer somewhere
+        with pytest.raises(ConfigError):
+            parse_config(["--x0", "10", "--xf", "0", "--tf", "5"])
+        # fewer than two decisions
+        for duration in ("0", "1", "2"):
+            with pytest.raises(ConfigError):
+                parse_config(["--scenario", "3", "--duration", duration])
+        # scenario generators: positive ordered levels, noise below 100%
+        for flags in (["--s2-level-lo", "-1"], ["--s3-level-lo", "0"],
+                      ["--s2-level-lo", "3", "--s2-level-hi", "2"],
+                      ["--s2-noise", "1.5"], ["--s3-noise", "1"], ["--s3-noise", "-0.1"],
+                      ["--s3-level-lo", "0.34"]):  # scenario 3 dips below 0.35
+            with pytest.raises(ConfigError):
+                parse_config(flags)
+        # just inside the bounds
+        parse_config(["--x0", "4", "--xf", "0", "--tf", "10"])
+        parse_config(["--scenario", "3", "--duration", "2.1"])
 
     def test_config_file_round_trip(self, tmp_path):
         assert set(NON_DEFAULT) == {f.name for f in fields(RunConfig)}
@@ -145,9 +170,12 @@ class TestMain:
 
     @pytest.mark.parametrize("flags", [["--decision-interval", "0.04"],
                                        ["--decision-interval", "0.15"],
-                                       ["--tau", "1.05"]])
+                                       ["--tau", "1.05"],
+                                       ["--scenario", "2", "--s2-segment", "0.05"],
+                                       ["--scenario", "3", "--s3-segment", "20.05"]])
     def test_off_grid_interval_exits_2(self, tmp_path, capsys, flags):
-        # decision instants and estimator windows must lie on the te grid
+        # decision instants, estimator windows and capacity segments must lie
+        # on the te grid
         code = main(self.ARGS + flags + ["--out", str(tmp_path / "never")])
         assert code == 2
         assert "invalid configuration" in capsys.readouterr().err
@@ -169,3 +197,23 @@ class TestMain:
                   "--out", str(single)])
             srows = (single / "qoe.csv").read_text().splitlines()
             assert srows[1] == rows[1 + i]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=run_configs(), seed=st.integers(0, 1000))
+def test_every_valid_config_runs(cfg, seed):
+    """A config that validates runs through the CLI, and its episode stays sane."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        emit_config(cfg, path)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["--config", str(path), "--seeds", str(seed), "--out", tmp])
+        assert code == 0, stderr.getvalue()
+    log = run_single(cfg, seed)
+    for name, value in vars(log).items():
+        if isinstance(value, np.ndarray) and name != "c_est":
+            assert np.isfinite(value).all(), name
+    assert (np.isnan(log.c_est) | (log.c_est > 0.0)).all()
+    assert (log.x >= 0.0).all()
+    assert np.isin(log.R_k, cfg.ladder).all()

@@ -20,6 +20,8 @@ from abrlab._accel import NUMBA_ENABLED
 from abrlab.config import RunConfig
 from abrlab.plant import build_scenario, run_episode
 
+from config_strategies import run_configs
+
 SNIPPET = """
 import json
 from abrlab._accel import NUMBA_ENABLED
@@ -41,7 +43,10 @@ def _path(numba: bool) -> str:
 
 
 def run_subprocess(disable: bool) -> dict:
-    env = dict(os.environ, ABRLAB_DISABLE_NUMBA="1" if disable else "0")
+    # the child imports the abrlab this process imported, wherever it came from
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, ABRLAB_DISABLE_NUMBA="1" if disable else "0", PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", SNIPPET], env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
@@ -107,23 +112,6 @@ def test_float_path_matches_array_path(scenario, replan):
     print(f"compared the interpreted _episode_loop on {default} with it on NumPy arrays")
     for seed in range(3):
         _assert_paths_equal(RunConfig(scenario=scenario, replan=replan), seed)
-
-
-@st.composite
-def run_configs(draw):
-    """Valid configs over the window, cadence, replanning, ladder and noise."""
-    te = draw(st.sampled_from((0.05, 0.1, 0.2)))
-    lower = draw(st.floats(0.0, 10.0))
-    ladder = draw(st.lists(st.floats(0.1, 6.0), min_size=1, max_size=6, unique=True))
-    cfg = RunConfig(
-        scenario=draw(st.integers(1, 3)), replan=draw(st.booleans()), te=te,
-        tau=te * draw(st.integers(2, 30)),
-        decision_interval=te * draw(st.integers(1, 40)),
-        replan_lower=lower, replan_upper=lower + draw(st.floats(0.1, 10.0)),
-        ladder=sorted(ladder), x_noise=draw(st.floats(0.0, 0.5)),
-        duration=draw(st.floats(10.0, 60.0)))
-    cfg.validate()
-    return cfg
 
 
 @settings(max_examples=40, deadline=None)

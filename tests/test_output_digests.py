@@ -5,6 +5,11 @@ scenarios 1-3 with replanning off and on, seeds 0..1 and every file output
 (``--emit qoe,table,log,plotdata``) at the default settings, plus the table
 printed on stdout.  A change that moves one byte of any of them fails here.
 
+The CSV files hold ``%.10g`` text, which hides a one-ulp drift, so the file
+also pins the dtype and the SHA-256 of the raw bytes of every ``EpisodeLog``
+array for the same six cells at seed 0 and for two non-default settings
+(buffer-measurement noise; a 1 s decision interval with a 0.5 s window).
+
 Record the digests again only when the outputs change on purpose:
 
     PYTHONPATH=src python tests/test_output_digests.py
@@ -16,21 +21,36 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from abrlab import cli
+from abrlab.config import parse_config
+from abrlab.plant import EpisodeLog
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
 CALLS = [(scenario, replan) for scenario in (1, 2, 3) for replan in (False, True)]
+ARRAYS_KEY = "episode_arrays"
 
 
 def _call_key(scenario: int, replan: bool) -> str:
     return f"s{scenario}_{'replan' if replan else 'noreplan'}"
 
 
+def _arm(replan: bool) -> str:
+    return "--replan" if replan else "--no-replan"
+
+
+# Flags of the seed-0 episodes whose arrays are pinned, by key.
+EPISODES = {_call_key(s, r): ["--scenario", str(s), _arm(r)] for s, r in CALLS}
+EPISODES["s3_replan_x_noise_0.05"] = ["--scenario", "3", "--replan", "--x-noise", "0.05"]
+EPISODES["s2_replan_decision_1_tau_0.5"] = ["--scenario", "2", "--replan",
+                                            "--decision-interval", "1", "--tau", "0.5"]
+
+
 def output_digests(scenario: int, replan: bool, outdir: Path) -> dict:
     """Run one CLI call; map each output file name and ``stdout`` to its digest."""
-    argv = ["--scenario", str(scenario), "--replan" if replan else "--no-replan",
+    argv = ["--scenario", str(scenario), _arm(replan),
             "--seeds", "0..1", "--emit", "qoe,table,log,plotdata", "--out", str(outdir)]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -41,11 +61,27 @@ def output_digests(scenario: int, replan: bool, outdir: Path) -> dict:
     return digests
 
 
+def array_digests(flags) -> dict:
+    """Map each array field of the seed-0 ``EpisodeLog`` to 'dtype:sha256'."""
+    log = cli.run_single(parse_config(flags), 0)
+    return {name: f"{value.dtype.str}:{hashlib.sha256(value.tobytes()).hexdigest()}"
+            for name, value in vars(log).items() if isinstance(value, np.ndarray)}
+
+
 @pytest.mark.parametrize("scenario,replan", CALLS,
                          ids=[_call_key(s, r) for s, r in CALLS])
 def test_outputs_match_recorded_digests(scenario, replan, tmp_path):
     expected = json.loads(DIGESTS.read_text())[_call_key(scenario, replan)]
     assert output_digests(scenario, replan, tmp_path) == expected
+
+
+@pytest.mark.parametrize("key", EPISODES)
+def test_episode_arrays_match_recorded_digests(key):
+    expected = json.loads(DIGESTS.read_text())[ARRAYS_KEY][key]
+    digests = array_digests(EPISODES[key])
+    assert set(digests) == {f for f, t in EpisodeLog.__annotations__.items()
+                            if t is np.ndarray}
+    assert digests == expected
 
 
 if __name__ == "__main__":
@@ -55,5 +91,7 @@ if __name__ == "__main__":
     for scenario, replan in CALLS:
         with tempfile.TemporaryDirectory() as tmp:
             recorded[_call_key(scenario, replan)] = output_digests(scenario, replan, Path(tmp))
+    recorded[ARRAYS_KEY] = {key: array_digests(flags) for key, flags in EPISODES.items()}
     DIGESTS.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {sum(map(len, recorded.values()))} digests to {DIGESTS}", file=sys.stderr)
+    print(f"wrote the digests of {len(CALLS)} CLI calls and {len(EPISODES)} episodes"
+          f" to {DIGESTS}", file=sys.stderr)
