@@ -7,10 +7,14 @@ Python floats, which are much cheaper to compute with than NumPy scalars.  The
 fused ``episode_loop`` is the one implementation of the controller: flat
 feedforward, the iP correction on the ultra-local model and windowed
 replanning of the reference, stepped together with the client buffer.  The
-loop records only what it alone knows: the buffer, the bandwidth estimate and
-the reference per step, the held bitrate and iP correction per decision.  The
-other log columns (clock, measured buffer, per-step bitrate and correction,
-regime, stall flag, per-decision samples) are derived from those after it.
+loop computes only what the controller reads: the bandwidth estimate where it
+feeds the replanned reference (every step, with replanning on) or the flat
+feedforward (every decision), the feedforward and the reference slope once
+per decision.  It records only what it alone knows: the buffer, the reference
+and the estimate's validity flag per step, the held bitrate and iP correction
+per decision.  The other log columns (clock, measured buffer, per-step
+bitrate and correction, the bandwidth estimate, regime, stall flag,
+per-decision samples) are derived from those after it.
 """
 from collections import namedtuple
 
@@ -98,12 +102,15 @@ def ladder_above(c, ladder):
 
 
 @maybe_njit
-def ring_dot(w, ring, start):
-    """Dot of weights with a ring buffer read oldest-first from start."""
-    n = len(w)
+def ring_dot(w, xs, start):
+    """Dot of weights with the window xs[start:start + len(w)], oldest first.
+
+    The episode loop's sample histories start with len(w) - 1 zeros, so the
+    window ending at step k starts at index k.
+    """
     acc = 0.0
-    for i in range(n):
-        acc += w[i] * ring[(start + i) % n]
+    for i in range(len(w)):
+        acc += w[i] * xs[start + i]
     return acc
 
 
@@ -111,6 +118,32 @@ def ring_dot(w, ring, start):
 def bandwidth_from_window(R, w_lin, xs, start, tau):
     """Closed-form bandwidth estimate from a window of buffer samples."""
     return R * (1.0 - 6.0 / tau**3 * ring_dot(w_lin, xs, start))
+
+
+@maybe_njit
+def held_estimates(x_meas, valid, R_before, w_lin, tau):
+    """Per-step bandwidth estimate column: the last positive estimate at a
+    valid step, NaN before the first.
+
+    The window dots are summed in ``ring_dot``'s order, so every value is
+    bitwise the scalar ``bandwidth_from_window`` over the zero-padded measured
+    buffer with the bitrate held before that step's decision.
+    """
+    n = len(x_meas)
+    win = len(w_lin)
+    xp = np.concatenate((np.zeros(win - 1), x_meas))
+    acc = np.zeros(n)
+    for i in range(win):
+        acc += w_lin[i] * xp[i:i + n]
+    est = R_before * (1.0 - 6.0 / tau**3 * acc)
+    keep = valid & (est > 0.0)
+    kept = np.nonzero(keep)[0]
+    # held[m] is the m-th kept estimate; the running count of kept steps
+    # forward-fills them, and a count of zero reads the NaN
+    held = np.empty(len(kept) + 1)
+    held[0] = np.nan
+    held[1:] = est[kept]
+    return held[np.cumsum(keep.astype(np.int64))]
 
 
 @maybe_njit
@@ -151,88 +184,113 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
                   replan_enabled, lower_bound, upper_bound):
     """Fused inner loop for one episode.
 
-    Per Te step: measure, update estimator windows, replan the reference,
-    at the chunk cadence pick the bitrate, then Euler-step the true plant.
-    The loop stores the buffer ``x``, the estimate ``c_est`` and the
-    reference ``ref`` per step, and the held bitrate ``R_k`` and iP
-    correction ``u_k`` per decision.  Everything else in the returned
-    ``EpisodeArrays`` is derived from those after the loop: the bitrate and
-    correction are held between decisions, and the regime and stall flag are
-    functions of the clock and the buffer.
+    Per Te step: measure, test the bandwidth estimate's window conditions,
+    replan the reference, at the chunk cadence pick the bitrate, then
+    Euler-step the true plant.  The loop stores the buffer ``x``, the
+    reference ``ref`` and the estimate's validity flag per step, and the held
+    bitrate ``R_k`` and iP correction ``u_k`` per decision.  Everything else
+    in the returned ``EpisodeArrays`` is derived from those after the loop:
+    the bitrate and correction are held between decisions, the regime and
+    stall flag are functions of the clock and the buffer, and ``c_est`` is
+    the last positive estimate at a valid step (``held_estimates``).
+
+    The estimate itself is evaluated only where the controller reads it:
+    every step with replanning on, decision steps only with it off.  A read
+    takes the newest valid step with a positive estimate, going back at most
+    one window and never to the previous read step or before it; an older
+    estimate is stale there, and the capacity measurement is read instead.
+
+    The flat inversion needs a reference slope above -1.  A decision whose
+    combined (ramp plus replanning) slope is at most -1 requests the top
+    rung, the inversion's limit as the slope falls to -1.
     """
     n = len(c_true)
     win = len(w_lin)
     ratio = int(round(decision_interval / Te))
     n_chunks = (n + ratio - 1) // ratio
 
-    x_a = np.empty(n)
-    cest_a = np.empty(n)
-    ref_a = np.empty(n)
-    Rk = np.empty(n_chunks)
-    uk = np.empty(n_chunks)
+    # the window-averaged capacity measurement, the fallback for a stale
+    # estimate: one sequential running sum of sample in minus sample out
+    c_out = np.concatenate((np.zeros(win), c_meas))[:n]
+    cm_bar = as_floats(np.cumsum(c_meas - c_out) / np.minimum(np.arange(1, n + 1), win))
 
-    # convert once: the interpreted loop then computes on Python floats
-    # (x_noise stays an array for the measured buffer derived after the loop)
+    # convert once: the interpreted loop then computes on Python floats and
+    # stores into lists, converted back to arrays after the loop
     c_true = as_floats(c_true)
-    c_meas = as_floats(c_meas)
     noise = as_floats(x_noise)
     ladder = as_floats(ladder)
     w_lin = as_floats(w_lin)
     w_bump = as_floats(w_bump)
-    x_ring = as_floats(np.zeros(win))
-    u_ring = as_floats(np.zeros(win))
-    cm_ring = as_floats(np.zeros(win))
-    cm_sum = 0.0
+    # measured buffer and held correction, zero-padded by win - 1 samples
+    # so the window ending at step k starts at index k
+    x_hist = as_floats(np.zeros(n + win - 1))
+    u_hist = as_floats(np.zeros(n + win - 1))
+    x_a = as_floats(np.zeros(n))
+    ref_a = as_floats(np.zeros(n))
+    valid = as_floats(np.zeros(n, np.bool_))
+    Rk = as_floats(np.zeros(n_chunks))
+    uk = as_floats(np.zeros(n_chunks))
 
     x = 0.0
     cur_R = ladder[0]
+    top_R = ladder[len(ladder) - 1]
     u_held = 0.0  # zero-order-held continuous correction, the estimator's input
-    cest = np.nan
+    cest = 0.0
     have_cest = False
     last_bad = -1           # last step violating the estimate's window conditions
     last_valid = -1
+    last_read = -1
     last_R_change = 0
     replan_active = False
     dirn = 1
     coef = ladder[0]
     y_ad = 0.0
+    c_known = 0.0
 
     for k in range(n):
         t = k * Te
-        playing = t >= delta and x >= Delta
         xm = x * (1.0 + noise[k])
-        cm = c_meas[k]
-
-        base = bezier_eval(t, t0, tf, x0, xf)
-        base_slope = bezier_derivative(t, t0, tf, x0, xf, 1)
-
-        idx = k % win
-        x_ring[idx] = xm
-        u_ring[idx] = u_held
-        cm_sum += cm - cm_ring[idx]
-        cm_ring[idx] = cm
-        cm_bar = cm_sum / min(k + 1, win)
-        start = (k + 1) % win
+        if t < tf:
+            base = bezier_eval(t, t0, tf, x0, xf)
+        else:
+            base = xf  # the ramp profile is constant from tf on
+        h = k + win - 1
+        x_hist[h] = xm
+        u_hist[h] = u_held
 
         # Bandwidth estimate: valid only late enough, in playback regime with
         # x above the chunk duration and an unchanged bitrate over the window.
-        # A non-positive value (measurement noise) is never acted on: the last
-        # positive estimate and its validity clock are kept instead.
-        if not (playing and xm > Delta):
+        if not (t >= delta and x >= Delta and xm > Delta):
             last_bad = k
-        if t > delta + tau and k - last_bad >= win and k - last_R_change >= win:
-            c_new = bandwidth_from_window(cur_R, w_lin, x_ring, start, tau)
-            if c_new > 0.0:
-                cest = c_new
-                have_cest = True
-                last_valid = k
+        elif t > delta + tau and k - last_bad >= win and k - last_R_change >= win:
+            valid[k] = True
 
-        # the held estimate goes stale one window after validity is lost;
-        # fall back to the window-averaged capacity measurement until it recovers
-        if have_cest and k - last_valid <= win:
-            c_known = cest
-        else:
-            c_known = cm_bar
+        decide = k % ratio == 0
+        if replan_enabled or decide:
+            # A non-positive value (measurement noise) is never acted on: the
+            # last positive estimate and its validity clock are kept instead.
+            # Every decision is a read, so every step back to the last read
+            # held cur_R before its decision.
+            j = k
+            stop = k - win - 1
+            if stop < last_read:
+                stop = last_read
+            while j > stop:
+                if valid[j]:
+                    c_new = bandwidth_from_window(cur_R, w_lin, x_hist, j, tau)
+                    if c_new > 0.0:
+                        cest = c_new
+                        have_cest = True
+                        last_valid = j
+                        break
+                j -= 1
+            last_read = k
+            # the held estimate goes stale one window after validity is lost;
+            # fall back to the window-averaged capacity measurement until it recovers
+            if have_cest and k - last_valid <= win:
+                c_known = cest
+            else:
+                c_known = cm_bar[k]
 
         if replan_enabled and have_cest:
             if not replan_active:
@@ -257,40 +315,50 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
                 y_ad = xm - base
 
         ref = base + y_ad
-        ref_rate = base_slope
-        if replan_active:
-            ref_rate += c_known / coef - 1.0
 
-        # flat inversion along the full (replanned) reference
-        rstar = feedforward(c_known, ref_rate)
-
-        if k % ratio == 0:
+        if decide:
+            ref_rate = bezier_derivative(t, t0, tf, x0, xf, 1)
+            if replan_active:
+                ref_rate += c_known / coef - 1.0
             if k >= win - 1:
-                f_est = f_from_window(w_lin, w_bump, x_ring, u_ring, start, alpha, tau)
-                e = xm - ref
-                u_cont = ip_control(f_est, ref_rate, e, alpha, kp)
+                f_est = f_from_window(w_lin, w_bump, x_hist, u_hist, k, alpha, tau)
+                u_cont = ip_control(f_est, ref_rate, xm - ref, alpha, kp)
             else:
                 u_cont = 0.0  # estimator warm-up: pure feedforward
-            r_cont = rstar + u_cont
-            new_R, _eps = quantize(r_cont, ladder)
+            if ref_rate > -1.0:
+                # flat inversion along the full (replanned) reference
+                new_R, _eps = quantize(feedforward(c_known, ref_rate) + u_cont, ladder)
+            else:
+                # a reference draining at least as fast as playback: the
+                # inversion's limit as the slope falls to -1 is unbounded
+                new_R = top_R
             if new_R != cur_R:
                 last_R_change = k
                 cur_R = new_R
             u_held = u_cont
-            u_ring[idx] = u_held
+            u_hist[h] = u_held
             Rk[k // ratio] = cur_R
             uk[k // ratio] = u_held
 
         x_a[k] = x
-        cest_a[k] = cest
         ref_a[k] = ref
 
         x = plant_step(x, t, cur_R, c_true[k], Te, delta, Delta)
 
+    x_a = np.asarray(x_a)
+    Rk = np.asarray(Rk)
+    uk = np.asarray(uk)
     t_a = np.arange(n) * Te
+    x_meas = x_a * (1.0 + x_noise)
+    R_a = np.repeat(Rk, ratio)[:n]
+    # each estimate used the bitrate held before its step's decision
+    R_before = np.empty(n)
+    R_before[0] = ladder[0]
+    R_before[1:] = R_a[:n - 1]
     started = t_a >= delta
-    return EpisodeArrays(t_a, x_a, x_a * (1.0 + x_noise),
-                         np.repeat(Rk, ratio)[:n], cest_a, np.repeat(uk, ratio)[:n], ref_a,
+    return EpisodeArrays(t_a, x_a, x_meas, R_a,
+                         held_estimates(x_meas, np.asarray(valid), R_before, w_lin, tau),
+                         np.repeat(uk, ratio)[:n], np.asarray(ref_a),
                          (started & (x_a >= Delta)).astype(np.int8),
                          (started & (x_a < Delta)).astype(np.int8),
                          t_a[::ratio], Rk, x_a[::ratio])

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from abrlab import kernels
 from abrlab.cli import run_single
 from abrlab.config import RunConfig
 from abrlab.kernels import feedforward, ip_control, quantize
@@ -55,6 +56,38 @@ class TestFeedforward:
 
     def test_draining_reference(self):
         assert feedforward(1.0, -0.5) == pytest.approx(2.0, abs=1e-15)
+
+    @pytest.mark.parametrize("scenario,seed", ((2, 4), (3, 1), (3, 2)))
+    def test_reference_draining_as_fast_as_playback(self, scenario, seed, monkeypatch):
+        # the ramp falls slower than playback drains, as validate requires,
+        # but the replanning term drains further: at some decisions the
+        # combined slope is <= -1, where the inversion's limit is the top rung
+        cfg = RunConfig(scenario=scenario, replan=True, x0=30.0, xf=0.0, tf=75.0,
+                        delta_startup=0.0)
+        cfg.validate()
+        slopes, inverted = [], []
+
+        def spy_ip(f_est, ref_rate, e, alpha, kp):
+            slopes.append(ref_rate)
+            return ip_control(f_est, ref_rate, e, alpha, kp)
+
+        def spy_ff(c_nominal, ref_slope):
+            inverted.append(ref_slope)
+            return feedforward(c_nominal, ref_slope)
+
+        monkeypatch.setattr(kernels, "episode_loop", kernels._episode_loop)
+        monkeypatch.setattr(kernels, "ip_control", spy_ip)
+        monkeypatch.setattr(kernels, "feedforward", spy_ff)
+        log = run_single(cfg, seed)
+        # ip_control runs at every decision after the drift window's warm-up
+        win = int(round(cfg.tau / cfg.te)) + 1
+        ratio = int(round(cfg.decision_interval / cfg.te))
+        warm_up = -(-(win - 1) // ratio)
+        steep = warm_up + np.nonzero(np.array(slopes) <= -1.0)[0]
+        assert len(steep) > 0
+        assert min(inverted) > -1.0
+        assert np.all(log.R_k[steep] == cfg.ladder[-1])
+        assert len(inverted) == len(log.R_k) - len(steep)
 
 
 class TestIpControl:

@@ -1,11 +1,14 @@
 """Windowed bandwidth and drift estimators."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abrlab.cli import run_single
 from abrlab.config import RunConfig
 from abrlab.estimation import bump_kernel_weights, linear_kernel_weights
 from abrlab.kernels import bandwidth_from_window, f_from_window, ring_dot
+
+from config_strategies import run_configs
 
 TAU = 1.0
 TE = 0.1
@@ -54,18 +57,20 @@ class TestWeights:
 
 class TestRingWindow:
     def test_capacity_and_rollover(self):
-        # the episode loop writes sample k at k % win and reads oldest-first
-        # from (k + 1) % win
+        # the episode loop writes sample k at k + win - 1 of a history padded
+        # with win - 1 zeros, so the window ending at step k starts at index k
         win = N_SEG + 1
-        ring = np.zeros(win)
-        for k in range(15):
-            ring[k % win] = float(k)
-        start = (14 + 1) % win
+        xs = np.concatenate((np.zeros(win - 1), np.arange(15.0)))
         first, last = np.eye(win)[0], np.eye(win)[-1]
-        assert ring_dot(first, ring, start) == 4.0
-        assert ring_dot(last, ring, start) == 14.0
-        assert ring_dot(np.arange(win, dtype=float), ring, start) == \
-            pytest.approx(np.arange(win) @ np.arange(4.0, 15.0))
+        ramp = np.arange(win, dtype=float)
+        # mid-episode: the window ending at step 14 holds steps 4..14
+        assert ring_dot(first, xs, 14) == 4.0
+        assert ring_dot(last, xs, 14) == 14.0
+        assert ring_dot(ramp, xs, 14) == pytest.approx(np.arange(win) @ np.arange(4.0, 15.0))
+        # warm-up: the window ending at step 5 straddles five pad zeros
+        assert ring_dot(first, xs, 5) == 0.0
+        assert ring_dot(last, xs, 5) == 5.0
+        assert ring_dot(ramp, xs, 5) == pytest.approx(np.arange(5, win) @ np.arange(6.0))
 
     def test_invalid_params(self):
         for tau, te in ((0.0, TE), (TAU, 0.0), (0.15, 0.1)):
@@ -120,6 +125,24 @@ class TestBandwidth:
             assert np.all(np.isnan(log.c_est) | (log.c_est > 0.0)), seed
             for name in ("ref", "u", "x"):
                 assert np.all(np.isfinite(getattr(log, name))), (seed, name)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=run_configs(), seed=st.integers(0, 1000))
+    def test_logged_estimate_is_the_scalar_estimate(self, cfg, seed):
+        # c_est is derived after the loop with vector window dots; wherever
+        # it takes a new value, that value is positive and bitwise the scalar
+        # estimate over the zero-padded measured buffer, with the bitrate
+        # held before that step's decision
+        log = run_single(cfg, seed)
+        n_seg = int(round(cfg.tau / cfg.te))
+        w = linear_kernel_weights(cfg.tau, n_seg)
+        xs = np.concatenate((np.zeros(n_seg), log.x_meas))
+        R_before = np.concatenate(([cfg.ladder[0]], log.R[:-1]))
+        prev = np.concatenate(([np.nan], log.c_est[:-1]))
+        same = (log.c_est == prev) | (np.isnan(log.c_est) & np.isnan(prev))
+        for k in np.nonzero(~same)[0]:
+            assert log.c_est[k] > 0.0, k
+            assert log.c_est[k] == bandwidth_from_window(R_before[k], w, xs, k, cfg.tau), k
 
     def test_dither_is_attenuated(self):
         # alternating-sign noise of amplitude a shifts the estimate by at

@@ -46,6 +46,9 @@ EPISODES = {_call_key(s, r): ["--scenario", str(s), _arm(r)] for s, r in CALLS}
 EPISODES["s3_replan_x_noise_0.05"] = ["--scenario", "3", "--replan", "--x-noise", "0.05"]
 EPISODES["s2_replan_decision_1_tau_0.5"] = ["--scenario", "2", "--replan",
                                             "--decision-interval", "1", "--tau", "0.5"]
+EPISODES["s2_noreplan_x_noise_0.1"] = ["--scenario", "2", "--no-replan", "--x-noise", "0.1"]
+EPISODES["s3_noreplan_decision_0.5_tau_2"] = ["--scenario", "3", "--no-replan",
+                                              "--decision-interval", "0.5", "--tau", "2"]
 
 
 def output_digests(scenario: int, replan: bool, outdir: Path) -> dict:
