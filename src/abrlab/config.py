@@ -6,6 +6,7 @@ dotted file key (``section.name``), the command-line flag (``--name`` with
 format all derive from the field's name and type.
 """
 import argparse
+import math
 from dataclasses import dataclass, field, fields
 from typing import get_args, get_origin
 
@@ -79,10 +80,17 @@ class RunConfig:
 
     def _problems(self):
         """Yield what is wrong, in order; later checks rely on earlier ones."""
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                yield f"{f.name}: must be finite, got {getattr(self, f.name)}"
+        if not all(map(math.isfinite, self.ladder)):
+            yield "ladder: rates must be finite"
         if self.scenario not in (1, 2, 3):
             yield f"scenario: must be 1, 2 or 3, got {self.scenario}"
         if not self.seeds:
             yield "seeds: at least one seed required"
+        if any(s < 0 for s in self.seeds):
+            yield "seeds: must be non-negative"
         for e in self.emit:
             if e not in EMIT_CHOICES:
                 yield f"emit: unknown format {e!r} (choose from {EMIT_CHOICES})"

@@ -1,26 +1,23 @@
-"""The control law and the plant, as numeric kernels.
+"""The control law and the plant, as numeric kernels in plain Python.
 
-Everything here is written so it compiles under numba's nopython mode; with
-ABRLAB_DISABLE_NUMBA=1 the same source runs as plain Python/numpy.  The
-callees take arrays or lists alike: the interpreted episode loop hands them
-Python floats, which are much cheaper to compute with than NumPy scalars.  The
-fused ``episode_loop`` is the one implementation of the controller: flat
-feedforward, the iP correction on the ultra-local model and windowed
-replanning of the reference, stepped together with the client buffer.  The
-loop computes only what the controller reads: the bandwidth estimate where it
-feeds the replanned reference (every step, with replanning on) or the flat
-feedforward (every decision), the feedforward and the reference slope once
-per decision.  It records only what it alone knows: the buffer, the reference
-and the estimate's validity flag per step, the held bitrate and iP correction
-per decision.  The other log columns (clock, measured buffer, per-step
-bitrate and correction, the bandwidth estimate, regime, stall flag,
-per-decision samples) are derived from those after it.
+The callees take arrays or lists alike: the episode loop hands them Python
+floats, which are much cheaper to compute with than NumPy scalars and give
+the same IEEE results.  The fused ``episode_loop`` is the one implementation
+of the controller: flat feedforward, the iP correction on the ultra-local
+model and windowed replanning of the reference, stepped together with the
+client buffer.  The loop computes only what the controller reads: the
+bandwidth estimate where it feeds the replanned reference (every step, with
+replanning on) or the flat feedforward (every decision), the feedforward and
+the reference slope once per decision.  It records only what it alone knows:
+the buffer, the reference and the estimate's validity flag per step, the held
+bitrate and iP correction per decision.  The other log columns (clock,
+measured buffer, per-step bitrate and correction, the bandwidth estimate,
+regime, stall flag, per-decision samples) are derived from those after it.
 """
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
 import numpy as np
-
-from ._accel import as_floats, maybe_njit
 
 # Distance between the measured buffer and the replanned reference beyond
 # which the reference correction restarts at the buffer.
@@ -31,7 +28,6 @@ EpisodeArrays = namedtuple("EpisodeArrays", ("t", "x", "x_meas", "R", "c_est", "
                                              "regime", "stalled", "t_k", "R_k", "x_k"))
 
 
-@maybe_njit
 def bezier_eval(t, t0, tf, x0, xf):
     """Ramp profile x0 -> xf over [t0, tf], C^3-smooth, clamped outside."""
     if t <= t0:
@@ -43,7 +39,6 @@ def bezier_eval(t, t0, tf, x0, xf):
     return x0 + (xf - x0) * p
 
 
-@maybe_njit
 def bezier_derivative(t, t0, tf, x0, xf, order):
     """Analytic derivative of bezier_eval; zero outside (t0, tf)."""
     if t <= t0 or t >= tf:
@@ -58,7 +53,6 @@ def bezier_derivative(t, t0, tf, x0, xf, order):
     return (xf - x0) * p / (tf - t0) ** order
 
 
-@maybe_njit
 def quantize(r, ladder):
     """Nearest ladder element, ties broken toward the lower rate.
 
@@ -77,31 +71,18 @@ def quantize(r, ladder):
     return ladder[best], ladder[best] - r
 
 
-@maybe_njit
 def ladder_below(c, ladder):
-    """Largest ladder element strictly below c (clamped to the smallest)."""
-    out = ladder[0]
-    for i in range(len(ladder)):
-        if ladder[i] < c:
-            out = ladder[i]
-        else:
-            break
-    return out
+    """Largest element of the increasing ladder strictly below c (clamped to
+    the smallest)."""
+    return ladder[max(bisect_left(ladder, c) - 1, 0)]
 
 
-@maybe_njit
 def ladder_above(c, ladder):
-    """Smallest ladder element strictly above c (clamped to the largest)."""
-    out = ladder[len(ladder) - 1]
-    for i in range(len(ladder) - 1, -1, -1):
-        if ladder[i] > c:
-            out = ladder[i]
-        else:
-            break
-    return out
+    """Smallest element of the increasing ladder strictly above c (clamped to
+    the largest)."""
+    return ladder[min(bisect_right(ladder, c), len(ladder) - 1)]
 
 
-@maybe_njit
 def ring_dot(w, xs, start):
     """Dot of weights with the window xs[start:start + len(w)], oldest first.
 
@@ -114,13 +95,11 @@ def ring_dot(w, xs, start):
     return acc
 
 
-@maybe_njit
 def bandwidth_from_window(R, w_lin, xs, start, tau):
     """Closed-form bandwidth estimate from a window of buffer samples."""
     return R * (1.0 - 6.0 / tau**3 * ring_dot(w_lin, xs, start))
 
 
-@maybe_njit
 def held_estimates(x_meas, valid, R_before, w_lin, tau):
     """Per-step bandwidth estimate column: the last positive estimate at a
     valid step, NaN before the first.
@@ -146,25 +125,21 @@ def held_estimates(x_meas, valid, R_before, w_lin, tau):
     return held[np.cumsum(keep.astype(np.int64))]
 
 
-@maybe_njit
 def f_from_window(w_lin, w_bump, ys, us, start, alpha, tau):
     """Windowed estimate of the lumped drift F of the ultra-local model."""
     return -6.0 / tau**3 * (ring_dot(w_lin, ys, start) + alpha * ring_dot(w_bump, us, start))
 
 
-@maybe_njit
 def ip_control(f_est, ref_rate, e, alpha, kp):
     """Intelligent-proportional feedback correction."""
     return -(f_est - ref_rate + kp * e) / alpha
 
 
-@maybe_njit
 def feedforward(c_nominal, ref_slope):
     """Flat inversion of the playback dynamics along the reference."""
     return c_nominal / (ref_slope + 1.0)
 
 
-@maybe_njit
 def plant_step(x, t, R, C, Te, delta, Delta):
     """One explicit-Euler step of the client buffer."""
     if t >= delta and x >= Delta:
@@ -212,28 +187,28 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
     # the window-averaged capacity measurement, the fallback for a stale
     # estimate: one sequential running sum of sample in minus sample out
     c_out = np.concatenate((np.zeros(win), c_meas))[:n]
-    cm_bar = as_floats(np.cumsum(c_meas - c_out) / np.minimum(np.arange(1, n + 1), win))
+    cm_bar = (np.cumsum(c_meas - c_out) / np.minimum(np.arange(1, n + 1), win)).tolist()
 
-    # convert once: the interpreted loop then computes on Python floats and
-    # stores into lists, converted back to arrays after the loop
-    c_true = as_floats(c_true)
-    noise = as_floats(x_noise)
-    ladder = as_floats(ladder)
-    w_lin = as_floats(w_lin)
-    w_bump = as_floats(w_bump)
+    # convert once: the loop computes on Python floats and stores into lists,
+    # converted back to arrays after it
+    c_true = c_true.tolist()
+    noise = x_noise.tolist()
+    ladder = ladder.tolist()
+    w_lin = w_lin.tolist()
+    w_bump = w_bump.tolist()
     # measured buffer and held correction, zero-padded by win - 1 samples
     # so the window ending at step k starts at index k
-    x_hist = as_floats(np.zeros(n + win - 1))
-    u_hist = as_floats(np.zeros(n + win - 1))
-    x_a = as_floats(np.zeros(n))
-    ref_a = as_floats(np.zeros(n))
-    valid = as_floats(np.zeros(n, np.bool_))
-    Rk = as_floats(np.zeros(n_chunks))
-    uk = as_floats(np.zeros(n_chunks))
+    x_hist = [0.0] * (n + win - 1)
+    u_hist = [0.0] * (n + win - 1)
+    x_a = [0.0] * n
+    ref_a = [0.0] * n
+    valid = [False] * n
+    Rk = [0.0] * n_chunks
+    uk = [0.0] * n_chunks
 
     x = 0.0
     cur_R = ladder[0]
-    top_R = ladder[len(ladder) - 1]
+    top_R = ladder[-1]
     u_held = 0.0  # zero-order-held continuous correction, the estimator's input
     cest = 0.0
     have_cest = False
@@ -364,6 +339,5 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
                          t_a[::ratio], Rk, x_a[::ratio])
 
 
-# Compiled entry point; _episode_loop itself stays callable as the
-# uncompiled reference path (the callees dispatch through their wrappers).
-episode_loop = maybe_njit(_episode_loop)
+# perfbench traces ``episode_loop`` and profiles ``_episode_loop`` by its code name
+episode_loop = _episode_loop

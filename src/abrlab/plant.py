@@ -111,8 +111,7 @@ def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
     else:
         x_noise = np.zeros(n)
     out = kernels.episode_loop(
-        np.asarray(trace.true_capacity[:n], dtype=np.float64),
-        np.asarray(trace.measured_capacity[:n], dtype=np.float64),
+        trace.true_capacity[:n], trace.measured_capacity[:n],
         x_noise, np.array(cfg.ladder, dtype=np.float64), w_lin, w_bump,
         cfg.te, cfg.delta_startup, cfg.chunk_duration,
         cfg.t0, cfg.tf, cfg.x0, cfg.xf,

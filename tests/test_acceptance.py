@@ -1,8 +1,7 @@
 """End-to-end acceptance checks, one per numbered criterion.
 
 Each test prints a single PASS/FAIL line (visible with pytest -s).  The
-timing bounds hold on the plain Python/numpy fallback path as well as on the
-numba-compiled one; without numba only the fallback runs.
+timing bounds hold for the plain Python/numpy kernels.
 """
 import filecmp
 import time
@@ -29,7 +28,7 @@ def _verdict(num, desc, ok):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # trigger kernel compilation outside the timed sections
+    # pay first-call costs outside the timed sections
     cfg = RunConfig()
     cfg.duration = 20.0
     run_single(cfg, 0)

@@ -87,6 +87,14 @@ class TestParsing:
                       ["--s3-level-lo", "0.34"]):  # scenario 3 dips below 0.35
             with pytest.raises(ConfigError):
                 parse_config(flags)
+        # non-finite numbers, which would crash a check or run a nonsense episode
+        for flags in (["--te", "nan"], ["--tau", "nan"], ["--duration", "nan"],
+                      ["--chunk-duration", "nan"], ["--c0", "nan"], ["--kp", "nan"],
+                      ["--x-noise", "nan"], ["--xf", "nan"], ["--delta-startup", "nan"],
+                      ["--duration", "inf"], ["--alpha=-inf"], ["--ladder", "0.35,nan"],
+                      ["--ladder", "0.35,inf"]):
+            with pytest.raises(ConfigError):
+                parse_config(flags)
         # just inside the bounds
         parse_config(["--x0", "4", "--xf", "0", "--tf", "10"])
         parse_config(["--scenario", "3", "--duration", "2.1"])
@@ -172,13 +180,22 @@ class TestMain:
                                        ["--decision-interval", "0.15"],
                                        ["--tau", "1.05"],
                                        ["--scenario", "2", "--s2-segment", "0.05"],
-                                       ["--scenario", "3", "--s3-segment", "20.05"]])
+                                       ["--scenario", "3", "--s3-segment", "20.05"],
+                                       ["--te", "nan"],
+                                       ["--c0", "nan"]])
     def test_off_grid_interval_exits_2(self, tmp_path, capsys, flags):
         # decision instants, estimator windows and capacity segments must lie
-        # on the te grid
+        # on the te grid, which a non-finite number is on nowhere
         code = main(self.ARGS + flags + ["--out", str(tmp_path / "never")])
         assert code == 2
         assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["--seeds=-1", "--seeds=-3..-1", "--seeds=2,-1"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, seeds):
+        code = main(self.ARGS + [seeds, "--out", str(tmp_path / "never")])
+        assert code == 2
+        assert "seeds: must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
 
     def test_unwritable_out_exits_1(self, tmp_path):
         target = tmp_path / "file"

@@ -75,7 +75,6 @@ class TestFeedforward:
             inverted.append(ref_slope)
             return feedforward(c_nominal, ref_slope)
 
-        monkeypatch.setattr(kernels, "episode_loop", kernels._episode_loop)
         monkeypatch.setattr(kernels, "ip_control", spy_ip)
         monkeypatch.setattr(kernels, "feedforward", spy_ff)
         log = run_single(cfg, seed)
