@@ -31,8 +31,7 @@ def run(cfg: RunConfig) -> int:
     reports = []
     for seed in cfg.seeds:
         log = run_single(cfg, seed)
-        reports.append(metrics.qoe_report(log, delta_chunk=cfg.chunk_duration,
-                                          delta_startup=cfg.delta_startup))
+        reports.append(metrics.qoe_report(log, cfg, seed))
         tag = _episode_tag(cfg, seed)
         if "log" in cfg.emit:
             log.to_csv(outdir / f"episode_{tag}.csv")

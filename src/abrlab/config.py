@@ -70,9 +70,13 @@ class RunConfig:
     s3_level_hi: float = _param("scenario", 1.5)
     s3_noise: float = _param("scenario", 0.3)
 
+    def steps(self, seconds: float) -> int:
+        """Te steps in ``seconds``, rounded to the nearest whole step."""
+        return int(round(seconds / self.te))
+
     @property
     def n_steps(self) -> int:
-        return int(round(self.duration / self.te))
+        return self.steps(self.duration)
 
     def validate(self) -> None:
         for problem in self._problems():
@@ -91,6 +95,8 @@ class RunConfig:
             yield "seeds: at least one seed required"
         if any(s < 0 for s in self.seeds):
             yield "seeds: must be non-negative"
+        if len(set(self.seeds)) < len(self.seeds):
+            yield "seeds: must be distinct"
         for e in self.emit:
             if e not in EMIT_CHOICES:
                 yield f"emit: unknown format {e!r} (choose from {EMIT_CHOICES})"
@@ -125,7 +131,7 @@ class RunConfig:
                 yield f"{name}: must be a positive whole multiple of te"
         if self.tau < 2.0 * self.te:
             yield "tau: must be at least 2*te"
-        if self.n_steps <= round(self.decision_interval / self.te):
+        if self.n_steps <= self.steps(self.decision_interval):
             yield "duration: must span more than one decision interval (two decisions)"
         for sid in (2, 3):
             lo, hi, noise = (getattr(self, f"s{sid}_{name}")

@@ -5,27 +5,24 @@ floats, which are much cheaper to compute with than NumPy scalars and give
 the same IEEE results.  The fused ``episode_loop`` is the one implementation
 of the controller: flat feedforward, the iP correction on the ultra-local
 model and windowed replanning of the reference, stepped together with the
-client buffer.  The loop computes only what the controller reads: the
-bandwidth estimate where it feeds the replanned reference (every step, with
-replanning on) or the flat feedforward (every decision), the feedforward and
-the reference slope once per decision.  It records only what it alone knows:
-the buffer, the reference and the estimate's validity flag per step, the held
-bitrate and iP correction per decision.  The other log columns (clock,
-measured buffer, per-step bitrate and correction, the bandwidth estimate,
-regime, stall flag, per-decision samples) are derived from those after it.
+client buffer.  It reads every parameter from the ``RunConfig`` it is given.
+The loop computes only what the controller reads: the bandwidth estimate
+where it feeds the replanned reference (every step, with replanning on) or
+the flat feedforward (every decision), the feedforward and the reference
+slope once per decision.  It returns only what it alone knows: the buffer,
+the reference and the estimate's validity flag per step, the held bitrate
+and iP correction per decision.  ``plant.run_episode`` derives the other log
+columns (clock, measured buffer, per-step bitrate and correction, the
+bandwidth estimate through ``held_estimates``, regime, stall flag,
+per-decision samples) from those.
 """
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
 
 import numpy as np
 
 # Distance between the measured buffer and the replanned reference beyond
 # which the reference correction restarts at the buffer.
 RESTART_GAP = 2.0
-
-# The episode kernel's result, named as the matching ``EpisodeLog`` fields.
-EpisodeArrays = namedtuple("EpisodeArrays", ("t", "x", "x_meas", "R", "c_est", "u", "ref",
-                                             "regime", "stalled", "t_k", "R_k", "x_k"))
 
 
 def bezier_eval(t, t0, tf, x0, xf):
@@ -152,22 +149,19 @@ def plant_step(x, t, R, C, Te, delta, Delta):
     return xn
 
 
-def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
-                  Te, delta, Delta,
-                  t0, tf, x0, xf,
-                  alpha, kp, tau, decision_interval,
-                  replan_enabled, lower_bound, upper_bound):
-    """Fused inner loop for one episode.
+def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
+    """Fused inner loop for one episode of the config ``cfg``.
 
-    Per Te step: measure, test the bandwidth estimate's window conditions,
+    Per te step: measure, test the bandwidth estimate's window conditions,
     replan the reference, at the chunk cadence pick the bitrate, then
-    Euler-step the true plant.  The loop stores the buffer ``x``, the
-    reference ``ref`` and the estimate's validity flag per step, and the held
-    bitrate ``R_k`` and iP correction ``u_k`` per decision.  Everything else
-    in the returned ``EpisodeArrays`` is derived from those after the loop:
-    the bitrate and correction are held between decisions, the regime and
-    stall flag are functions of the clock and the buffer, and ``c_est`` is
-    the last positive estimate at a valid step (``held_estimates``).
+    Euler-step the true plant.  Returns, as arrays, what the loop alone
+    records: the buffer ``x``, the reference ``ref`` and the estimate's
+    validity flag ``valid`` per step, and the held bitrate ``R_k`` and iP
+    correction ``u_k`` per decision.  ``plant.run_episode`` derives the other
+    log columns from those: the bitrate and correction are held between
+    decisions, the regime and stall flag are functions of the clock and the
+    buffer, and ``c_est`` is the last positive estimate at a valid step
+    (``held_estimates``).
 
     The estimate itself is evaluated only where the controller reads it:
     every step with replanning on, decision steps only with it off.  A read
@@ -179,9 +173,13 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
     combined (ramp plus replanning) slope is at most -1 requests the top
     rung, the inversion's limit as the slope falls to -1.
     """
+    te, delta_startup, chunk_duration = cfg.te, cfg.delta_startup, cfg.chunk_duration
+    t0, tf, x0, xf = cfg.t0, cfg.tf, cfg.x0, cfg.xf
+    alpha, kp, tau = cfg.alpha, cfg.kp, cfg.tau
+    replan, replan_lower, replan_upper = cfg.replan, cfg.replan_lower, cfg.replan_upper
     n = len(c_true)
     win = len(w_lin)
-    ratio = int(round(decision_interval / Te))
+    ratio = cfg.steps(cfg.decision_interval)
     n_chunks = (n + ratio - 1) // ratio
 
     # the window-averaged capacity measurement, the fallback for a stale
@@ -193,7 +191,7 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
     # converted back to arrays after it
     c_true = c_true.tolist()
     noise = x_noise.tolist()
-    ladder = ladder.tolist()
+    ladder = [float(r) for r in cfg.ladder]
     w_lin = w_lin.tolist()
     w_bump = w_bump.tolist()
     # measured buffer and held correction, zero-padded by win - 1 samples
@@ -223,7 +221,7 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
     c_known = 0.0
 
     for k in range(n):
-        t = k * Te
+        t = k * te
         xm = x * (1.0 + noise[k])
         if t < tf:
             base = bezier_eval(t, t0, tf, x0, xf)
@@ -235,13 +233,13 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
 
         # Bandwidth estimate: valid only late enough, in playback regime with
         # x above the chunk duration and an unchanged bitrate over the window.
-        if not (t >= delta and x >= Delta and xm > Delta):
+        if not (t >= delta_startup and x >= chunk_duration and xm > chunk_duration):
             last_bad = k
-        elif t > delta + tau and k - last_bad >= win and k - last_R_change >= win:
+        elif t > delta_startup + tau and k - last_bad >= win and k - last_R_change >= win:
             valid[k] = True
 
         decide = k % ratio == 0
-        if replan_enabled or decide:
+        if replan or decide:
             # A non-positive value (measurement noise) is never acted on: the
             # last positive estimate and its validity clock are kept instead.
             # Every decision is a read, so every step back to the last read
@@ -267,7 +265,7 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
             else:
                 c_known = cm_bar[k]
 
-        if replan_enabled and have_cest:
+        if replan and have_cest:
             if not replan_active:
                 replan_active = True
                 dirn = 1
@@ -275,15 +273,15 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
                 # start the correction aligned with the measured buffer so the
                 # combined reference takes over without an error jump
                 y_ad = xm - base
-            if xm > upper_bound and dirn == 1:
+            if xm > replan_upper and dirn == 1:
                 dirn = -1
-            if xm < lower_bound and dirn == -1:
+            if xm < replan_lower and dirn == -1:
                 dirn = 1
             if dirn == 1:
                 coef = ladder_below(c_known, ladder)
             else:
                 coef = ladder_above(c_known, ladder)
-            y_ad += (c_known / coef - 1.0) * Te
+            y_ad += (c_known / coef - 1.0) * te
             # a capacity jump leaves the reference far from the buffer; restart
             # the correction there instead of burning switches on the transient
             if abs(xm - (base + y_ad)) > RESTART_GAP:
@@ -318,25 +316,9 @@ def _episode_loop(c_true, c_meas, x_noise, ladder, w_lin, w_bump,
         x_a[k] = x
         ref_a[k] = ref
 
-        x = plant_step(x, t, cur_R, c_true[k], Te, delta, Delta)
+        x = plant_step(x, t, cur_R, c_true[k], te, delta_startup, chunk_duration)
 
-    x_a = np.asarray(x_a)
-    Rk = np.asarray(Rk)
-    uk = np.asarray(uk)
-    t_a = np.arange(n) * Te
-    x_meas = x_a * (1.0 + x_noise)
-    R_a = np.repeat(Rk, ratio)[:n]
-    # each estimate used the bitrate held before its step's decision
-    R_before = np.empty(n)
-    R_before[0] = ladder[0]
-    R_before[1:] = R_a[:n - 1]
-    started = t_a >= delta
-    return EpisodeArrays(t_a, x_a, x_meas, R_a,
-                         held_estimates(x_meas, np.asarray(valid), R_before, w_lin, tau),
-                         np.repeat(uk, ratio)[:n], np.asarray(ref_a),
-                         (started & (x_a >= Delta)).astype(np.int8),
-                         (started & (x_a < Delta)).astype(np.int8),
-                         t_a[::ratio], Rk, x_a[::ratio])
+    return np.asarray(x_a), np.asarray(ref_a), np.asarray(valid), np.asarray(Rk), np.asarray(uk)
 
 
 # perfbench traces ``episode_loop`` and profiles ``_episode_loop`` by its code name

@@ -5,6 +5,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .config import RunConfig
 from .plant import FMT, EpisodeLog
 
 
@@ -45,20 +46,16 @@ def rebuffering_time(chunk_buffers, delta: float) -> int:
     return int(np.count_nonzero(delta - xs >= 0.0))
 
 
-def qoe_report(log: EpisodeLog, delta_chunk: float, delta_startup: float,
-               count_startup_chunks: bool = False) -> QoEReport:
-    """Full QoE report for one episode; startup chunks excluded from the
-    rebuffering count by default (the buffer is legitimately below the chunk
-    duration while it first fills)."""
+def qoe_report(log: EpisodeLog, cfg: RunConfig, seed: int) -> QoEReport:
+    """Full QoE report for one episode of the config and seed.  Chunks before
+    the startup delay are excluded from the rebuffering count: the buffer is
+    legitimately below the chunk duration while it first fills."""
     var_norm, switches = quality_variation(log.R_k)
-    if count_startup_chunks:
-        mask = np.ones(len(log.t_k), dtype=bool)
-    else:
-        mask = log.t_k >= delta_startup
-    rebuf = rebuffering_time(log.x_k[mask], delta_chunk) if mask.any() else 0
+    mask = log.t_k >= cfg.delta_startup
+    rebuf = rebuffering_time(log.x_k[mask], cfg.chunk_duration) if mask.any() else 0
     return QoEReport(avg_quality(log.R_k), var_norm, switches, rebuf,
-                     M=log.n_chunks, scenario_id=log.scenario_id,
-                     replan_enabled=log.replan_enabled, seed=log.seed)
+                     M=log.n_chunks, scenario_id=cfg.scenario,
+                     replan_enabled=cfg.replan, seed=seed)
 
 
 def batch_report(episodes) -> list[dict]:
@@ -79,7 +76,6 @@ def batch_report(episodes) -> list[dict]:
             "episodes": len(rs),
             "avg_quality": float(np.mean([r.avg_quality for r in rs])),
             "quality_variation": float(np.mean([r.switch_count for r in rs])),
-            "variation_norm": float(np.mean([r.quality_variation_normalized for r in rs])),
             "rebuffering_time": float(np.mean([r.rebuffer_count for r in rs])),
         })
     return rows

@@ -17,14 +17,15 @@ X_NOISE_STREAM = 99
 
 @dataclass
 class ChannelTrace:
+    """Every random input of one episode."""
     true_capacity: np.ndarray
     measured_capacity: np.ndarray
-    seed: int
-    scenario_id: int
+    x_noise: np.ndarray  # relative buffer-measurement noise per step
 
 
 def build_scenario(cfg: RunConfig, seed: int) -> ChannelTrace:
-    """Deterministic capacity trace for the config's scenario and one seed."""
+    """Deterministic capacity trace and buffer-measurement noise for the
+    config's scenario and one seed."""
     n = cfg.n_steps
     sid = cfg.scenario
     rng = np.random.default_rng([sid, seed])
@@ -36,7 +37,7 @@ def build_scenario(cfg: RunConfig, seed: int) -> ChannelTrace:
             seg_len, lo, hi, noise = cfg.s2_segment, cfg.s2_level_lo, cfg.s2_level_hi, cfg.s2_noise
         else:
             seg_len, lo, hi, noise = cfg.s3_segment, cfg.s3_level_lo, cfg.s3_level_hi, cfg.s3_noise
-        seg_steps = int(round(seg_len / cfg.te))
+        seg_steps = cfg.steps(seg_len)
         n_seg = (n + seg_steps - 1) // seg_steps
         lv = rng.uniform(lo, hi, n_seg)
         if sid == 3 and lv.min() >= S3_FORCE_BELOW:
@@ -45,7 +46,12 @@ def build_scenario(cfg: RunConfig, seed: int) -> ChannelTrace:
         meas = true * (1.0 + rng.uniform(-noise, noise, n))
     else:
         raise ValueError(f"unknown scenario id {sid}")
-    return ChannelTrace(true, meas, seed, sid)
+    if cfg.x_noise > 0.0:
+        rng = np.random.default_rng([X_NOISE_STREAM, sid, seed])
+        x_noise = rng.uniform(-cfg.x_noise, cfg.x_noise, n)
+    else:
+        x_noise = np.zeros(n)
+    return ChannelTrace(true, meas, x_noise)
 
 
 @dataclass
@@ -64,9 +70,6 @@ class EpisodeLog:
     t_k: np.ndarray
     R_k: np.ndarray
     x_k: np.ndarray
-    scenario_id: int
-    seed: int
-    replan_enabled: bool
 
     @property
     def n_chunks(self) -> int:
@@ -96,27 +99,32 @@ def write_columns(path, header, row, columns) -> None:
 
 
 def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
-    """Run one full Te-stepped episode of the config through the fused kernel."""
+    """Run one full Te-stepped episode of the config on the trace's random
+    inputs (``build_scenario`` draws all of them for a seed) through the fused
+    kernel and derive the log columns that the kernel does not record."""
     n = cfg.n_steps
     if len(trace.true_capacity) < n:
         raise ValueError("trace shorter than episode duration")
-    n_seg = int(round(cfg.tau / cfg.te))
+    n_seg = cfg.steps(cfg.tau)
     if n_seg < 2:
         raise ValueError("tau must span at least two sampling periods")
     w_lin = estimation.linear_kernel_weights(cfg.tau, n_seg)
     w_bump = estimation.bump_kernel_weights(cfg.tau, n_seg)
-    if cfg.x_noise > 0.0:
-        rng = np.random.default_rng([X_NOISE_STREAM, trace.scenario_id, trace.seed])
-        x_noise = rng.uniform(-cfg.x_noise, cfg.x_noise, n)
-    else:
-        x_noise = np.zeros(n)
-    out = kernels.episode_loop(
-        trace.true_capacity[:n], trace.measured_capacity[:n],
-        x_noise, np.array(cfg.ladder, dtype=np.float64), w_lin, w_bump,
-        cfg.te, cfg.delta_startup, cfg.chunk_duration,
-        cfg.t0, cfg.tf, cfg.x0, cfg.xf,
-        cfg.alpha, cfg.kp, cfg.tau, cfg.decision_interval,
-        cfg.replan, cfg.replan_lower, cfg.replan_upper)
-    return EpisodeLog(c_true=trace.true_capacity[:n], **out._asdict(),
-                      scenario_id=trace.scenario_id, seed=trace.seed,
-                      replan_enabled=cfg.replan)
+    c_true = trace.true_capacity[:n]
+    x_noise = trace.x_noise[:n]
+    x, ref, valid, R_k, u_k = kernels.episode_loop(
+        c_true, trace.measured_capacity[:n], x_noise, w_lin, w_bump, cfg)
+    ratio = cfg.steps(cfg.decision_interval)
+    t = np.arange(n) * cfg.te
+    x_meas = x * (1.0 + x_noise)
+    R = np.repeat(R_k, ratio)[:n]
+    # each estimate used the bitrate held before its step's decision
+    R_before = np.concatenate(([cfg.ladder[0]], R[:-1]))
+    started = t >= cfg.delta_startup
+    return EpisodeLog(
+        t=t, x=x, x_meas=x_meas, R=R, c_true=c_true,
+        c_est=kernels.held_estimates(x_meas, valid, R_before, w_lin, cfg.tau),
+        u=np.repeat(u_k, ratio)[:n], ref=ref,
+        regime=(started & (x >= cfg.chunk_duration)).astype(np.int8),
+        stalled=(started & (x < cfg.chunk_duration)).astype(np.int8),
+        t_k=t[::ratio], R_k=R_k, x_k=x[::ratio])

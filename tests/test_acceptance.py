@@ -34,17 +34,13 @@ def warm_kernels():
     run_single(cfg, 0)
 
 
-def _qoe(log, cfg):
-    return qoe_report(log, cfg.chunk_duration, cfg.delta_startup)
-
-
 def _batch(scenario, replan, seeds):
     reports = []
     for seed in seeds:
         cfg = RunConfig()
         cfg.scenario = scenario
         cfg.replan = replan
-        reports.append(_qoe(run_single(cfg, seed), cfg))
+        reports.append(qoe_report(run_single(cfg, seed), cfg, seed))
     return reports
 
 
@@ -53,7 +49,7 @@ def test_criterion_1_scenario1_baseline():
     start = time.perf_counter()
     log = run_single(cfg, 0)
     elapsed = time.perf_counter() - start
-    r = _qoe(log, cfg)
+    r = qoe_report(log, cfg, 0)
     ok = (r.rebuffer_count == 0
           and 0.65 <= r.avg_quality <= 0.85
           and elapsed < 1.0)

@@ -197,6 +197,13 @@ class TestMain:
         assert "seeds: must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
+    @pytest.mark.parametrize("seeds", ["--seeds=1,1", "--seeds=0,1,0"])
+    def test_repeated_seed_exits_2(self, tmp_path, capsys, seeds):
+        code = main(self.ARGS + [seeds, "--out", str(tmp_path / "never")])
+        assert code == 2
+        assert "seeds: must be distinct" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
     def test_unwritable_out_exits_1(self, tmp_path):
         target = tmp_path / "file"
         target.write_text("occupied")

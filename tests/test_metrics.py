@@ -63,18 +63,17 @@ def log():
 
 class TestReport:
     def test_full_report(self, log):
-        r = qoe_report(log, CFG.chunk_duration, CFG.delta_startup)
+        r = qoe_report(log, CFG, 0)
         assert r.M == 300
         assert 0.0 < r.avg_quality <= 5.0
         assert r.quality_variation_normalized == pytest.approx(
             r.switch_count / (r.M - 1))
 
     def test_startup_exclusion(self, log):
-        default = qoe_report(log, CFG.chunk_duration, CFG.delta_startup)
-        counted = qoe_report(log, CFG.chunk_duration, CFG.delta_startup,
-                             count_startup_chunks=True)
+        default = qoe_report(log, CFG, 0)
         # the buffer is below the chunk duration while it first fills
-        assert counted.rebuffer_count >= default.rebuffer_count + 1
+        counted = rebuffering_time(log.x_k, CFG.chunk_duration)
+        assert counted >= default.rebuffer_count + 1
 
     def test_batch_aggregation(self):
         rs = [QoEReport(1.0, 0.1, 30, 0, M=300, scenario_id=1, replan_enabled=False),
