@@ -40,10 +40,10 @@ def run(cfg: RunConfig) -> int:
     if "qoe" in cfg.emit:
         metrics.reports_to_csv(reports, outdir / "qoe.csv")
         metrics.reports_to_json(reports, outdir / "qoe.json")
-    rows = metrics.batch_report(reports)
+    row = metrics.batch_report(reports)
     if "table" in cfg.emit:
-        metrics.table_to_csv(rows, outdir / "table.csv")
-    print(metrics.format_table(rows))
+        metrics.table_to_csv(row, outdir / "table.csv")
+    print(metrics.format_table(row))
     return 0
 
 

@@ -108,6 +108,9 @@ class RunConfig:
             yield "replan_lower must be below replan_upper"
         if not 0.0 <= self.t0 < self.tf:
             yield f"trajectory: require 0 <= t0 < tf, got t0={self.t0}, tf={self.tf}"
+        if self.x0 < 0.0 or self.xf < 0.0:
+            yield ("trajectory: buffer levels must be non-negative,"
+                   f" got x0={self.x0}, xf={self.xf}")
         if RAMP_PEAK_SLOPE * (self.x0 - self.xf) >= self.tf - self.t0:
             yield ("trajectory: the reference must fall slower than playback drains the"
                    f" buffer: require x0 - xf < {1 / RAMP_PEAK_SLOPE:.4f} * (tf - t0)")
@@ -131,8 +134,14 @@ class RunConfig:
                 yield f"{name}: must be a positive whole multiple of te"
         if self.tau < 2.0 * self.te:
             yield "tau: must be at least 2*te"
-        if self.n_steps <= self.steps(self.decision_interval):
+        ratio = self.steps(self.decision_interval)
+        if self.n_steps <= ratio:
             yield "duration: must span more than one decision interval (two decisions)"
+        # the QoE report counts rebuffering over the decisions from the startup
+        # on; the last decision's time is computed as run_episode's clock is
+        last_decision = (self.n_steps - 1) // ratio * ratio * self.te
+        if last_decision < self.delta_startup:
+            yield f"delta_startup: must be at most the last decision time, {last_decision:g} s"
         for sid in (2, 3):
             lo, hi, noise = (getattr(self, f"s{sid}_{name}")
                              for name in ("level_lo", "level_hi", "noise"))

@@ -92,18 +92,20 @@ def ring_dot(w, xs, start):
     return acc
 
 
-def bandwidth_from_window(R, w_lin, xs, start, tau):
-    """Closed-form bandwidth estimate from a window of buffer samples."""
-    return R * (1.0 - 6.0 / tau**3 * ring_dot(w_lin, xs, start))
+def bandwidth_from_window(R, dot, tau):
+    """Closed-form bandwidth estimate from the linear-kernel dot of a window
+    of buffer samples (a scalar, or an array of them)."""
+    return R * (1.0 - 6.0 / tau**3 * dot)
 
 
 def held_estimates(x_meas, valid, R_before, w_lin, tau):
     """Per-step bandwidth estimate column: the last positive estimate at a
     valid step, NaN before the first.
 
-    The window dots are summed in ``ring_dot``'s order, so every value is
-    bitwise the scalar ``bandwidth_from_window`` over the zero-padded measured
-    buffer with the bitrate held before that step's decision.
+    The window dots are summed in ``ring_dot``'s order and go through
+    ``bandwidth_from_window`` as one vector, so every value is bitwise the
+    loop's scalar estimate over the zero-padded measured buffer with the
+    bitrate held before that step's decision.
     """
     n = len(x_meas)
     win = len(w_lin)
@@ -111,7 +113,7 @@ def held_estimates(x_meas, valid, R_before, w_lin, tau):
     acc = np.zeros(n)
     for i in range(win):
         acc += w_lin[i] * xp[i:i + n]
-    est = R_before * (1.0 - 6.0 / tau**3 * acc)
+    est = bandwidth_from_window(R_before, acc, tau)
     keep = valid & (est > 0.0)
     kept = np.nonzero(keep)[0]
     # held[m] is the m-th kept estimate; the running count of kept steps
@@ -215,7 +217,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     last_read = -1
     last_R_change = 0
     replan_active = False
-    dirn = 1
+    dirn = 1  # replanning starts on the way up
     coef = ladder[0]
     y_ad = 0.0
     c_known = 0.0
@@ -250,7 +252,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
                 stop = last_read
             while j > stop:
                 if valid[j]:
-                    c_new = bandwidth_from_window(cur_R, w_lin, x_hist, j, tau)
+                    c_new = bandwidth_from_window(cur_R, ring_dot(w_lin, x_hist, j), tau)
                     if c_new > 0.0:
                         cest = c_new
                         have_cest = True
@@ -268,8 +270,6 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         if replan and have_cest:
             if not replan_active:
                 replan_active = True
-                dirn = 1
-                coef = ladder_below(c_known, ladder)
                 # start the correction aligned with the measured buffer so the
                 # combined reference takes over without an error jump
                 y_ad = xm - base

@@ -1,12 +1,14 @@
 """Chunk-grained QoE metrics and batch aggregation."""
-import csv
 import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .config import RunConfig
-from .plant import FMT, EpisodeLog
+from .plant import FMT, EpisodeLog, write_columns
+
+TABLE_COLUMNS = ("scenario", "replan", "episodes", "avg_quality", "quality_variation",
+                 "rebuffering_time")
 
 
 @dataclass(frozen=True)
@@ -16,9 +18,9 @@ class QoEReport:
     switch_count: int
     rebuffer_count: int
     M: int
-    scenario_id: int = 0
-    replan_enabled: bool = False
-    seed: int = 0
+    scenario_id: int
+    replan_enabled: bool
+    seed: int
 
 
 def avg_quality(chunks) -> float:
@@ -49,47 +51,38 @@ def rebuffering_time(chunk_buffers, delta: float) -> int:
 def qoe_report(log: EpisodeLog, cfg: RunConfig, seed: int) -> QoEReport:
     """Full QoE report for one episode of the config and seed.  Chunks before
     the startup delay are excluded from the rebuffering count: the buffer is
-    legitimately below the chunk duration while it first fills."""
+    legitimately below the chunk duration while it first fills.  The config
+    puts the startup delay at or before the last decision."""
     var_norm, switches = quality_variation(log.R_k)
-    mask = log.t_k >= cfg.delta_startup
-    rebuf = rebuffering_time(log.x_k[mask], cfg.chunk_duration) if mask.any() else 0
+    rebuf = rebuffering_time(log.x_k[log.t_k >= cfg.delta_startup], cfg.chunk_duration)
     return QoEReport(avg_quality(log.R_k), var_norm, switches, rebuf,
                      M=log.n_chunks, scenario_id=cfg.scenario,
                      replan_enabled=cfg.replan, seed=seed)
 
 
-def batch_report(episodes) -> list[dict]:
-    """Aggregate per-episode reports into one row per (scenario, replan) cell."""
-    episodes = list(episodes)
-    if not episodes:
+def batch_report(reports) -> dict:
+    """Aggregate the per-episode reports of one batch (one config: one
+    scenario, one arm, its seeds) into the batch's table row."""
+    if not reports:
         raise ValueError("no episodes to aggregate")
-    cells: dict[tuple, list[QoEReport]] = {}
-    for r in episodes:
-        cells.setdefault((r.scenario_id, r.replan_enabled), []).append(r)
-    rows = []
-    for (sid, replan), rs in sorted(cells.items()):
-        if len({r.M for r in rs}) != 1:
-            raise ValueError(f"mixed chunk counts in cell scenario={sid} replan={replan}")
-        rows.append({
-            "scenario": sid,
-            "replan": replan,
-            "episodes": len(rs),
-            "avg_quality": float(np.mean([r.avg_quality for r in rs])),
-            "quality_variation": float(np.mean([r.switch_count for r in rs])),
-            "rebuffering_time": float(np.mean([r.rebuffer_count for r in rs])),
-        })
-    return rows
+    return {
+        "scenario": reports[0].scenario_id,
+        "replan": reports[0].replan_enabled,
+        "episodes": len(reports),
+        "avg_quality": float(np.mean([r.avg_quality for r in reports])),
+        "quality_variation": float(np.mean([r.switch_count for r in reports])),
+        "rebuffering_time": float(np.mean([r.rebuffer_count for r in reports])),
+    }
 
 
 def reports_to_csv(reports, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scenario", "replan", "seed", "avg_quality", "switch_count",
-                    "variation_norm", "rebuffer_count"])
-        for r in reports:
-            w.writerow([r.scenario_id, int(r.replan_enabled), r.seed,
-                        FMT % r.avg_quality, r.switch_count,
-                        FMT % r.quality_variation_normalized, r.rebuffer_count])
+    write_columns(path, ("scenario", "replan", "seed", "avg_quality", "switch_count",
+                         "variation_norm", "rebuffer_count"),
+                  f"%d,%d,%d,{FMT},%d,{FMT},%d",
+                  [np.array([getattr(r, name) for r in reports])
+                   for name in ("scenario_id", "replan_enabled", "seed", "avg_quality",
+                                "switch_count", "quality_variation_normalized",
+                                "rebuffer_count")])
 
 
 def reports_to_json(reports, path) -> None:
@@ -98,23 +91,15 @@ def reports_to_json(reports, path) -> None:
         fh.write("\n")
 
 
-def table_to_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scenario", "replan", "episodes", "avg_quality",
-                    "quality_variation", "rebuffering_time"])
-        for r in rows:
-            w.writerow([r["scenario"], int(r["replan"]), r["episodes"],
-                        FMT % r["avg_quality"], FMT % r["quality_variation"],
-                        FMT % r["rebuffering_time"]])
+def table_to_csv(row, path) -> None:
+    write_columns(path, TABLE_COLUMNS, f"%d,%d,%d,{FMT},{FMT},{FMT}",
+                  [np.array([row[name]]) for name in TABLE_COLUMNS])
 
 
-def format_table(rows) -> str:
-    """Human-readable aggregate table (one line per scenario/replan cell)."""
-    out = [f"{'scenario':>8} {'replan':>6} {'episodes':>8} {'avg_quality':>12} "
-           f"{'quality_var':>12} {'rebuffering':>12}"]
-    for r in rows:
-        out.append(f"{r['scenario']:>8} {'on' if r['replan'] else 'off':>6} "
-                   f"{r['episodes']:>8} {r['avg_quality']:>12.4f} "
-                   f"{r['quality_variation']:>12.2f} {r['rebuffering_time']:>12.2f}")
-    return "\n".join(out)
+def format_table(row) -> str:
+    """Human-readable aggregate table: a header line and the batch's row."""
+    return (f"{'scenario':>8} {'replan':>6} {'episodes':>8} {'avg_quality':>12} "
+            f"{'quality_var':>12} {'rebuffering':>12}\n"
+            f"{row['scenario']:>8} {'on' if row['replan'] else 'off':>6} "
+            f"{row['episodes']:>8} {row['avg_quality']:>12.4f} "
+            f"{row['quality_variation']:>12.2f} {row['rebuffering_time']:>12.2f}")

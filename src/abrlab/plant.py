@@ -85,7 +85,8 @@ class EpisodeLog:
 
 def write_columns(path, header, row, columns) -> None:
     """Write equal-length array columns as CSV, each row formatted by the
-    %-template ``row``, with the csv module's \\r\\n line endings.
+    %-template ``row``, with the csv module's \\r\\n line endings.  Every
+    CSV file of a run is written here.
 
     Rows are formatted from Python values (``tolist``), which is much faster
     than from NumPy scalars, WRITE_ROWS at a time to bound the memory held.

@@ -1,7 +1,7 @@
 """Hypothesis strategy over configurations that ``RunConfig.validate`` accepts."""
 from hypothesis import strategies as st
 
-from abrlab.config import RAMP_PEAK_SLOPE, S3_DIP_MAX, RunConfig
+from abrlab.config import EMIT_CHOICES, RAMP_PEAK_SLOPE, S3_DIP_MAX, RunConfig
 
 
 def _levels(draw, lo_max):
@@ -12,8 +12,8 @@ def _levels(draw, lo_max):
 @st.composite
 def run_configs(draw):
     """Valid configs over the window, cadence, replanning, ladder, noise, the
-    reference ramp, the duration, the controller gains, the plant and the
-    capacity scenarios."""
+    reference ramp, the duration, the controller gains, the plant, the
+    capacity scenarios and the emitted outputs."""
     te = draw(st.sampled_from((0.05, 0.1, 0.2)))
     decision_interval = te * draw(st.integers(1, 40))
     lower = draw(st.floats(0.0, 10.0))
@@ -22,7 +22,11 @@ def run_configs(draw):
     span = draw(st.floats(0.5, 40.0))
     xf = draw(st.floats(0.0, 15.0))
     # a falling ramp must stay slower than playback drains the buffer
-    x0 = xf + draw(st.floats(-15.0, 0.99 * span / RAMP_PEAK_SLOPE))
+    x0 = xf + draw(st.floats(-xf, 0.99 * span / RAMP_PEAK_SLOPE))
+    duration = draw(st.floats(decision_interval + te, 60.0))
+    # the startup delay comes at or before the last decision
+    ratio = round(decision_interval / te)
+    last_decision = (round(duration / te) - 1) // ratio * ratio * te
     s2_lo, s2_hi = _levels(draw, 3.0)
     s3_lo, s3_hi = _levels(draw, S3_DIP_MAX)
     cfg = RunConfig(
@@ -31,9 +35,10 @@ def run_configs(draw):
         replan_lower=lower, replan_upper=lower + draw(st.floats(0.1, 10.0)),
         ladder=sorted(ladder), x_noise=draw(st.floats(0.0, 0.5)),
         t0=t0, tf=t0 + span, x0=x0, xf=xf,
-        duration=draw(st.floats(decision_interval + te, 60.0)),
+        duration=duration, emit=draw(st.lists(st.sampled_from(EMIT_CHOICES), unique=True)),
         c0=draw(st.floats(0.05, 6.0)), kp=draw(st.floats(0.01, 2.0)),
-        alpha=draw(st.floats(-50.0, -0.5)), delta_startup=draw(st.floats(0.0, 20.0)),
+        alpha=draw(st.floats(-50.0, -0.5)),
+        delta_startup=draw(st.floats(0.0, min(20.0, last_decision))),
         chunk_duration=te * draw(st.integers(1, 60)),
         s2_segment=te * draw(st.integers(1, 600)), s2_level_lo=s2_lo, s2_level_hi=s2_hi,
         s2_noise=draw(st.floats(0.0, 0.99)),

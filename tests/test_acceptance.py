@@ -13,7 +13,7 @@ from abrlab.cli import main, run_single
 from abrlab.config import RunConfig
 from abrlab.estimation import bump_kernel_weights, linear_kernel_weights
 from abrlab.kernels import (bandwidth_from_window, bezier_derivative, bezier_eval,
-                            f_from_window, ip_control, plant_step)
+                            f_from_window, ip_control, plant_step, ring_dot)
 from abrlab.metrics import qoe_report
 
 TE = 0.1
@@ -98,7 +98,7 @@ def test_criterion_3_bandwidth_estimator_exact_on_affine():
         b = float(rng.uniform(-0.9, 2.0))
         R = float(rng.uniform(0.35, 5.0))
         xs = a + b * np.arange(11) * TE  # oldest first
-        est = bandwidth_from_window(R, W_LIN, xs, 0, 1.0)
+        est = bandwidth_from_window(R, ring_dot(W_LIN, xs, 0), 1.0)
         worst = max(worst, abs(est - R * (1 + b)) / abs(R * (1 + b)))
     ok = worst <= 1e-9
     _verdict(3, f"affine windows: worst relative error {worst:.2e}", ok)

@@ -76,6 +76,14 @@ class TestParsing:
         # a reference falling as fast as playback drains the buffer somewhere
         with pytest.raises(ConfigError):
             parse_config(["--x0", "10", "--xf", "0", "--tf", "5"])
+        # a buffer target below empty
+        for flags in (["--xf", "-3"], ["--x0", "-2"]):
+            with pytest.raises(ConfigError, match="trajectory:"):
+                parse_config(flags)
+        # a startup delay after the last decision, which leaves no chunk to
+        # count rebuffering over
+        with pytest.raises(ConfigError, match="delta_startup:"):
+            parse_config(["--delta-startup", "59", "--duration", "60"])
         # fewer than two decisions
         for duration in ("0", "1", "2"):
             with pytest.raises(ConfigError):
@@ -97,7 +105,8 @@ class TestParsing:
                 parse_config(flags)
         # just inside the bounds
         parse_config(["--x0", "4", "--xf", "0", "--tf", "10"])
-        parse_config(["--scenario", "3", "--duration", "2.1"])
+        parse_config(["--scenario", "3", "--duration", "2.1", "--delta-startup", "2"])
+        parse_config(["--x0", "0", "--xf", "0"])
 
     def test_config_file_round_trip(self, tmp_path):
         assert set(NON_DEFAULT) == {f.name for f in fields(RunConfig)}

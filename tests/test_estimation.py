@@ -23,7 +23,7 @@ def affine(a, b):
 
 
 def bandwidth(ys, R):
-    return bandwidth_from_window(R, W_LIN, ys, 0, TAU)
+    return bandwidth_from_window(R, ring_dot(W_LIN, ys, 0), TAU)
 
 
 def drift(ys, us, alpha):
@@ -142,7 +142,8 @@ class TestBandwidth:
         same = (log.c_est == prev) | (np.isnan(log.c_est) & np.isnan(prev))
         for k in np.nonzero(~same)[0]:
             assert log.c_est[k] > 0.0, k
-            assert log.c_est[k] == bandwidth_from_window(R_before[k], w, xs, k, cfg.tau), k
+            dot = ring_dot(w, xs, k)
+            assert log.c_est[k] == bandwidth_from_window(R_before[k], dot, cfg.tau), k
 
     def test_dither_is_attenuated(self):
         # alternating-sign noise of amplitude a shifts the estimate by at

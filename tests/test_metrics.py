@@ -1,14 +1,18 @@
 """Chunk-grained QoE metrics and aggregation."""
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abrlab.metrics import (QoEReport, avg_quality, batch_report, format_table,
                             qoe_report, quality_variation, rebuffering_time,
                             reports_to_csv, reports_to_json, table_to_csv)
 from abrlab.config import RunConfig
-from abrlab.plant import build_scenario, run_episode
+from abrlab.plant import FMT, build_scenario, run_episode
 
 CFG = RunConfig()
 
@@ -76,22 +80,11 @@ class TestReport:
         assert counted >= default.rebuffer_count + 1
 
     def test_batch_aggregation(self):
-        rs = [QoEReport(1.0, 0.1, 30, 0, M=300, scenario_id=1, replan_enabled=False),
-              QoEReport(2.0, 0.2, 60, 2, M=300, scenario_id=1, replan_enabled=False),
-              QoEReport(1.5, 0.0, 5, 0, M=300, scenario_id=1, replan_enabled=True)]
-        rows = batch_report(rs)
-        assert len(rows) == 2
-        off = next(r for r in rows if not r["replan"])
-        assert off["episodes"] == 2
-        assert off["avg_quality"] == pytest.approx(1.5)
-        assert off["quality_variation"] == pytest.approx(45.0)
-        assert off["rebuffering_time"] == pytest.approx(1.0)
-
-    def test_batch_rejects_mixed_chunk_counts(self):
-        rs = [QoEReport(1.0, 0.1, 30, 0, M=300),
-              QoEReport(1.0, 0.1, 30, 0, M=150)]
-        with pytest.raises(ValueError):
-            batch_report(rs)
+        rs = [QoEReport(1.0, 0.1, 30, 0, M=300, scenario_id=2, replan_enabled=True, seed=0),
+              QoEReport(2.0, 0.2, 60, 2, M=300, scenario_id=2, replan_enabled=True, seed=1)]
+        assert batch_report(rs) == {
+            "scenario": 2, "replan": True, "episodes": 2, "avg_quality": 1.5,
+            "quality_variation": 45.0, "rebuffering_time": 1.0}
 
     def test_batch_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -99,9 +92,8 @@ class TestReport:
 
 
 class TestSerialization:
-    RS = [QoEReport(0.744, 0.68, 204, 0, M=300, scenario_id=1, seed=0),
-          QoEReport(0.74, 0.11, 33, 0, M=300, scenario_id=1, seed=1,
-                    replan_enabled=True)]
+    RS = [QoEReport(0.744, 0.68, 204, 0, M=300, scenario_id=1, replan_enabled=True, seed=0),
+          QoEReport(0.74, 0.11, 33, 1, M=300, scenario_id=1, replan_enabled=True, seed=1)]
 
     def test_csv(self, tmp_path):
         path = tmp_path / "qoe.csv"
@@ -109,8 +101,7 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == ("scenario,replan,seed,avg_quality,switch_count,"
                             "variation_norm,rebuffer_count")
-        assert len(lines) == 3
-        assert lines[1].startswith("1,0,0,0.744,204")
+        assert lines[1:] == ["1,1,0,0.744,204,0.68,0", "1,1,1,0.74,33,0.11,1"]
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "qoe.json"
@@ -121,11 +112,54 @@ class TestSerialization:
         assert data[1]["replan_enabled"] is True
 
     def test_table(self, tmp_path):
-        rows = batch_report(self.RS)
+        row = batch_report(self.RS)
         path = tmp_path / "table.csv"
-        table_to_csv(rows, path)
-        assert path.read_text().splitlines()[0] == (
-            "scenario,replan,episodes,avg_quality,quality_variation,"
-            "rebuffering_time")
-        text = format_table(rows)
-        assert "scenario" in text and " on" in text and " off" in text
+        table_to_csv(row, path)
+        assert path.read_text().splitlines() == [
+            "scenario,replan,episodes,avg_quality,quality_variation,rebuffering_time",
+            "1,1,2,0.742,118.5,0.5"]
+        header, line = format_table(row).split("\n")
+        assert header.split() == ["scenario", "replan", "episodes", "avg_quality",
+                                  "quality_var", "rebuffering"]
+        assert line.split() == ["1", "on", "2", "0.7420", "118.50", "0.50"]
+
+
+def _csv_bytes(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path.read_bytes()
+
+
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_counts = st.integers(min_value=0)
+_reports = st.builds(QoEReport, _floats, _floats, _counts, _counts, _counts,
+                     _counts, st.booleans(), _counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reports=st.lists(_reports, max_size=5),
+       row=st.fixed_dictionaries({
+           "scenario": _counts, "replan": st.booleans(), "episodes": _counts,
+           "avg_quality": _floats, "quality_variation": _floats,
+           "rebuffering_time": _floats}))
+def test_writers_match_the_csv_module(reports, row):
+    """qoe.csv and table.csv are byte for byte what the csv module writes
+    for the same values, each float as FMT text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        reports_to_csv(reports, got)
+        assert got.read_bytes() == _csv_bytes(
+            want, ["scenario", "replan", "seed", "avg_quality", "switch_count",
+                   "variation_norm", "rebuffer_count"],
+            [[r.scenario_id, int(r.replan_enabled), r.seed, FMT % r.avg_quality,
+              r.switch_count, FMT % r.quality_variation_normalized, r.rebuffer_count]
+             for r in reports])
+        table_to_csv(row, got)
+        assert got.read_bytes() == _csv_bytes(
+            want, ["scenario", "replan", "episodes", "avg_quality", "quality_variation",
+                   "rebuffering_time"],
+            [[row["scenario"], int(row["replan"]), row["episodes"],
+              FMT % row["avg_quality"], FMT % row["quality_variation"],
+              FMT % row["rebuffering_time"]]])
