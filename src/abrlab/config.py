@@ -102,8 +102,10 @@ class RunConfig:
                 yield f"emit: unknown format {e!r} (choose from {EMIT_CHOICES})"
         if self.c0 <= 0.0:
             yield "c0: nominal capacity must be positive"
-        if self.x_noise < 0.0:
-            yield "x_noise: must be non-negative"
+        if not 0.0 <= self.x_noise < 1.0:
+            yield "x_noise: must lie in [0, 1), or the measured buffer can be <= 0"
+        if self.replan_lower <= 0.0:
+            yield "replan_lower: must be positive"
         if not self.replan_lower < self.replan_upper:
             yield "replan_lower must be below replan_upper"
         if not 0.0 <= self.t0 < self.tf:

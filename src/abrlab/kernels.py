@@ -9,12 +9,14 @@ client buffer.  It reads every parameter from the ``RunConfig`` it is given.
 The loop computes only what the controller reads: the bandwidth estimate
 where it feeds the replanned reference (every step, with replanning on) or
 the flat feedforward (every decision), the feedforward and the reference
-slope once per decision.  It returns only what it alone knows: the buffer,
-the reference and the estimate's validity flag per step, the held bitrate
-and iP correction per decision.  ``plant.run_episode`` derives the other log
-columns (clock, measured buffer, per-step bitrate and correction, the
-bandwidth estimate through ``held_estimates``, regime, stall flag,
-per-decision samples) from those.
+slope once per decision.  It holds each fact once: one clock for the step
+that last spoiled the estimate's window, one playback flag per step (which
+``plant_step`` is handed), one replanning slope per step.  It returns only
+what it alone knows: the buffer, the reference and the estimate's validity
+flag per step, the held bitrate and iP correction per decision.
+``plant.run_episode`` derives the other log columns (clock, measured buffer,
+per-step bitrate and correction, the bandwidth estimate through
+``held_estimates``, regime, stall flag, per-decision samples) from those.
 """
 from bisect import bisect_left, bisect_right
 
@@ -51,7 +53,8 @@ def bezier_derivative(t, t0, tf, x0, xf, order):
 
 
 def quantize(r, ladder):
-    """Nearest ladder element, ties broken toward the lower rate.
+    """The ladder element nearest the rate r, ties broken toward the lower
+    rate.
 
     Ties are resolved with a small relative tolerance so that midpoints
     which are not exactly representable (e.g. 0.8 between 0.6 and 1.0)
@@ -65,7 +68,7 @@ def quantize(r, ladder):
         if d < best_d - tol:
             best_d = d
             best = i
-    return ladder[best], ladder[best] - r
+    return ladder[best]
 
 
 def ladder_below(c, ladder):
@@ -115,13 +118,9 @@ def held_estimates(x_meas, valid, R_before, w_lin, tau):
         acc += w_lin[i] * xp[i:i + n]
     est = bandwidth_from_window(R_before, acc, tau)
     keep = valid & (est > 0.0)
-    kept = np.nonzero(keep)[0]
-    # held[m] is the m-th kept estimate; the running count of kept steps
-    # forward-fills them, and a count of zero reads the NaN
-    held = np.empty(len(kept) + 1)
-    held[0] = np.nan
-    held[1:] = est[kept]
-    return held[np.cumsum(keep.astype(np.int64))]
+    # the running count of kept steps indexes the m-th kept estimate after a
+    # leading NaN, which forward-fills them
+    return np.concatenate(([np.nan], est[keep]))[np.cumsum(keep)]
 
 
 def f_from_window(w_lin, w_bump, ys, us, start, alpha, tau):
@@ -139,9 +138,10 @@ def feedforward(c_nominal, ref_slope):
     return c_nominal / (ref_slope + 1.0)
 
 
-def plant_step(x, t, R, C, Te, delta, Delta):
-    """One explicit-Euler step of the client buffer."""
-    if t >= delta and x >= Delta:
+def plant_step(x, playing, R, C, Te):
+    """One explicit-Euler step of the client buffer, draining at the playback
+    rate only while ``playing``."""
+    if playing:
         dx = C / R - 1.0
     else:
         dx = C / R
@@ -165,11 +165,13 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     buffer, and ``c_est`` is the last positive estimate at a valid step
     (``held_estimates``).
 
-    The estimate itself is evaluated only where the controller reads it:
-    every step with replanning on, decision steps only with it off.  A read
-    takes the newest valid step with a positive estimate, going back at most
-    one window and never to the previous read step or before it; an older
-    estimate is stale there, and the capacity measurement is read instead.
+    A step is valid once a whole window has passed since the last step that
+    was out of playback, had the measured buffer at or below the chunk
+    duration, or changed the bitrate.  The estimate itself is evaluated only
+    where the controller reads it: every step with replanning on, decision
+    steps only with it off.  A read takes the newest valid step with a
+    positive estimate, going back to the previous read; an estimate more than
+    one window old is stale, and the capacity measurement is read instead.
 
     The flat inversion needs a reference slope above -1.  A decision whose
     combined (ramp plus replanning) slope is at most -1 requests the top
@@ -182,7 +184,6 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     n = len(c_true)
     win = len(w_lin)
     ratio = cfg.steps(cfg.decision_interval)
-    n_chunks = (n + ratio - 1) // ratio
 
     # the window-averaged capacity measurement, the fallback for a stale
     # estimate: one sequential running sum of sample in minus sample out
@@ -200,25 +201,19 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     # so the window ending at step k starts at index k
     x_hist = [0.0] * (n + win - 1)
     u_hist = [0.0] * (n + win - 1)
-    x_a = [0.0] * n
-    ref_a = [0.0] * n
     valid = [False] * n
-    Rk = [0.0] * n_chunks
-    uk = [0.0] * n_chunks
+    x_a, ref_a, Rk, uk = [], [], [], []
 
     x = 0.0
     cur_R = ladder[0]
     top_R = ladder[-1]
     u_held = 0.0  # zero-order-held continuous correction, the estimator's input
     cest = 0.0
-    have_cest = False
-    last_bad = -1           # last step violating the estimate's window conditions
-    last_valid = -1
+    last_bad = 0            # last step that spoiled the estimate's window (x = 0 at step 0)
+    last_valid = -win - 1   # step of the held estimate; stale from the start
     last_read = -1
-    last_R_change = 0
     replan_active = False
     dirn = 1  # replanning starts on the way up
-    coef = ladder[0]
     y_ad = 0.0
     c_known = 0.0
 
@@ -235,9 +230,10 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
 
         # Bandwidth estimate: valid only late enough, in playback regime with
         # x above the chunk duration and an unchanged bitrate over the window.
-        if not (t >= delta_startup and x >= chunk_duration and xm > chunk_duration):
+        playing = t >= delta_startup and x >= chunk_duration
+        if not (playing and xm > chunk_duration):
             last_bad = k
-        elif t > delta_startup + tau and k - last_bad >= win and k - last_R_change >= win:
+        elif t > delta_startup + tau and k - last_bad >= win:
             valid[k] = True
 
         decide = k % ratio == 0
@@ -247,27 +243,23 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
             # Every decision is a read, so every step back to the last read
             # held cur_R before its decision.
             j = k
-            stop = k - win - 1
-            if stop < last_read:
-                stop = last_read
-            while j > stop:
+            while j > last_read:
                 if valid[j]:
                     c_new = bandwidth_from_window(cur_R, ring_dot(w_lin, x_hist, j), tau)
                     if c_new > 0.0:
                         cest = c_new
-                        have_cest = True
                         last_valid = j
                         break
                 j -= 1
             last_read = k
             # the held estimate goes stale one window after validity is lost;
             # fall back to the window-averaged capacity measurement until it recovers
-            if have_cest and k - last_valid <= win:
+            if k - last_valid <= win:
                 c_known = cest
             else:
                 c_known = cm_bar[k]
 
-        if replan and have_cest:
+        if replan and last_valid >= 0:
             if not replan_active:
                 replan_active = True
                 # start the correction aligned with the measured buffer so the
@@ -281,7 +273,8 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
                 coef = ladder_below(c_known, ladder)
             else:
                 coef = ladder_above(c_known, ladder)
-            y_ad += (c_known / coef - 1.0) * te
+            ad_rate = c_known / coef - 1.0
+            y_ad += ad_rate * te
             # a capacity jump leaves the reference far from the buffer; restart
             # the correction there instead of burning switches on the transient
             if abs(xm - (base + y_ad)) > RESTART_GAP:
@@ -292,7 +285,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         if decide:
             ref_rate = bezier_derivative(t, t0, tf, x0, xf, 1)
             if replan_active:
-                ref_rate += c_known / coef - 1.0
+                ref_rate += ad_rate
             if k >= win - 1:
                 f_est = f_from_window(w_lin, w_bump, x_hist, u_hist, k, alpha, tau)
                 u_cont = ip_control(f_est, ref_rate, xm - ref, alpha, kp)
@@ -300,23 +293,23 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
                 u_cont = 0.0  # estimator warm-up: pure feedforward
             if ref_rate > -1.0:
                 # flat inversion along the full (replanned) reference
-                new_R, _eps = quantize(feedforward(c_known, ref_rate) + u_cont, ladder)
+                new_R = quantize(feedforward(c_known, ref_rate) + u_cont, ladder)
             else:
                 # a reference draining at least as fast as playback: the
                 # inversion's limit as the slope falls to -1 is unbounded
                 new_R = top_R
             if new_R != cur_R:
-                last_R_change = k
+                last_bad = k  # a bitrate change spoils the window too
                 cur_R = new_R
             u_held = u_cont
             u_hist[h] = u_held
-            Rk[k // ratio] = cur_R
-            uk[k // ratio] = u_held
+            Rk.append(cur_R)
+            uk.append(u_held)
 
-        x_a[k] = x
-        ref_a[k] = ref
+        x_a.append(x)
+        ref_a.append(ref)
 
-        x = plant_step(x, t, cur_R, c_true[k], te, delta_startup, chunk_duration)
+        x = plant_step(x, playing, cur_R, c_true[k], te)
 
     return np.asarray(x_a), np.asarray(ref_a), np.asarray(valid), np.asarray(Rk), np.asarray(uk)
 

@@ -16,7 +16,7 @@ def run_configs(draw):
     capacity scenarios and the emitted outputs."""
     te = draw(st.sampled_from((0.05, 0.1, 0.2)))
     decision_interval = te * draw(st.integers(1, 40))
-    lower = draw(st.floats(0.0, 10.0))
+    lower = draw(st.floats(0.0, 10.0, exclude_min=True))
     ladder = draw(st.lists(st.floats(0.1, 6.0), min_size=1, max_size=6, unique=True))
     t0 = draw(st.floats(0.0, 20.0))
     span = draw(st.floats(0.5, 40.0))
@@ -33,7 +33,7 @@ def run_configs(draw):
         scenario=draw(st.integers(1, 3)), replan=draw(st.booleans()), te=te,
         tau=te * draw(st.integers(2, 30)), decision_interval=decision_interval,
         replan_lower=lower, replan_upper=lower + draw(st.floats(0.1, 10.0)),
-        ladder=sorted(ladder), x_noise=draw(st.floats(0.0, 0.5)),
+        ladder=sorted(ladder), x_noise=draw(st.floats(0.0, 0.99)),
         t0=t0, tf=t0 + span, x0=x0, xf=xf,
         duration=duration, emit=draw(st.lists(st.sampled_from(EMIT_CHOICES), unique=True)),
         c0=draw(st.floats(0.05, 6.0)), kp=draw(st.floats(0.01, 2.0)),

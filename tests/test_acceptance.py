@@ -191,7 +191,8 @@ def test_criterion_8_plant_euler_convergence():
         cfg = RunConfig(te=te)
         x = 0.0
         for k in range(cfg.n_steps):
-            x = plant_step(x, k * te, 2.0, 0.7, te, cfg.delta_startup, cfg.chunk_duration)
+            playing = k * te >= cfg.delta_startup and x >= cfg.chunk_duration
+            x = plant_step(x, playing, 2.0, 0.7, te)
         return x
 
     assert abs(run_plant(0.1) - run_plant(0.05)) < threshold

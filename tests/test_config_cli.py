@@ -71,6 +71,16 @@ class TestParsing:
             parse_config(["--tau", "0.1", "--te", "0.1"])
         with pytest.raises(ConfigError):
             parse_config(["--replan-lower", "9", "--replan-upper", "8"])
+        # a lower bound the measured buffer never falls below: replanning that
+        # turned downward never turns back up
+        for flags in (["--replan-lower", "-5", "--replan-upper", "-1"],
+                      ["--replan-lower", "0", "--replan-upper", "1"]):
+            with pytest.raises(ConfigError, match="replan_lower: must be positive"):
+                parse_config(flags)
+        # buffer noise that can read the buffer as zero or negative
+        for flags in (["--x-noise", "1"], ["--x-noise", "5"]):
+            with pytest.raises(ConfigError, match="x_noise: must lie in"):
+                parse_config(flags)
         with pytest.raises(ConfigError):
             parse_config(["--alpha", "5"])
         # a reference falling as fast as playback drains the buffer somewhere
@@ -107,6 +117,7 @@ class TestParsing:
         parse_config(["--x0", "4", "--xf", "0", "--tf", "10"])
         parse_config(["--scenario", "3", "--duration", "2.1", "--delta-startup", "2"])
         parse_config(["--x0", "0", "--xf", "0"])
+        parse_config(["--x-noise", "0.99", "--replan-lower", "0.01"])
 
     def test_config_file_round_trip(self, tmp_path):
         assert set(NON_DEFAULT) == {f.name for f in fields(RunConfig)}

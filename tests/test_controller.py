@@ -109,36 +109,38 @@ class TestIpControl:
 
 class TestQuantize:
     def test_nearest(self):
-        assert quantize(0.7, LADDER) == (0.6, pytest.approx(-0.1))
-        assert quantize(2.6, LADDER) == (3.0, pytest.approx(0.4))
+        assert quantize(0.7, LADDER) == 0.6
+        assert quantize(0.7, LADDER) - 0.7 == pytest.approx(-0.1)
+        assert quantize(2.6, LADDER) == 3.0
+        assert quantize(2.6, LADDER) - 2.6 == pytest.approx(0.4)
 
     def test_tie_breaks_low(self):
-        assert quantize(0.8, LADDER)[0] == 0.6
-        assert quantize(2.5, LADDER)[0] == 2.0
+        assert quantize(0.8, LADDER) == 0.6
+        assert quantize(2.5, LADDER) == 2.0
 
     def test_exact_hit(self):
-        R, eps = quantize(2.0, LADDER)
-        assert R == 2.0 and eps == 0.0
+        R = quantize(2.0, LADDER)
+        assert R == 2.0 and R - 2.0 == 0.0
 
     def test_idempotent(self):
         for r in LADDER:
-            assert quantize(r, LADDER) == (r, 0.0)
+            assert quantize(r, LADDER) == r
 
     def test_clamps_out_of_range(self):
-        assert quantize(0.01, LADDER)[0] == 0.35
-        assert quantize(99.0, LADDER)[0] == 5.0
+        assert quantize(0.01, LADDER) == 0.35
+        assert quantize(99.0, LADDER) == 5.0
 
     def test_residual_bounded_in_range(self):
         rng = np.random.default_rng(7)
         for r in rng.uniform(0.35, 5.0, 200):
-            _, eps = quantize(float(r), LADDER)
+            eps = quantize(float(r), LADDER) - float(r)
             assert abs(eps) <= np.diff(LADDER).max() / 2 + 1e-12
 
 
 def _decide(x_meas, ref, f_est=0.0, c_nominal=0.7):
     """One chunk decision as the episode loop composes it: (R, u)."""
     u = ip_control(f_est, 0.0, x_meas - ref, ALPHA, KP)
-    return quantize(feedforward(c_nominal, 0.0) + u, LADDER)[0], u
+    return quantize(feedforward(c_nominal, 0.0) + u, LADDER), u
 
 
 class TestDecide:

@@ -1,17 +1,22 @@
 """Buffer plant, scenario generators and episode execution."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from abrlab.cli import run_single
 from abrlab.config import RunConfig
 from abrlab.kernels import plant_step
 from abrlab.plant import S3_FORCE_BELOW, build_scenario, run_episode
+
+from config_strategies import run_configs
 
 CFG = RunConfig()
 DELTA, CHUNK = CFG.delta_startup, CFG.chunk_duration
 
 
 def step(x, t, R, C, Te=0.1):
-    return plant_step(x, t, R, C, Te, DELTA, CHUNK)
+    # the episode loop's playback rule, pinned on whole episodes by TestEpisode
+    return plant_step(x, t >= DELTA and x >= CHUNK, R, C, Te)
 
 
 def scenario(sid, **overrides):
@@ -45,7 +50,7 @@ class TestStep:
         assert step(1.0, 50.0, R=2.0, C=1.0) == pytest.approx(1.05)
 
     def test_clamped_at_zero(self):
-        x = plant_step(0.05, 6.0, 4.0, 0.1, 0.1, 5.0, 0.01)
+        x = plant_step(0.05, True, 4.0, 0.1, 0.1)
         assert x == 0.0
 
     def test_regime_rule_property(self):
@@ -133,6 +138,15 @@ class TestEpisode:
         np.testing.assert_array_equal(log.regime == 1, live & (log.x >= CHUNK))
         np.testing.assert_array_equal(log.stalled == 1, live & (log.x < CHUNK))
         assert log.stalled.sum() > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=run_configs(), seed=st.integers(0, 1000))
+    def test_buffer_steps_by_the_logged_regime(self, cfg, seed):
+        # each step drains at the playback rate exactly where the log says
+        # playing, and the buffer is clamped at empty
+        log = run_single(cfg, seed)
+        xn = log.x[:-1] + cfg.te * (log.c_true[:-1] / log.R[:-1] - log.regime[:-1])
+        np.testing.assert_array_equal(log.x[1:], np.where(xn < 0, 0.0, xn))
 
     def test_short_trace_rejected(self):
         tr = build_scenario(RunConfig(duration=10.0), 0)
