@@ -79,7 +79,8 @@ def reports_to_csv(reports, path) -> None:
     write_columns(path, ("scenario", "replan", "seed", "avg_quality", "switch_count",
                          "variation_norm", "rebuffer_count"),
                   f"%d,%d,%d,{FMT},%d,{FMT},%d",
-                  [np.array([getattr(r, name) for r in reports])
+                  # object columns keep Python ints exact past int64 (a seed)
+                  [np.array([getattr(r, name) for r in reports], dtype=object)
                    for name in ("scenario_id", "replan_enabled", "seed", "avg_quality",
                                 "switch_count", "quality_variation_normalized",
                                 "rebuffer_count")])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from abrlab.metrics import (QoEReport, avg_quality, batch_report, format_table,
                             qoe_report, quality_variation, rebuffering_time,
@@ -144,6 +144,11 @@ _reports = st.builds(QoEReport, _floats, _floats, _counts, _counts, _counts,
            "scenario": _counts, "replan": st.booleans(), "episodes": _counts,
            "avg_quality": _floats, "quality_variation": _floats,
            "rebuffering_time": _floats}))
+# a seed past int64 next to a small one, which a numeric column turns to float
+@example(reports=[QoEReport(0.0, 0.0, 0, 0, 0, 0, False, 0),
+                  QoEReport(0.0, 0.0, 0, 0, 0, 0, False, 2**63 + 1)],
+         row={"scenario": 0, "replan": False, "episodes": 0, "avg_quality": 0.0,
+              "quality_variation": 0.0, "rebuffering_time": 0.0})
 def test_writers_match_the_csv_module(reports, row):
     """qoe.csv and table.csv are byte for byte what the csv module writes
     for the same values, each float as FMT text."""
