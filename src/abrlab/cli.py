@@ -18,10 +18,11 @@ def _episode_tag(cfg: RunConfig, seed: int) -> str:
 
 def _write_plotdata(log: EpisodeLog, cfg: RunConfig, outdir: Path, tag: str) -> None:
     write_columns(outdir / f"capacity_{tag}.csv", ("t", "c_true", "c_est"),
-                  f"{FMT},{FMT},{FMT}", (log.t, log.c_true, log.c_est))
-    # the stall threshold is constant: formatted once, into the row template
+                  [log.text("t"), log.text("c_true"), log.text("c_est")])
+    # the stall threshold is constant: formatted once
     write_columns(outdir / f"buffer_{tag}.csv", ("t", "x", "ref", "stall_threshold"),
-                  f"{FMT},{FMT},{FMT},{FMT % cfg.chunk_duration}", (log.t, log.x, log.ref))
+                  [log.text("t"), log.text("x"), log.text("ref"),
+                   [FMT % cfg.chunk_duration] * len(log.t)])
 
 
 def run(cfg: RunConfig) -> int:
@@ -37,6 +38,7 @@ def run(cfg: RunConfig) -> int:
             log.to_csv(outdir / f"episode_{tag}.csv")
         if "plotdata" in cfg.emit:
             _write_plotdata(log, cfg, outdir, tag)
+        del log  # its columns' text must not outlive the episode
     if "qoe" in cfg.emit:
         metrics.reports_to_csv(reports, outdir / "qoe.csv")
         metrics.reports_to_json(reports, outdir / "qoe.json")

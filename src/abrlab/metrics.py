@@ -5,10 +5,17 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .config import RunConfig
-from .plant import FMT, EpisodeLog, write_columns
+from .plant import FMT, EpisodeLog, format_column, write_columns
 
-TABLE_COLUMNS = ("scenario", "replan", "episodes", "avg_quality", "quality_variation",
-                 "rebuffering_time")
+INT, FLOAT = "%d".__mod__, FMT.__mod__  # text of one int (or bool) / float value
+# CSV header -> (report field, text of one value)
+QOE_COLUMNS = {"scenario": ("scenario_id", INT), "replan": ("replan_enabled", INT),
+               "seed": ("seed", INT), "avg_quality": ("avg_quality", FLOAT),
+               "switch_count": ("switch_count", INT),
+               "variation_norm": ("quality_variation_normalized", FLOAT),
+               "rebuffer_count": ("rebuffer_count", INT)}
+TABLE_COLUMNS = {"scenario": INT, "replan": INT, "episodes": INT, "avg_quality": FLOAT,
+                 "quality_variation": FLOAT, "rebuffering_time": FLOAT}
 
 
 @dataclass(frozen=True)
@@ -76,14 +83,10 @@ def batch_report(reports) -> dict:
 
 
 def reports_to_csv(reports, path) -> None:
-    write_columns(path, ("scenario", "replan", "seed", "avg_quality", "switch_count",
-                         "variation_norm", "rebuffer_count"),
-                  f"%d,%d,%d,{FMT},%d,{FMT},%d",
+    write_columns(path, QOE_COLUMNS,
                   # object columns keep Python ints exact past int64 (a seed)
-                  [np.array([getattr(r, name) for r in reports], dtype=object)
-                   for name in ("scenario_id", "replan_enabled", "seed", "avg_quality",
-                                "switch_count", "quality_variation_normalized",
-                                "rebuffer_count")])
+                  [format_column(np.array([getattr(r, name) for r in reports], dtype=object), fmt)
+                   for name, fmt in QOE_COLUMNS.values()])
 
 
 def reports_to_json(reports, path) -> None:
@@ -93,8 +96,9 @@ def reports_to_json(reports, path) -> None:
 
 
 def table_to_csv(row, path) -> None:
-    write_columns(path, TABLE_COLUMNS, f"%d,%d,%d,{FMT},{FMT},{FMT}",
-                  [np.array([row[name]]) for name in TABLE_COLUMNS])
+    write_columns(path, TABLE_COLUMNS,
+                  [format_column(np.array([row[name]]), fmt)
+                   for name, fmt in TABLE_COLUMNS.items()])
 
 
 def format_table(row) -> str:

@@ -1,5 +1,6 @@
 """Channel scenarios, episode execution and the per-step episode log."""
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -7,8 +8,11 @@ from . import estimation, kernels
 from .config import S3_DIP_MAX, S3_FORCE_BELOW, RunConfig
 
 FMT = "%.10g"  # stable float formatting for byte-identical reruns
-REGIME_LABELS = np.array(["filling", "playing"])  # indexed by the int8 regime flag
-WRITE_ROWS = 1000  # CSV rows formatted per write
+REGIME_LABELS = ("filling", "playing")  # indexed by the int8 regime flag
+WRITE_ROWS = 1000  # CSV rows joined per write
+LOG_COLUMNS = ("t", "x", "x_meas", "R", "c_true", "c_est", "u", "ref", "regime", "stalled")
+# text of one value of a log column, FMT unless named here
+LOG_FORMATS = {"regime": REGIME_LABELS.__getitem__, "stalled": "%d".__mod__}
 
 # First entropy word of the buffer-measurement noise stream, which keeps it
 # apart from the capacity stream of the same scenario and seed.
@@ -71,32 +75,60 @@ class EpisodeLog:
     R_k: np.ndarray
     x_k: np.ndarray
 
+    # text of the formatted columns, shared by every file written from the log
+    _text: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
     @property
     def n_chunks(self) -> int:
         return len(self.t_k)
 
+    def text(self, name: str) -> list:
+        """The column ``name`` as text, formatted on first use only."""
+        text = self._text.get(name)
+        if text is None:
+            if name == "x_meas" and np.array_equal(self.x_meas.view(np.int64),
+                                                   self.x.view(np.int64)):
+                text = self.text("x")  # no buffer-measurement noise
+            else:
+                text = format_column(getattr(self, name), LOG_FORMATS.get(name, FMT.__mod__))
+            self._text[name] = text
+        return text
+
     def to_csv(self, path) -> None:
-        write_columns(path, ("t", "x", "x_meas", "R", "c_true", "c_est", "u", "ref",
-                             "regime", "stalled"),
-                      ",".join([FMT] * 8) + ",%s,%d",
-                      (self.t, self.x, self.x_meas, self.R, self.c_true, self.c_est,
-                       self.u, self.ref, REGIME_LABELS[self.regime], self.stalled))
+        write_columns(path, LOG_COLUMNS, [self.text(name) for name in LOG_COLUMNS])
 
 
-def write_columns(path, header, row, columns) -> None:
-    """Write equal-length array columns as CSV, each row formatted by the
-    %-template ``row``, with the csv module's \\r\\n line endings.  Every
-    CSV file of a run is written here.
+def format_column(column: np.ndarray, fmt=FMT.__mod__) -> list:
+    """The text ``fmt`` gives each value of a 1-D column (as a Python value).
 
-    Rows are formatted from Python values (``tolist``), which is much faster
-    than from NumPy scalars, WRITE_ROWS at a time to bound the memory held.
-    """
-    line = row + "\r\n"
+    Only the first value of each run of bitwise-equal neighbours is formatted,
+    so a held column costs one format per run; bitwise, ``-0.0`` and ``0.0``
+    stay apart and a run of NaNs is one run.  Object columns (Python ints past
+    int64) are formatted value by value."""
+    if column.dtype.kind not in "biuf" or len(column) == 0:
+        return list(map(fmt, column.tolist()))
+    bits = column.view(f"u{column.itemsize}")
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    text = list(map(fmt, column[starts].tolist()))
+    if len(text) == len(column):
+        return text
+    runs = np.diff(starts, append=len(column)).tolist()
+    return list(chain.from_iterable(map(repeat, text, runs)))
+
+
+def write_columns(path, header, columns) -> None:
+    """Write equal-length text columns as CSV, with the csv module's \\r\\n
+    line endings.  Every CSV file of a run is written here.
+
+    Each column is turned into text once, by ``format_column``, which formats
+    a run of bitwise-equal values once; an episode's columns are formatted
+    once per log (``EpisodeLog.text``) and shared by its three files.  Rows
+    are joined WRITE_ROWS at a time to bound the memory held."""
+    rows = map(",".join, zip(*columns))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for i in range(0, len(columns[0]), WRITE_ROWS):
-            block = zip(*(c[i:i + WRITE_ROWS].tolist() for c in columns))
-            fh.write("".join(map(line.__mod__, block)))
+        while block := list(islice(rows, WRITE_ROWS)):
+            fh.write("\r\n".join(block) + "\r\n")
 
 
 def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:

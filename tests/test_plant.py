@@ -1,12 +1,17 @@
-"""Buffer plant, scenario generators and episode execution."""
+"""Buffer plant, scenario generators, episode execution and the CSV writer."""
+import csv
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from abrlab.cli import run_single
+from abrlab.cli import _write_plotdata, run_single
 from abrlab.config import RunConfig
 from abrlab.kernels import plant_step
-from abrlab.plant import S3_FORCE_BELOW, build_scenario, run_episode
+from abrlab.plant import FMT, S3_FORCE_BELOW, build_scenario, format_column, run_episode
 
 from config_strategies import run_configs
 
@@ -161,3 +166,61 @@ class TestEpisode:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x,x_meas,R,c_true,c_est,u,ref,regime,stalled"
         assert len(lines) == 201
+
+
+class TestCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.sampled_from([0.0, -0.0, 1.5, np.nan, np.inf, -np.inf])
+                           | st.floats(), max_size=40))
+    @example(values=[0.0, -0.0, -0.0, 0.0])
+    @example(values=[np.nan, np.nan, np.nan, 0.25, 0.25])  # c_est before its first estimate
+    @example(values=[np.inf, -np.inf, -np.inf, np.inf])
+    @example(values=[2.5])
+    def test_format_column_formats_every_value(self, values):
+        assert format_column(np.array(values, dtype=np.float64)) == [FMT % v for v in values]
+
+    def test_format_column_int_bool_and_object_columns(self):
+        d = "%d".__mod__
+        assert format_column(np.array([0, 0, 1, 1, 0], dtype=np.int8), d) == ["0", "0", "1", "1", "0"]
+        assert format_column(np.array([True, True, False]), d) == ["1", "1", "0"]
+        big = 2**63 + 1
+        assert format_column(np.array([big, big, 0], dtype=object), d) == [str(big)] * 2 + ["0"]
+        # an object column is formatted value by value: 0.0 == -0.0 there
+        assert format_column(np.array([0.0, -0.0], dtype=object)) == ["0", "-0"]
+        assert format_column(np.array([], dtype=np.float64)) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=run_configs(), seed=st.integers(0, 1000))
+    @example(cfg=RunConfig(scenario=3, replan=True, duration=40.0), seed=0)
+    @example(cfg=RunConfig(scenario=2, replan=True, x_noise=0.1, duration=40.0), seed=0)
+    def test_per_step_files_match_the_csv_module(self, cfg, seed):
+        """episode_*.csv, capacity_*.csv and buffer_*.csv are byte for byte
+        what the csv module writes for the log's values, each float as FMT
+        text."""
+        log = run_single(cfg, seed)
+
+        def oracle(header, *columns):
+            buf = io.StringIO()
+            w = csv.writer(buf)
+            w.writerow(header)
+            w.writerows(zip(*columns))
+            return buf.getvalue().encode()
+
+        def text(a):
+            return [FMT % v for v in a.tolist()]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            log.to_csv(out / "episode.csv")
+            _write_plotdata(log, cfg, out, "k")
+            assert (out / "episode.csv").read_bytes() == oracle(
+                ["t", "x", "x_meas", "R", "c_true", "c_est", "u", "ref", "regime", "stalled"],
+                text(log.t), text(log.x), text(log.x_meas), text(log.R), text(log.c_true),
+                text(log.c_est), text(log.u), text(log.ref),
+                ["playing" if r else "filling" for r in log.regime.tolist()],
+                log.stalled.tolist())
+            assert (out / "capacity_k.csv").read_bytes() == oracle(
+                ["t", "c_true", "c_est"], text(log.t), text(log.c_true), text(log.c_est))
+            assert (out / "buffer_k.csv").read_bytes() == oracle(
+                ["t", "x", "ref", "stall_threshold"], text(log.t), text(log.x), text(log.ref),
+                [FMT % cfg.chunk_duration] * len(log.t))
