@@ -51,12 +51,10 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_config(argv if argv is not None else sys.argv[1:])
+        return run(parse_config(argv if argv is not None else sys.argv[1:]))
     except ConfigError as exc:
         print(f"abrlab: invalid configuration: {exc}", file=sys.stderr)
         return 2
-    try:
-        return run(cfg)
     except (OSError, ValueError) as exc:
         print(f"abrlab: {exc}", file=sys.stderr)
         return 1

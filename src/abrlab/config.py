@@ -7,6 +7,7 @@ format all derive from the field's name and type.
 """
 import argparse
 import math
+import re
 from dataclasses import dataclass, field, fields
 from typing import get_args, get_origin
 
@@ -206,19 +207,23 @@ _FIELDS_BY_KEY = {_file_key(f): f for f in fields(RunConfig)}
 
 def read_config_file(path) -> dict:
     """Flat 'section.key = value' file; '#' starts a comment."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, text = (s.strip() for s in line.split("=", 1))
-            if key not in _FIELDS_BY_KEY:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            f = _FIELDS_BY_KEY[key]
-            values[f.name] = _parse_value(f, text)
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, text = (s.strip() for s in line.split("=", 1))
+        if key not in _FIELDS_BY_KEY:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        f = _FIELDS_BY_KEY[key]
+        values[f.name] = _parse_value(f, text)
     return values
 
 
@@ -233,6 +238,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="abrlab",
         description="Adaptive-bitrate buffer-control scenario runner")
+    # a negative value is a value, in exponent form too (--alpha -1e-3); the
+    # default pattern takes only -12 and -1.5
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.add_argument("--config", metavar="PATH", help="config file (flags override it)")
     # every flag stores text, parsed by parse_config exactly like a file value
     for f in fields(RunConfig):

@@ -3,20 +3,7 @@
 The callees take arrays or lists alike: the episode loop hands them Python
 floats, which are much cheaper to compute with than NumPy scalars and give
 the same IEEE results.  The fused ``episode_loop`` is the one implementation
-of the controller: flat feedforward, the iP correction on the ultra-local
-model and windowed replanning of the reference, stepped together with the
-client buffer.  It reads every parameter from the ``RunConfig`` it is given.
-The loop computes only what the controller reads: the bandwidth estimate
-where it feeds the replanned reference (every step, with replanning on) or
-the flat feedforward (every decision), the feedforward and the reference
-slope once per decision.  It holds each fact once: one clock for the step
-that last spoiled the estimate's window, one playback flag per step (which
-``plant_step`` is handed), one replanning slope per step.  It returns only
-what it alone knows: the buffer, the reference and the estimate's validity
-flag per step, the held bitrate and iP correction per decision.
-``plant.run_episode`` derives the other log columns (clock, measured buffer,
-per-step bitrate and correction, the bandwidth estimate through
-``held_estimates``, regime, stall flag, per-decision samples) from those.
+of the controller; its docstring states what it computes and returns.
 """
 from bisect import bisect_left, bisect_right
 
@@ -38,18 +25,12 @@ def bezier_eval(t, t0, tf, x0, xf):
     return x0 + (xf - x0) * p
 
 
-def bezier_derivative(t, t0, tf, x0, xf, order):
-    """Analytic derivative of bezier_eval; zero outside (t0, tf)."""
+def bezier_derivative(t, t0, tf, x0, xf):
+    """Analytic slope of bezier_eval; zero outside (t0, tf)."""
     if t <= t0 or t >= tf:
         return 0.0
     T = (t - t0) / (tf - t0)
-    if order == 1:
-        p = 280.0 * T**3 * (1.0 - T) ** 4
-    elif order == 2:
-        p = T**2 * (840.0 + T * (-4480.0 + T * (8400.0 + T * (-6720.0 + T * 1960.0))))
-    else:
-        p = T * (1680.0 + T * (-13440.0 + T * (33600.0 + T * (-33600.0 + T * 11760.0))))
-    return (xf - x0) * p / (tf - t0) ** order
+    return (xf - x0) * (280.0 * T**3 * (1.0 - T) ** 4) / (tf - t0)
 
 
 def quantize(r, ladder):
@@ -87,7 +68,8 @@ def ring_dot(w, xs, start):
     """Dot of weights with the window xs[start:start + len(w)], oldest first.
 
     The episode loop's sample histories start with len(w) - 1 zeros, so the
-    window ending at step k starts at index k.
+    window ending at step k starts at index k.  Given array rows for samples
+    (``held_estimates``), it returns every window's dot as one array.
     """
     acc = 0.0
     for i in range(len(w)):
@@ -105,18 +87,15 @@ def held_estimates(x_meas, valid, R_before, w_lin, tau):
     """Per-step bandwidth estimate column: the last positive estimate at a
     valid step, NaN before the first.
 
-    The window dots are summed in ``ring_dot``'s order and go through
-    ``bandwidth_from_window`` as one vector, so every value is bitwise the
-    loop's scalar estimate over the zero-padded measured buffer with the
-    bitrate held before that step's decision.
+    Each window dot is ``ring_dot``'s over the zero-padded measured buffer and
+    each estimate uses the bitrate held before its step's decision, so every
+    value is bitwise the loop's scalar estimate.
     """
     n = len(x_meas)
-    win = len(w_lin)
-    xp = np.concatenate((np.zeros(win - 1), x_meas))
-    acc = np.zeros(n)
-    for i in range(win):
-        acc += w_lin[i] * xp[i:i + n]
-    est = bandwidth_from_window(R_before, acc, tau)
+    xp = np.concatenate((np.zeros(len(w_lin) - 1), x_meas))
+    # row i of the view is xp[i:i + n]: the i-th sample of every window
+    dot = ring_dot(w_lin, np.lib.stride_tricks.sliding_window_view(xp, n), 0)
+    est = bandwidth_from_window(R_before, dot, tau)
     keep = valid & (est > 0.0)
     # the running count of kept steps indexes the m-th kept estimate after a
     # leading NaN, which forward-fills them
@@ -283,7 +262,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         ref = base + y_ad
 
         if decide:
-            ref_rate = bezier_derivative(t, t0, tf, x0, xf, 1)
+            ref_rate = bezier_derivative(t, t0, tf, x0, xf)
             if replan_active:
                 ref_rate += ad_rate
             if k >= win - 1:

@@ -5,7 +5,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .config import RunConfig
-from .plant import FMT, EpisodeLog, format_column, write_columns
+from .plant import FMT, EpisodeLog, write_columns
 
 INT, FLOAT = "%d".__mod__, FMT.__mod__  # text of one int (or bool) / float value
 # CSV header -> (report field, text of one value)
@@ -83,10 +83,8 @@ def batch_report(reports) -> dict:
 
 
 def reports_to_csv(reports, path) -> None:
-    write_columns(path, QOE_COLUMNS,
-                  # object columns keep Python ints exact past int64 (a seed)
-                  [format_column(np.array([getattr(r, name) for r in reports], dtype=object), fmt)
-                   for name, fmt in QOE_COLUMNS.values()])
+    write_columns(path, QOE_COLUMNS, [[fmt(getattr(r, name)) for r in reports]
+                                      for name, fmt in QOE_COLUMNS.values()])
 
 
 def reports_to_json(reports, path) -> None:
@@ -96,9 +94,7 @@ def reports_to_json(reports, path) -> None:
 
 
 def table_to_csv(row, path) -> None:
-    write_columns(path, TABLE_COLUMNS,
-                  [format_column(np.array([row[name]]), fmt)
-                   for name, fmt in TABLE_COLUMNS.items()])
+    write_columns(path, TABLE_COLUMNS, [[fmt(row[name])] for name, fmt in TABLE_COLUMNS.items()])
 
 
 def format_table(row) -> str:

@@ -37,10 +37,8 @@ def build_scenario(cfg: RunConfig, seed: int) -> ChannelTrace:
         true = np.full(n, cfg.c0)
         meas = true.copy()
     elif sid in (2, 3):
-        if sid == 2:
-            seg_len, lo, hi, noise = cfg.s2_segment, cfg.s2_level_lo, cfg.s2_level_hi, cfg.s2_noise
-        else:
-            seg_len, lo, hi, noise = cfg.s3_segment, cfg.s3_level_lo, cfg.s3_level_hi, cfg.s3_noise
+        seg_len, lo, hi, noise = (getattr(cfg, f"s{sid}_{name}")
+                                  for name in ("segment", "level_lo", "level_hi", "noise"))
         seg_steps = cfg.steps(seg_len)
         n_seg = (n + seg_steps - 1) // seg_steps
         lv = rng.uniform(lo, hi, n_seg)
@@ -103,10 +101,9 @@ def format_column(column: np.ndarray, fmt=FMT.__mod__) -> list:
 
     Only the first value of each run of bitwise-equal neighbours is formatted,
     so a held column costs one format per run; bitwise, ``-0.0`` and ``0.0``
-    stay apart and a run of NaNs is one run.  Object columns (Python ints past
-    int64) are formatted value by value."""
-    if column.dtype.kind not in "biuf" or len(column) == 0:
-        return list(map(fmt, column.tolist()))
+    stay apart and a run of NaNs is one run."""
+    if len(column) == 0:
+        return []
     bits = column.view(f"u{column.itemsize}")
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
     text = list(map(fmt, column[starts].tolist()))
@@ -120,10 +117,10 @@ def write_columns(path, header, columns) -> None:
     """Write equal-length text columns as CSV, with the csv module's \\r\\n
     line endings.  Every CSV file of a run is written here.
 
-    Each column is turned into text once, by ``format_column``, which formats
-    a run of bitwise-equal values once; an episode's columns are formatted
-    once per log (``EpisodeLog.text``) and shared by its three files.  Rows
-    are joined WRITE_ROWS at a time to bound the memory held."""
+    An episode's columns are turned into text once per log (``EpisodeLog.text``
+    through ``format_column``) and shared by its three files; the QoE and table
+    writers format their few values directly.  Rows are joined WRITE_ROWS at a
+    time to bound the memory held."""
     rows = map(",".join, zip(*columns))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")

@@ -169,6 +169,11 @@ class TestParsing:
         path.write_text("# comment\n\ncontroller.kp = 0.4  # inline\n")
         assert read_config_file(path) == {"kp": 0.4}
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1"])
+    def test_negative_exponent_value_after_flag(self, value):
+        # a flag's value, not an unknown option
+        assert parse_config(["--alpha", value]).alpha == float(value)
+
 
 class TestMain:
     ARGS = ["--scenario", "1", "--seeds", "0", "--duration", "60"]
@@ -195,6 +200,21 @@ class TestMain:
         assert code == 2
         assert not out.exists()
         assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [lambda d: d / "missing.cfg",
+                                      lambda d: d,
+                                      lambda d: d / "latin1.cfg"],
+                             ids=["missing", "directory", "not-utf8"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, make):
+        # not UTF-8; were it read as Latin-1, the value would not parse
+        (tmp_path / "latin1.cfg").write_bytes(b"controller.kp = 0.4\xe9\n")
+        path = make(tmp_path)
+        code = main(["--config", str(path), "--out", str(tmp_path / "never")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("abrlab: invalid configuration:") and str(path) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "never").exists()
 
     @pytest.mark.parametrize("flags", [["--decision-interval", "0.04"],
                                        ["--decision-interval", "0.15"],
