@@ -101,6 +101,9 @@ class RunConfig:
         for e in self.emit:
             if e not in EMIT_CHOICES:
                 yield f"emit: unknown format {e!r} (choose from {EMIT_CHOICES})"
+        if self.out != self.out.strip() or any(c in self.out for c in "#\r\n"):
+            yield (f"out: a config file cannot hold {self.out!r}: no '#', no line break,"
+                   " no whitespace at either end")
         if self.c0 <= 0.0:
             yield "c0: nominal capacity must be positive"
         if not 0.0 <= self.x_noise < 1.0:

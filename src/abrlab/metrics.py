@@ -30,41 +30,21 @@ class QoEReport:
     seed: int
 
 
-def avg_quality(chunks) -> float:
-    """Mean chunk bitrate."""
-    chunks = np.asarray(chunks, dtype=float)
-    if chunks.size == 0:
-        raise ValueError("need at least one chunk")
-    return float(chunks.mean())
-
-
-def quality_variation(chunks) -> tuple[float, int]:
-    """(normalized variation, raw switch count) over consecutive chunks."""
-    chunks = np.asarray(chunks, dtype=float)
-    if chunks.size < 2:
-        raise ValueError("need at least two chunks")
-    switches = int(np.count_nonzero(np.sign(np.diff(chunks))))
-    return switches / (chunks.size - 1), switches
-
-
-def rebuffering_time(chunk_buffers, delta: float) -> int:
-    """Count of chunks whose buffer level is at or below delta (H(0)=1)."""
-    xs = np.asarray(chunk_buffers, dtype=float)
-    if xs.size == 0:
-        raise ValueError("need at least one chunk")
-    return int(np.count_nonzero(delta - xs >= 0.0))
-
-
 def qoe_report(log: EpisodeLog, cfg: RunConfig, seed: int) -> QoEReport:
-    """Full QoE report for one episode of the config and seed.  Chunks before
-    the startup delay are excluded from the rebuffering count: the buffer is
-    legitimately below the chunk duration while it first fills.  The config
-    puts the startup delay at or before the last decision."""
-    var_norm, switches = quality_variation(log.R_k)
-    rebuf = rebuffering_time(log.x_k[log.t_k >= cfg.delta_startup], cfg.chunk_duration)
-    return QoEReport(avg_quality(log.R_k), var_norm, switches, rebuf,
-                     M=log.n_chunks, scenario_id=cfg.scenario,
-                     replan_enabled=cfg.replan, seed=seed)
+    """Full QoE report for one episode of the config and seed: the mean chunk
+    bitrate, the bitrate switches between consecutive chunks (raw and per
+    chunk pair) and the rebuffering count, the chunks whose buffer is at or
+    below the chunk duration (H(0)=1).  Chunks before the startup delay are
+    excluded from the rebuffering count: the buffer is legitimately below
+    the chunk duration while it first fills."""
+    R = log.R_k
+    live = log.x_k[log.t_k >= cfg.delta_startup]
+    if len(R) < 2 or len(live) == 0:
+        raise ValueError("need at least two chunks, one of them at or after the startup")
+    switches = int(np.count_nonzero(np.diff(R)))
+    return QoEReport(float(R.mean()), switches / (len(R) - 1), switches,
+                     int(np.count_nonzero(cfg.chunk_duration - live >= 0.0)), M=len(R),
+                     scenario_id=cfg.scenario, replan_enabled=cfg.replan, seed=seed)
 
 
 def batch_report(reports) -> dict:

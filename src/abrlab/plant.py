@@ -29,31 +29,28 @@ class ChannelTrace:
 
 def build_scenario(cfg: RunConfig, seed: int) -> ChannelTrace:
     """Deterministic capacity trace and buffer-measurement noise for the
-    config's scenario and one seed."""
+    config's scenario and one seed.  Every scenario is piecewise-constant
+    capacity measured with relative noise; scenario 1 is one segment at c0,
+    measured exactly.  Zero noise draws +0.0: uniform(-0.0, 0.0) is +0.0."""
     n = cfg.n_steps
     sid = cfg.scenario
-    rng = np.random.default_rng([sid, seed])
     if sid == 1:
-        true = np.full(n, cfg.c0)
-        meas = true.copy()
+        seg_steps, lo, hi, noise = n, cfg.c0, cfg.c0, 0.0
     elif sid in (2, 3):
         seg_len, lo, hi, noise = (getattr(cfg, f"s{sid}_{name}")
                                   for name in ("segment", "level_lo", "level_hi", "noise"))
         seg_steps = cfg.steps(seg_len)
-        n_seg = (n + seg_steps - 1) // seg_steps
-        lv = rng.uniform(lo, hi, n_seg)
-        if sid == 3 and lv.min() >= S3_FORCE_BELOW:
-            lv[rng.integers(n_seg)] = rng.uniform(lo, S3_DIP_MAX)
-        true = np.repeat(lv, seg_steps)[:n]
-        meas = true * (1.0 + rng.uniform(-noise, noise, n))
     else:
         raise ValueError(f"unknown scenario id {sid}")
-    if cfg.x_noise > 0.0:
-        rng = np.random.default_rng([X_NOISE_STREAM, sid, seed])
-        x_noise = rng.uniform(-cfg.x_noise, cfg.x_noise, n)
-    else:
-        x_noise = np.zeros(n)
-    return ChannelTrace(true, meas, x_noise)
+    rng = np.random.default_rng([sid, seed])
+    n_seg = (n + seg_steps - 1) // seg_steps
+    lv = rng.uniform(lo, hi, n_seg)
+    if sid == 3 and lv.min() >= S3_FORCE_BELOW:
+        lv[rng.integers(n_seg)] = rng.uniform(lo, S3_DIP_MAX)
+    true = np.repeat(lv, seg_steps)[:n]
+    meas = true * (1.0 + rng.uniform(-noise, noise, n))
+    rng = np.random.default_rng([X_NOISE_STREAM, sid, seed])
+    return ChannelTrace(true, meas, rng.uniform(-cfg.x_noise, cfg.x_noise, n))
 
 
 @dataclass
@@ -75,10 +72,6 @@ class EpisodeLog:
 
     # text of the formatted columns, shared by every file written from the log
     _text: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def n_chunks(self) -> int:
-        return len(self.t_k)
 
     def text(self, name: str) -> list:
         """The column ``name`` as text, formatted on first use only."""

@@ -9,11 +9,17 @@ def _levels(draw, lo_max):
     return lo, lo + draw(st.floats(0.0, 3.0))
 
 
+# printable text without '#' or whitespace at either end, which a config file
+# would read back otherwise
+_outs = st.text(st.characters(exclude_categories=("C", "Zl", "Zp"),
+                              exclude_characters="#")).map(str.strip)
+
+
 @st.composite
 def run_configs(draw):
     """Valid configs over the window, cadence, replanning, ladder, noise, the
     reference ramp, the duration, the controller gains, the plant, the
-    capacity scenarios and the emitted outputs."""
+    capacity scenarios, the output directory and the emitted outputs."""
     te = draw(st.sampled_from((0.05, 0.1, 0.2)))
     decision_interval = te * draw(st.integers(1, 40))
     lower = draw(st.floats(0.0, 10.0, exclude_min=True))
@@ -35,7 +41,8 @@ def run_configs(draw):
         replan_lower=lower, replan_upper=lower + draw(st.floats(0.1, 10.0)),
         ladder=sorted(ladder), x_noise=draw(st.floats(0.0, 0.99)),
         t0=t0, tf=t0 + span, x0=x0, xf=xf,
-        duration=duration, emit=draw(st.lists(st.sampled_from(EMIT_CHOICES), unique=True)),
+        duration=duration, out=draw(_outs),
+        emit=draw(st.lists(st.sampled_from(EMIT_CHOICES), unique=True)),
         c0=draw(st.floats(0.05, 6.0)), kp=draw(st.floats(0.01, 2.0)),
         alpha=draw(st.floats(-50.0, -0.5)),
         delta_startup=draw(st.floats(0.0, min(20.0, last_decision))),

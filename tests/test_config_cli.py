@@ -113,6 +113,11 @@ class TestParsing:
                       ["--ladder", "0.35,inf"]):
             with pytest.raises(ConfigError):
                 parse_config(flags)
+        # an output directory a config file would read back otherwise (flag
+        # text is stripped, so edge whitespace reaches validate only directly)
+        for out in ("runs#1", "runs\n", "a\rb", " runs", "runs\t"):
+            with pytest.raises(ConfigError, match="out:"):
+                RunConfig(out=out).validate()
         # just inside the bounds
         parse_config(["--x0", "4", "--xf", "0", "--tf", "10"])
         parse_config(["--scenario", "3", "--duration", "2.1", "--delta-startup", "2"])
@@ -230,6 +235,14 @@ class TestMain:
         assert code == 2
         assert "invalid configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["runs#1", "runs\nb", "runs\rb"])
+    def test_out_a_config_file_cannot_hold_exits_2(self, tmp_path, capsys, name):
+        # emit_config would write it as a comment or a broken line
+        code = main(self.ARGS + ["--out", str(tmp_path / name)])
+        assert code == 2
+        assert "invalid configuration: out:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("seeds", ["--seeds=-1", "--seeds=-3..-1", "--seeds=2,-1"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, seeds):
         code = main(self.ARGS + [seeds, "--out", str(tmp_path / "never")])
@@ -266,10 +279,12 @@ class TestMain:
 @settings(max_examples=40, deadline=None)
 @given(cfg=run_configs(), seed=st.integers(0, 1000))
 def test_every_valid_config_runs(cfg, seed):
-    """A config that validates runs through the CLI, and its episode stays sane."""
+    """A config that validates round-trips through a config file and runs
+    through the CLI, and its episode stays sane."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.cfg"
         emit_config(cfg, path)
+        assert parse_config(["--config", str(path)]) == cfg
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(["--config", str(path), "--seeds", str(seed), "--out", tmp])

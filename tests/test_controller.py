@@ -150,7 +150,7 @@ class TestDecide:
         log = run_single(cfg, 0)
         changes = np.nonzero(np.diff(log.R))[0] + 1
         assert changes.size > 0 and np.all(changes % 10 == 0)
-        assert log.n_chunks == 120
+        assert len(log.R_k) == 120
 
     def test_warm_up_is_pure_feedforward(self):
         log = run_single(RunConfig(), 0)

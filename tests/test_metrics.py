@@ -3,13 +3,13 @@ import csv
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from abrlab.metrics import (QoEReport, avg_quality, batch_report, format_table,
-                            qoe_report, quality_variation, rebuffering_time,
+from abrlab.metrics import (QoEReport, batch_report, format_table, qoe_report,
                             reports_to_csv, reports_to_json, table_to_csv)
 from abrlab.config import RunConfig
 from abrlab.plant import FMT, build_scenario, run_episode
@@ -17,47 +17,62 @@ from abrlab.plant import FMT, build_scenario, run_episode
 CFG = RunConfig()
 
 
+def report(R=(1.0, 1.0), x=(3.0,), t=None):
+    """qoe_report on hand-built chunk columns: rates R, buffers x at times t
+    (by default all at the startup, so every buffer counts)."""
+    t = np.full(len(x), CFG.delta_startup) if t is None else t
+    chunks = SimpleNamespace(R_k=np.array(R, dtype=float), x_k=np.array(x, dtype=float),
+                             t_k=np.array(t, dtype=float))
+    return qoe_report(chunks, CFG, 0)
+
+
 class TestAvgQuality:
     def test_mean(self):
-        assert avg_quality([0.6, 1.0, 0.6, 1.0]) == pytest.approx(0.8)
+        assert report([0.6, 1.0, 0.6, 1.0]).avg_quality == pytest.approx(0.8)
 
     def test_constant(self):
-        assert avg_quality([2.0, 2.0, 2.0]) == 2.0
+        assert report([2.0, 2.0, 2.0]).avg_quality == 2.0
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            avg_quality([])
+            report([])
 
 
 class TestQualityVariation:
     def test_alternating(self):
-        assert quality_variation([0.6, 1.0, 0.6, 1.0]) == (pytest.approx(1.0), 3)
+        r = report([0.6, 1.0, 0.6, 1.0])
+        assert (r.quality_variation_normalized, r.switch_count) == (pytest.approx(1.0), 3)
 
     def test_single_switch(self):
-        norm, count = quality_variation([1.0, 1.0, 2.0, 2.0])
-        assert count == 1 and norm == pytest.approx(1.0 / 3.0)
+        r = report([1.0, 1.0, 2.0, 2.0])
+        assert r.switch_count == 1 and r.quality_variation_normalized == pytest.approx(1.0 / 3.0)
 
     def test_constant_sequence(self):
-        assert quality_variation([3.0, 3.0, 3.0]) == (0.0, 0)
+        r = report([3.0, 3.0, 3.0])
+        assert (r.quality_variation_normalized, r.switch_count) == (0.0, 0)
 
     def test_counts_direction_changes_not_magnitude(self):
         # a big jump counts the same as a small one
-        assert quality_variation([0.35, 5.0])[1] == quality_variation([0.6, 1.0])[1]
+        assert report([0.35, 5.0]).switch_count == report([0.6, 1.0]).switch_count
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            quality_variation([1.0])
+            report([1.0])
 
 
 class TestRebuffering:
     def test_counts_at_or_below_threshold(self):
-        assert rebuffering_time([3.0, 1.9, 2.5], delta=2.0) == 1
-        assert rebuffering_time([2.0], delta=2.0) == 1  # boundary counts
-        assert rebuffering_time([2.1, 4.0], delta=2.0) == 0
+        assert CFG.chunk_duration == 2.0
+        assert report(x=[3.0, 1.9, 2.5]).rebuffer_count == 1
+        assert report(x=[2.0]).rebuffer_count == 1  # boundary counts
+        assert report(x=[2.1, 4.0]).rebuffer_count == 0
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            rebuffering_time([], delta=2.0)
+            report(x=[])
+        # no chunk at or after the startup
+        with pytest.raises(ValueError):
+            report(x=[1.0, 1.0], t=[0.0, CFG.delta_startup - CFG.te])
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +91,7 @@ class TestReport:
     def test_startup_exclusion(self, log):
         default = qoe_report(log, CFG, 0)
         # the buffer is below the chunk duration while it first fills
-        counted = rebuffering_time(log.x_k, CFG.chunk_duration)
+        counted = np.count_nonzero(log.x_k <= CFG.chunk_duration)
         assert counted >= default.rebuffer_count + 1
 
     def test_batch_aggregation(self):

@@ -2,6 +2,7 @@
 import csv
 import io
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from abrlab.cli import _write_plotdata, run_single
-from abrlab.config import RunConfig
+from abrlab.config import S3_DIP_MAX, RunConfig
 from abrlab.kernels import plant_step
 from abrlab.plant import FMT, S3_FORCE_BELOW, build_scenario, format_column, run_episode
 
@@ -105,6 +106,43 @@ class TestScenarios:
         with pytest.raises(ValueError):
             build_scenario(scenario(4), 0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=run_configs(), seed=st.integers(0, 2**32), exact_buffer=st.booleans())
+    @example(cfg=scenario(3), seed=0, exact_buffer=True)
+    def test_channel_model(self, cfg, seed, exact_buffer):
+        # every scenario is piecewise-constant capacity with bounded relative
+        # measurement noise; scenario 1 is one segment at c0, measured exactly
+        if exact_buffer:
+            cfg = replace(cfg, x_noise=0.0)
+        tr = build_scenario(cfg, seed)
+        true, n = tr.true_capacity, cfg.n_steps
+        assert len(true) == len(tr.measured_capacity) == len(tr.x_noise) == n
+        if cfg.scenario == 1:
+            assert np.all(true.view(np.int64) == np.float64(cfg.c0).view(np.int64))
+            np.testing.assert_array_equal(tr.measured_capacity.view(np.int64),
+                                          true.view(np.int64))
+        else:
+            seg, lo, hi, noise = (getattr(cfg, f"s{cfg.scenario}_{name}")
+                                  for name in ("segment", "level_lo", "level_hi", "noise"))
+            seg = cfg.steps(seg)
+            levels = true[::seg]
+            np.testing.assert_array_equal(true, np.repeat(levels, seg)[:n])
+            assert np.all((lo <= levels) & (levels <= hi))
+            rel = tr.measured_capacity / true - 1.0
+            assert np.abs(rel).max() <= noise + 1e-12
+        if cfg.scenario == 3:
+            assert true.min() < S3_FORCE_BELOW
+            # the levels as first drawn; at most one is redrawn as the dip
+            drawn = np.random.default_rng([3, seed]).uniform(lo, hi, len(levels))
+            dip = levels != drawn
+            if drawn.min() >= S3_FORCE_BELOW:
+                assert dip.sum() == 1 and lo <= levels[dip][0] <= S3_DIP_MAX
+            else:
+                assert not dip.any()
+        assert np.abs(tr.x_noise).max() <= cfg.x_noise
+        if cfg.x_noise == 0.0:
+            assert np.all(tr.x_noise.view(np.int64) == 0)  # +0.0, bitwise
+
 
 class TestEpisode:
     def test_shapes_and_grids(self):
@@ -112,7 +150,7 @@ class TestEpisode:
         n = CFG.n_steps
         assert len(log.t) == len(log.x) == len(log.R) == n
         np.testing.assert_allclose(np.diff(log.t), CFG.te)
-        assert log.n_chunks == 300
+        assert len(log.R_k) == 300
         np.testing.assert_allclose(np.diff(log.t_k), 2.0)
         # bitrate only changes on the chunk grid
         ch = np.nonzero(np.diff(log.R))[0] + 1
