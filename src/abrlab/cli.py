@@ -38,7 +38,7 @@ def run(cfg: RunConfig) -> int:
             log.to_csv(outdir / f"episode_{tag}.csv")
         if "plotdata" in cfg.emit:
             _write_plotdata(log, cfg, outdir, tag)
-        del log  # its columns' text must not outlive the episode
+        del log  # its columns and their text must not outlive the episode
     if "qoe" in cfg.emit:
         metrics.reports_to_csv(reports, outdir / "qoe.csv")
         metrics.reports_to_json(reports, outdir / "qoe.json")

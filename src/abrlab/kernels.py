@@ -6,6 +6,7 @@ the same IEEE results.  The fused ``episode_loop`` is the one implementation
 of the controller; its docstring states what it computes and returns.
 """
 from bisect import bisect_left, bisect_right
+from math import inf
 
 import numpy as np
 
@@ -64,6 +65,17 @@ def ladder_above(c, ladder):
     return ladder[min(bisect_right(ladder, c), len(ladder) - 1)]
 
 
+def rung_interval(c, ladder):
+    """The rungs around c: the open interval (lo, hi) between adjacent ladder
+    elements with lo < c <= hi, unbounded past either end.
+
+    ``ladder_below`` and ``ladder_above`` are constant for every c strictly
+    inside it; a c on a rung is its interval's hi, so outside it.
+    """
+    i = bisect_left(ladder, c)
+    return (ladder[i - 1] if i > 0 else -inf), (ladder[i] if i < len(ladder) else inf)
+
+
 def ring_dot(w, xs, start):
     """Dot of weights with the window xs[start:start + len(w)], oldest first.
 
@@ -72,8 +84,10 @@ def ring_dot(w, xs, start):
     (``held_estimates``), it returns every window's dot as one array.
     """
     acc = 0.0
-    for i in range(len(w)):
-        acc += w[i] * xs[start + i]
+    i = start
+    for wi in w:  # cheaper than indexing both by range(len(w))
+        acc += wi * xs[i]
+        i += 1
     return acc
 
 
@@ -152,6 +166,12 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     positive estimate, going back to the previous read; an estimate more than
     one window old is stale, and the capacity measurement is read instead.
 
+    The replanning slope divides the read by the rung below it on the way up,
+    above it on the way down.  That rung is looked up (``ladder_below``/
+    ``ladder_above``) only when the read leaves the open interval between the
+    rungs around the last lookup's read (``rung_interval``), lands on a rung,
+    or the direction flips; in between it is the same rung.
+
     The flat inversion needs a reference slope above -1.  A decision whose
     combined (ramp plus replanning) slope is at most -1 requests the top
     rung, the inversion's limit as the slope falls to -1.
@@ -159,15 +179,17 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     te, delta_startup, chunk_duration = cfg.te, cfg.delta_startup, cfg.chunk_duration
     t0, tf, x0, xf = cfg.t0, cfg.tf, cfg.x0, cfg.xf
     alpha, kp, tau = cfg.alpha, cfg.kp, cfg.tau
+    valid_after = delta_startup + tau  # a whole window into playback
     replan, replan_lower, replan_upper = cfg.replan, cfg.replan_lower, cfg.replan_upper
     n = len(c_true)
     win = len(w_lin)
     ratio = cfg.steps(cfg.decision_interval)
 
     # the window-averaged capacity measurement, the fallback for a stale
-    # estimate: one sequential running sum of sample in minus sample out
+    # estimate: one sequential running sum of sample in minus sample out;
+    # read at a few percent of the steps, so not converted to a list
     c_out = np.concatenate((np.zeros(win), c_meas))[:n]
-    cm_bar = (np.cumsum(c_meas - c_out) / np.minimum(np.arange(1, n + 1), win)).tolist()
+    cm_bar = np.cumsum(c_meas - c_out) / np.minimum(np.arange(1, n + 1), win)
 
     # convert once: the loop computes on Python floats and stores into lists,
     # converted back to arrays after it
@@ -195,6 +217,10 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     dirn = 1  # replanning starts on the way up
     y_ad = 0.0
     c_known = 0.0
+    # the replanning rung coef, looked up for direction coef_dirn, holds for
+    # c_known in (coef_lo, coef_hi); none yet
+    coef_dirn = 0
+    coef_lo = coef_hi = 0.0
 
     for k in range(n):
         t = k * te
@@ -212,7 +238,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         playing = t >= delta_startup and x >= chunk_duration
         if not (playing and xm > chunk_duration):
             last_bad = k
-        elif t > delta_startup + tau and k - last_bad >= win:
+        elif t > valid_after and k - last_bad >= win:
             valid[k] = True
 
         decide = k % ratio == 0
@@ -236,7 +262,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
             if k - last_valid <= win:
                 c_known = cest
             else:
-                c_known = cm_bar[k]
+                c_known = cm_bar[k].item()
 
         if replan and last_valid >= 0:
             if not replan_active:
@@ -248,10 +274,13 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
                 dirn = -1
             if xm < replan_lower and dirn == -1:
                 dirn = 1
-            if dirn == 1:
-                coef = ladder_below(c_known, ladder)
-            else:
-                coef = ladder_above(c_known, ladder)
+            if not (coef_lo < c_known < coef_hi and dirn == coef_dirn):
+                if dirn == 1:
+                    coef = ladder_below(c_known, ladder)
+                else:
+                    coef = ladder_above(c_known, ladder)
+                coef_dirn = dirn
+                coef_lo, coef_hi = rung_interval(c_known, ladder)
             ad_rate = c_known / coef - 1.0
             y_ad += ad_rate * te
             # a capacity jump leaves the reference far from the buffer; restart
@@ -290,6 +319,8 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
 
         x = plant_step(x, playing, cur_R, c_true[k], te)
 
+    # the histories and converted inputs must not outlive the loop
+    del x_hist, u_hist, cm_bar, c_true, noise
     return np.asarray(x_a), np.asarray(ref_a), np.asarray(valid), np.asarray(Rk), np.asarray(uk)
 
 

@@ -1,5 +1,6 @@
 """Channel scenarios, episode execution and the per-step episode log."""
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -27,12 +28,20 @@ class ChannelTrace:
     x_noise: np.ndarray  # relative buffer-measurement noise per step
 
 
+def episode_steps(cfg: RunConfig) -> int:
+    """The config's number of te steps; a duration that gives none is an error."""
+    n = cfg.n_steps
+    if n < 1:
+        raise ValueError(f"duration {cfg.duration:g} s spans no step of te = {cfg.te:g} s")
+    return n
+
+
 def build_scenario(cfg: RunConfig, seed: int) -> ChannelTrace:
     """Deterministic capacity trace and buffer-measurement noise for the
     config's scenario and one seed.  Every scenario is piecewise-constant
     capacity measured with relative noise; scenario 1 is one segment at c0,
     measured exactly.  Zero noise draws +0.0: uniform(-0.0, 0.0) is +0.0."""
-    n = cfg.n_steps
+    n = episode_steps(cfg)
     sid = cfg.scenario
     if sid == 1:
         seg_steps, lo, hi, noise = n, cfg.c0, cfg.c0, 0.0
@@ -69,6 +78,7 @@ class EpisodeLog:
     t_k: np.ndarray
     R_k: np.ndarray
     x_k: np.ndarray
+    te: float               # sampling period: t is arange(len(t)) * te
 
     # text of the formatted columns, shared by every file written from the log
     _text: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -77,8 +87,10 @@ class EpisodeLog:
         """The column ``name`` as text, formatted on first use only."""
         text = self._text.get(name)
         if text is None:
-            if name == "x_meas" and np.array_equal(self.x_meas.view(np.int64),
-                                                   self.x.view(np.int64)):
+            if name == "t":
+                text = clock_text(len(self.t), self.te)
+            elif name == "x_meas" and np.array_equal(self.x_meas.view(np.int64),
+                                                     self.x.view(np.int64)):
                 text = self.text("x")  # no buffer-measurement noise
             else:
                 text = format_column(getattr(self, name), LOG_FORMATS.get(name, FMT.__mod__))
@@ -87,6 +99,13 @@ class EpisodeLog:
 
     def to_csv(self, path) -> None:
         write_columns(path, LOG_COLUMNS, [self.text(name) for name in LOG_COLUMNS])
+
+
+@lru_cache(maxsize=1)
+def clock_text(n: int, te: float) -> list:
+    """Text of the clock column ``arange(n) * te``.  Every episode of a run has
+    the same clock, so it is formatted once and its text shared."""
+    return format_column(np.arange(n) * te)
 
 
 def format_column(column: np.ndarray, fmt=FMT.__mod__) -> list:
@@ -125,7 +144,7 @@ def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
     """Run one full Te-stepped episode of the config on the trace's random
     inputs (``build_scenario`` draws all of them for a seed) through the fused
     kernel and derive the log columns that the kernel does not record."""
-    n = cfg.n_steps
+    n = episode_steps(cfg)
     if len(trace.true_capacity) < n:
         raise ValueError("trace shorter than episode duration")
     n_seg = cfg.steps(cfg.tau)
@@ -150,4 +169,4 @@ def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
         u=np.repeat(u_k, ratio)[:n], ref=ref,
         regime=(started & (x >= cfg.chunk_duration)).astype(np.int8),
         stalled=(started & (x < cfg.chunk_duration)).astype(np.int8),
-        t_k=t[::ratio], R_k=R_k, x_k=x[::ratio])
+        t_k=t[::ratio], R_k=R_k, x_k=x[::ratio], te=cfg.te)

@@ -20,6 +20,11 @@ def run_configs(draw):
     """Valid configs over the window, cadence, replanning, ladder, noise, the
     reference ramp, the duration, the controller gains, the plant, the
     capacity scenarios, the output directory and the emitted outputs."""
+    # Hypothesis favours the first choice of an early draw: scenario 1 listed
+    # first (or drawn last) took about 60% of the examples; this way round
+    # scenarios 2 and 3, where the segment, dip and fallback paths run, each
+    # get at least a quarter of a derandomized run
+    scenario = draw(st.sampled_from((2, 1, 3)))
     te = draw(st.sampled_from((0.05, 0.1, 0.2)))
     decision_interval = te * draw(st.integers(1, 40))
     lower = draw(st.floats(0.0, 10.0, exclude_min=True))
@@ -36,7 +41,7 @@ def run_configs(draw):
     s2_lo, s2_hi = _levels(draw, 3.0)
     s3_lo, s3_hi = _levels(draw, S3_DIP_MAX)
     cfg = RunConfig(
-        scenario=draw(st.integers(1, 3)), replan=draw(st.booleans()), te=te,
+        scenario=scenario, replan=draw(st.booleans()), te=te,
         tau=te * draw(st.integers(2, 30)), decision_interval=decision_interval,
         replan_lower=lower, replan_upper=lower + draw(st.floats(0.1, 10.0)),
         ladder=sorted(ladder), x_noise=draw(st.floats(0.0, 0.99)),

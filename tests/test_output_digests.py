@@ -7,8 +7,9 @@ printed on stdout.  A change that moves one byte of any of them fails here.
 
 The CSV files hold ``%.10g`` text, which hides a one-ulp drift, so the file
 also pins the dtype and the SHA-256 of the raw bytes of every ``EpisodeLog``
-array for the same six cells at seed 0 and for two non-default settings
-(buffer-measurement noise; a 1 s decision interval with a 0.5 s window).
+array for the same six cells at seed 0 and for non-default settings
+(buffer-measurement noise, other decision intervals and windows, and
+capacities that put the replanning read exactly on a rung).
 
 Record the digests again only when the outputs change on purpose:
 
@@ -49,6 +50,12 @@ EPISODES["s2_replan_decision_1_tau_0.5"] = ["--scenario", "2", "--replan",
 EPISODES["s2_noreplan_x_noise_0.1"] = ["--scenario", "2", "--no-replan", "--x-noise", "0.1"]
 EPISODES["s3_noreplan_decision_0.5_tau_2"] = ["--scenario", "3", "--no-replan",
                                               "--decision-interval", "0.5", "--tau", "2"]
+# Rung boundaries of the replanning coefficient.  At seed 0 the first reads an
+# estimate exactly on a rung twice; in the second, reads on a rung decide the
+# rung both on the way up and on the way down.
+EPISODES["s1_replan_c0_2"] = ["--scenario", "1", "--replan", "--c0", "2"]
+EPISODES["s1_replan_c0_0.6_band_3_5"] = ["--scenario", "1", "--replan", "--c0", "0.6",
+                                         "--replan-lower", "3", "--replan-upper", "5"]
 
 
 def output_digests(scenario: int, replan: bool, outdir: Path) -> dict:

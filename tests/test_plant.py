@@ -196,6 +196,21 @@ class TestEpisode:
         with pytest.raises(ValueError):
             run_episode(tr, CFG)
 
+    @pytest.mark.parametrize("sid", (1, 2, 3))
+    def test_zero_steps_rejected(self, sid):
+        cfg = scenario(sid, duration=0.0)
+        with pytest.raises(ValueError, match="duration 0 s"):
+            run_episode(build_scenario(cfg, 0), cfg)
+        # nor does a trace long enough for another config make it run
+        with pytest.raises(ValueError, match="duration 0 s"):
+            run_episode(build_scenario(scenario(sid), 0), cfg)
+
+    def test_clock_text_shared(self):
+        cfg = RunConfig(duration=20.0, te=0.05)
+        a, b = (run_episode(build_scenario(cfg, seed), cfg) for seed in (0, 1))
+        assert a.text("t") is b.text("t")
+        assert a.text("t") == format_column(a.t)
+
     def test_episode_csv(self, tmp_path):
         cfg = RunConfig(duration=20.0)
         log = run_episode(build_scenario(cfg, 0), cfg)

@@ -1,10 +1,14 @@
 """Reference trajectory: ramp profile and replanned correction."""
+from math import inf
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from abrlab.cli import run_single
 from abrlab.config import RunConfig
-from abrlab.kernels import bezier_derivative, bezier_eval, ladder_above, ladder_below
+from abrlab.kernels import (bezier_derivative, bezier_eval, ladder_above, ladder_below,
+                            rung_interval)
 
 PROFILE = (0.0, 10.0, 0.0, 4.0)   # t0, tf, x0, xf
 LADDER = np.array(RunConfig().ladder)
@@ -112,6 +116,21 @@ class TestReplan:
     def test_coef_clamps_at_extremes(self):
         assert ladder_below(0.2, LADDER) == 0.35
         assert ladder_above(9.0, LADDER) == 5.0
+
+    @given(ladder=st.lists(st.floats(0.1, 6.0), min_size=1, max_size=6, unique=True),
+           data=st.data())
+    def test_rung_interval(self, ladder, data):
+        ladder = sorted(ladder)
+        c = data.draw(st.floats(0.0, 8.0) | st.sampled_from(ladder))
+        lo, hi = rung_interval(c, ladder)
+        # the adjacent rungs around c, unbounded past either end; on a rung, c is hi
+        assert lo < c <= hi
+        assert {lo, hi} <= {*ladder, -inf, inf}
+        assert not any(lo < r < hi for r in ladder)
+        # the episode loop keeps its rung while the read stays strictly inside
+        inside = [float(p) for p in (np.nextafter(lo, hi), np.nextafter(hi, lo), (lo + hi) / 2)
+                  if lo < p < hi]
+        assert len({(ladder_below(p, ladder), ladder_above(p, ladder)) for p in inside}) <= 1
 
     def test_accumulation_telescopes(self):
         # after the ramp, each step moves the correction by Te (c/coef - 1)
