@@ -79,6 +79,14 @@ class RunConfig:
     def n_steps(self) -> int:
         return self.steps(self.duration)
 
+    def off_grid(self, *names):
+        """Yield a problem for each named duration that is not a positive whole
+        number of te steps (to within 1e-9 of a step)."""
+        for name in names:
+            ratio = getattr(self, name) / self.te
+            if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
+                yield f"{name}: must be a positive whole multiple of te"
+
     def validate(self) -> None:
         for problem in self._problems():
             raise ConfigError(problem)
@@ -134,10 +142,8 @@ class RunConfig:
             yield "delta_startup: must be non-negative"
         if self.te <= 0.0:
             yield "te: must be positive"
-        for name in ("chunk_duration", "decision_interval", "tau", "s2_segment", "s3_segment"):
-            ratio = getattr(self, name) / self.te
-            if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
-                yield f"{name}: must be a positive whole multiple of te"
+        yield from self.off_grid("chunk_duration", "decision_interval", "tau",
+                                 "s2_segment", "s3_segment")
         if self.tau < 2.0 * self.te:
             yield "tau: must be at least 2*te"
         ratio = self.steps(self.decision_interval)

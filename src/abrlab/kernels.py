@@ -6,6 +6,7 @@ the same IEEE results.  The fused ``episode_loop`` is the one implementation
 of the controller; its docstring states what it computes and returns.
 """
 from bisect import bisect_left, bisect_right
+from itertools import chain, repeat
 from math import inf
 
 import numpy as np
@@ -144,6 +145,24 @@ def plant_step(x, playing, R, C, Te):
     return xn
 
 
+def held_list(column, fn=None) -> list:
+    """The values of a 1-D array as a list of Python values, or ``fn`` of
+    each.  Each run of bitwise-equal neighbours shares one value (one ``fn``
+    call): a held column costs one object per run.  Bitwise, ``-0.0`` and
+    ``0.0`` stay apart and a run of NaNs is one run."""
+    if len(column) == 0:
+        return []
+    bits = column.view(f"u{column.itemsize}")
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    values = column[starts].tolist()
+    if fn is not None:
+        values = list(map(fn, values))
+    if len(values) == len(column):
+        return values
+    runs = np.diff(starts, append=len(column)).tolist()
+    return list(chain.from_iterable(map(repeat, values, runs)))
+
+
 def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     """Fused inner loop for one episode of the config ``cfg``.
 
@@ -192,9 +211,10 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     cm_bar = np.cumsum(c_meas - c_out) / np.minimum(np.arange(1, n + 1), win)
 
     # convert once: the loop computes on Python floats and stores into lists,
-    # converted back to arrays after it
-    c_true = c_true.tolist()
-    noise = x_noise.tolist()
+    # converted back to arrays after it; a held capacity and zero buffer
+    # noise are one float object per run
+    c_true = held_list(c_true)
+    noise = held_list(x_noise)
     ladder = [float(r) for r in cfg.ladder]
     w_lin = w_lin.tolist()
     w_bump = w_bump.tolist()

@@ -1,7 +1,7 @@
 """Channel scenarios, episode execution and the per-step episode log."""
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -26,6 +26,14 @@ class ChannelTrace:
     true_capacity: np.ndarray
     measured_capacity: np.ndarray
     x_noise: np.ndarray  # relative buffer-measurement noise per step
+
+    def bitwise_equal(self, other: "ChannelTrace") -> bool:
+        """Whether both traces hold the same bits, so that an episode run on
+        one is the episode of the other (``-0.0`` and ``0.0`` differ)."""
+        return all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                   for a, b in ((self.true_capacity, other.true_capacity),
+                                (self.measured_capacity, other.measured_capacity),
+                                (self.x_noise, other.x_noise)))
 
 
 def episode_steps(cfg: RunConfig) -> int:
@@ -109,20 +117,10 @@ def clock_text(n: int, te: float) -> list:
 
 
 def format_column(column: np.ndarray, fmt=FMT.__mod__) -> list:
-    """The text ``fmt`` gives each value of a 1-D column (as a Python value).
-
-    Only the first value of each run of bitwise-equal neighbours is formatted,
-    so a held column costs one format per run; bitwise, ``-0.0`` and ``0.0``
-    stay apart and a run of NaNs is one run."""
-    if len(column) == 0:
-        return []
-    bits = column.view(f"u{column.itemsize}")
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    text = list(map(fmt, column[starts].tolist()))
-    if len(text) == len(column):
-        return text
-    runs = np.diff(starts, append=len(column)).tolist()
-    return list(chain.from_iterable(map(repeat, text, runs)))
+    """The text ``fmt`` gives each value of a 1-D column (as a Python value),
+    formatted once per run of bitwise-equal neighbours (``kernels.held_list``),
+    so a held column costs one format per run."""
+    return kernels.held_list(column, fmt)
 
 
 def write_columns(path, header, columns) -> None:
@@ -143,19 +141,29 @@ def write_columns(path, header, columns) -> None:
 def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
     """Run one full Te-stepped episode of the config on the trace's random
     inputs (``build_scenario`` draws all of them for a seed) through the fused
-    kernel and derive the log columns that the kernel does not record."""
+    kernel and derive the log columns that the kernel does not record.
+
+    The kernel's numeric preconditions are checked here: capacities finite
+    and positive at every step, and the estimator window and the decision
+    interval whole numbers of te steps; anything else is a ``ValueError``."""
     n = episode_steps(cfg)
     if len(trace.true_capacity) < n:
         raise ValueError("trace shorter than episode duration")
+    for problem in cfg.off_grid("tau", "decision_interval"):
+        raise ValueError(problem)
     n_seg = cfg.steps(cfg.tau)
     if n_seg < 2:
         raise ValueError("tau must span at least two sampling periods")
+    c_true = trace.true_capacity[:n]
+    c_meas = trace.measured_capacity[:n]
+    for name, c in (("true", c_true), ("measured", c_meas)):
+        if not ((0.0 < c) & (c < np.inf)).all():  # NaN fails both
+            raise ValueError(f"{name} capacity must be finite and positive at every step")
     w_lin = estimation.linear_kernel_weights(cfg.tau, n_seg)
     w_bump = estimation.bump_kernel_weights(cfg.tau, n_seg)
-    c_true = trace.true_capacity[:n]
     x_noise = trace.x_noise[:n]
     x, ref, valid, R_k, u_k = kernels.episode_loop(
-        c_true, trace.measured_capacity[:n], x_noise, w_lin, w_bump, cfg)
+        c_true, c_meas, x_noise, w_lin, w_bump, cfg)
     ratio = cfg.steps(cfg.decision_interval)
     t = np.arange(n) * cfg.te
     x_meas = x * (1.0 + x_noise)

@@ -1,4 +1,8 @@
-"""Hypothesis strategy over configurations that ``RunConfig.validate`` accepts."""
+"""Hypothesis strategies over configurations that ``RunConfig.validate``
+accepts, alone and with a batch of seeds."""
+from dataclasses import replace
+from itertools import accumulate
+
 from hypothesis import strategies as st
 
 from abrlab.config import EMIT_CHOICES, RAMP_PEAK_SLOPE, S3_DIP_MAX, RunConfig
@@ -58,3 +62,15 @@ def run_configs(draw):
         s3_noise=draw(st.floats(0.0, 0.99)))
     cfg.validate()
     return cfg
+
+
+@st.composite
+def seed_batches(draw):
+    """A valid config and two or three distinct seeds.  Half the configs
+    measure the buffer exactly, so a scenario-1 batch draws the same inputs
+    for every seed and shares one episode; the others draw their own."""
+    cfg = draw(run_configs())
+    if draw(st.booleans()):
+        cfg = replace(cfg, x_noise=0.0)
+    gaps = draw(st.lists(st.integers(1, 100), min_size=1, max_size=2))
+    return cfg, draw(st.permutations(list(accumulate([draw(st.integers(0, 1000)), *gaps]))))

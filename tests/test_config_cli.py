@@ -1,19 +1,23 @@
 """Configuration parsing, validation and the command-line runner."""
 import contextlib
 import io
+import json
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
+from abrlab import kernels
 from abrlab.cli import main, run_single
 from abrlab.config import (ConfigError, RunConfig, build_arg_parser, emit_config,
                            parse_config, parse_seeds, read_config_file)
+from abrlab.plant import build_scenario
 
-from config_strategies import run_configs
+from config_strategies import run_configs, seed_batches
 
 # A valid value different from the default for every RunConfig field.
 NON_DEFAULT = {
@@ -26,6 +30,44 @@ NON_DEFAULT = {
     "s2_level_hi": 2.0, "s2_noise": 0.1, "s3_segment": 10.0, "s3_level_lo": 0.3,
     "s3_level_hi": 1.2, "s3_noise": 0.25,
 }
+
+
+def run_quiet(argv) -> None:
+    """Run the CLI with its output captured; it must exit 0."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code == 0, stderr.getvalue()
+
+
+def kernel_calls(argv) -> int:
+    """Run the CLI quietly and count its calls of the episode kernel."""
+    with mock.patch.object(kernels, "episode_loop", wraps=kernels.episode_loop) as loop:
+        run_quiet(argv)
+    return loop.call_count
+
+
+def assert_batch_matches_singles(args, seeds, tmp) -> int:
+    """Run ``args`` on ``seeds`` as one batch and each seed on its own: every
+    per-seed file, ``qoe.csv`` row and ``qoe.json`` entry of the batch is the
+    seed's own.  Returns the batch's episode-kernel calls."""
+    emit = ["--emit", "qoe,log,plotdata"]
+    batch = Path(tmp) / "batch"
+    calls = kernel_calls(args + emit + ["--seeds", ",".join(map(str, seeds)),
+                                        "--out", str(batch)])
+    rows = (batch / "qoe.csv").read_bytes().split(b"\r\n")
+    entries = json.loads((batch / "qoe.json").read_text())
+    assert len(list(batch.glob("*_*.csv"))) == 3 * len(seeds)
+    for i, seed in enumerate(seeds):
+        single = Path(tmp) / f"seed{seed}"
+        run_quiet(args + emit + ["--seeds", str(seed), "--out", str(single)])
+        per_seed = list(single.glob("*_*.csv"))  # episode_, capacity_, buffer_
+        assert len(per_seed) == 3
+        for path in per_seed:
+            assert path.read_bytes() == (batch / path.name).read_bytes(), path.name
+        assert (single / "qoe.csv").read_bytes().split(b"\r\n")[:2] == [rows[0], rows[1 + i]]
+        assert json.loads((single / "qoe.json").read_text()) == [entries[i]]
+    return calls
 
 
 class TestSeeds:
@@ -264,16 +306,20 @@ class TestMain:
         assert code == 1
 
     def test_batch_matches_singles(self, tmp_path):
-        batch = tmp_path / "batch"
-        main(["--scenario", "1", "--seeds", "0,1", "--duration", "60",
-              "--out", str(batch)])
-        rows = (batch / "qoe.csv").read_text().splitlines()
-        for i, seed in enumerate((0, 1)):
-            single = tmp_path / f"single{seed}"
-            main(["--scenario", "1", "--seeds", str(seed), "--duration", "60",
-                  "--out", str(single)])
-            srows = (single / "qoe.csv").read_text().splitlines()
-            assert srows[1] == rows[1 + i]
+        # scenario 1 at zero buffer noise (the default) draws bitwise-equal
+        # inputs for every seed and runs one episode for all; buffer noise or
+        # scenario 2 draws each seed's own
+        for i, (flags, calls) in enumerate(((["--scenario", "1"], 1),
+                                            (["--scenario", "1", "--x-noise", "0.1"], 5),
+                                            (["--scenario", "2"], 5))):
+            assert assert_batch_matches_singles(flags + ["--duration", "60"], [0, 1, 2, 3, 4],
+                                                tmp_path / str(i)) == calls
+
+    def test_hundred_scenario1_seeds_run_one_episode(self, tmp_path):
+        assert kernel_calls(["--scenario", "1", "--seeds", "0..99", "--out", str(tmp_path)]) == 1
+        rows = (tmp_path / "qoe.csv").read_text().splitlines()
+        assert [row.split(",")[2] for row in rows[1:]] == [str(s) for s in range(100)]
+        assert len(set(row.split(",", 3)[3] for row in rows[1:])) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -296,3 +342,24 @@ def test_every_valid_config_runs(cfg, seed):
     assert (np.isnan(log.c_est) | (log.c_est > 0.0)).all()
     assert (log.x >= 0.0).all()
     assert np.isin(log.R_k, cfg.ladder).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=seed_batches())
+@example(batch=(RunConfig(duration=20.0), [3, 0]))
+@example(batch=(RunConfig(scenario=2, duration=20.0), [0, 1, 2]))
+def test_batch_writes_what_each_seed_writes_alone(batch):
+    """A valid config run on two or three seeds writes, for each seed, the
+    bytes of that seed's own run, whether the seeds share an episode or not.
+    The kernel runs once per seed whose inputs differ from the previous
+    seed's, and once in all for scenario 1 with an exact buffer measurement."""
+    cfg, seeds = batch
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        emit_config(cfg, path)
+        calls = assert_batch_matches_singles(["--config", str(path)], seeds, tmp)
+    traces = [build_scenario(cfg, seed) for seed in seeds]
+    assert calls == 1 + sum(not a.bitwise_equal(b) for a, b in zip(traces, traces[1:]))
+    if cfg.scenario == 1 and cfg.x_noise == 0.0:
+        assert calls == 1
+    event("shared episode" if calls < len(seeds) else "an episode per seed")

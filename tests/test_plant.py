@@ -11,8 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from abrlab.cli import _write_plotdata, run_single
 from abrlab.config import S3_DIP_MAX, RunConfig
-from abrlab.kernels import plant_step
-from abrlab.plant import FMT, S3_FORCE_BELOW, build_scenario, format_column, run_episode
+from abrlab.kernels import held_list, plant_step
+from abrlab.plant import (FMT, S3_FORCE_BELOW, ChannelTrace, build_scenario, format_column,
+                          run_episode)
 
 from config_strategies import run_configs
 
@@ -106,6 +107,18 @@ class TestScenarios:
         with pytest.raises(ValueError):
             build_scenario(scenario(4), 0)
 
+    def test_bitwise_equal(self):
+        cfg = scenario(1, duration=20.0)
+        a, b = build_scenario(cfg, 0), build_scenario(cfg, 1)
+        assert a.bitwise_equal(b) and b.bitwise_equal(a)
+        assert not a.bitwise_equal(build_scenario(replace(cfg, x_noise=0.1), 0))
+        assert not a.bitwise_equal(build_scenario(replace(cfg, c0=0.8), 0))
+        # -0.0 == 0.0 as numbers, but is another input; NaN bits equal themselves
+        signed = ChannelTrace(a.true_capacity, a.measured_capacity, -a.x_noise)
+        assert np.array_equal(signed.x_noise, a.x_noise) and not a.bitwise_equal(signed)
+        nan = np.full(3, np.nan)
+        assert ChannelTrace(nan, nan, nan).bitwise_equal(ChannelTrace(nan, nan.copy(), nan))
+
     @settings(max_examples=150, deadline=None)
     @given(cfg=run_configs(), seed=st.integers(0, 2**32), exact_buffer=st.booleans())
     @example(cfg=scenario(3), seed=0, exact_buffer=True)
@@ -196,6 +209,25 @@ class TestEpisode:
         with pytest.raises(ValueError):
             run_episode(tr, CFG)
 
+    @pytest.mark.parametrize("field", ("true_capacity", "measured_capacity"))
+    @pytest.mark.parametrize("bad", (0.0, -0.5, np.nan, np.inf))
+    def test_capacity_not_finite_and_positive_rejected(self, field, bad):
+        cfg = scenario(2, duration=20.0)
+        tr = build_scenario(cfg, 0)
+        getattr(tr, field)[57] = bad
+        name = field.split("_")[0]
+        with pytest.raises(ValueError, match=f"{name} capacity must be finite and positive"):
+            run_episode(tr, cfg)
+
+    @pytest.mark.parametrize("overrides", ({"tau": 0.15}, {"decision_interval": 0.25},
+                                           {"tau": 0.9, "te": 0.2}))
+    def test_off_grid_window_or_cadence_rejected(self, overrides):
+        # steps() would round these to a whole step and run on the wrong grid
+        cfg = scenario(1, duration=20.0, **overrides)
+        name = next(iter(overrides))
+        with pytest.raises(ValueError, match=f"{name}: must be a positive whole multiple of te"):
+            run_episode(build_scenario(cfg, 0), cfg)
+
     @pytest.mark.parametrize("sid", (1, 2, 3))
     def test_zero_steps_rejected(self, sid):
         cfg = scenario(sid, duration=0.0)
@@ -231,6 +263,19 @@ class TestCsv:
     @example(values=[2.5])
     def test_format_column_formats_every_value(self, values):
         assert format_column(np.array(values, dtype=np.float64)) == [FMT % v for v in values]
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.sampled_from([0.0, -0.0, 0.7, np.nan]) | st.floats(), max_size=40))
+    @example(values=[0.7] * 5 + [0.0, -0.0, -0.0])
+    def test_held_list_shares_one_float_per_run(self, values):
+        # the episode loop's inputs: the values of tolist(), bitwise, with one
+        # object per run of bitwise-equal neighbours
+        column = np.array(values, dtype=np.float64)
+        held = held_list(column)
+        bits = column.view(np.uint64).tolist()
+        assert np.array(held, dtype=np.float64).view(np.uint64).tolist() == bits
+        for i in range(1, len(held)):
+            assert (held[i] is held[i - 1]) == (bits[i] == bits[i - 1])
 
     def test_format_column_int_bool_and_object_columns(self):
         d = "%d".__mod__
