@@ -9,6 +9,7 @@ import argparse
 import math
 import re
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import get_args, get_origin
 
 EMIT_CHOICES = ("log", "qoe", "table", "plotdata")
@@ -84,7 +85,7 @@ class RunConfig:
         number of te steps (to within 1e-9 of a step)."""
         for name in names:
             ratio = getattr(self, name) / self.te
-            if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
+            if not math.isfinite(ratio) or round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
                 yield f"{name}: must be a positive whole multiple of te"
 
     def validate(self) -> None:
@@ -243,7 +244,10 @@ def emit_config(cfg: RunConfig, path) -> None:
             fh.write(f"{_file_key(f)} = {_format_value(f, getattr(cfg, f.name))}\n")
 
 
+@lru_cache(maxsize=1)
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` keeps
+    no state between calls, so every ``parse_config`` shares it."""
     p = argparse.ArgumentParser(
         prog="abrlab",
         description="Adaptive-bitrate buffer-control scenario runner")

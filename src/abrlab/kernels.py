@@ -3,7 +3,9 @@
 The callees take arrays or lists alike: the episode loop hands them Python
 floats, which are much cheaper to compute with than NumPy scalars and give
 the same IEEE results.  The fused ``episode_loop`` is the one implementation
-of the controller; its docstring states what it computes and returns.
+of the controller and of the plant; its docstring states what it computes
+and returns, and how its per-step body keeps to arithmetic: clock tests on
+step indices, the read and the Euler step written in line.
 """
 from bisect import bisect_left, bisect_right
 from itertools import chain, repeat
@@ -132,17 +134,15 @@ def feedforward(c_nominal, ref_slope):
     return c_nominal / (ref_slope + 1.0)
 
 
-def plant_step(x, playing, R, C, Te):
-    """One explicit-Euler step of the client buffer, draining at the playback
-    rate only while ``playing``."""
-    if playing:
-        dx = C / R - 1.0
-    else:
-        dx = C / R
-    xn = x + Te * dx
-    if xn < 0.0:
-        xn = 0.0
-    return xn
+def clock_step(n, passes):
+    """The first step k of 0..n-1 whose clock test ``passes(k)`` holds, or n.
+
+    The episode loop's clock tests compare ``k * te`` with a fixed time, so
+    each is False up to one step and True from it on; that step is found by
+    evaluating the loop's own comparison.  ``ceil(x / te)`` is not it: at te
+    0.01, 0.07 / te rounds up to 8 while ``7 * te >= 0.07`` already holds.
+    """
+    return bisect_left(range(n), True, key=passes)
 
 
 def held_list(column, fn=None) -> list:
@@ -164,7 +164,8 @@ def held_list(column, fn=None) -> list:
 
 
 def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
-    """Fused inner loop for one episode of the config ``cfg``.
+    """Fused inner loop for one episode of the config ``cfg``, and the one
+    implementation of the controller and of the plant.
 
     Per te step: measure, test the bandwidth estimate's window conditions,
     replan the reference, at the chunk cadence pick the bitrate, then
@@ -177,6 +178,12 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     buffer, and ``c_est`` is the last positive estimate at a valid step
     (``held_estimates``).
 
+    The clock is step indices.  Each test of the clock ``t = k * te`` against
+    a time (playback may start, a whole window into playback, the ramp ends)
+    holds from one step on, found once per episode (``clock_step``), and the
+    next decision is a running step; ``k * te`` is computed only where the
+    ramp and its slope are evaluated.
+
     A step is valid once a whole window has passed since the last step that
     was out of playback, had the measured buffer at or below the chunk
     duration, or changed the bitrate.  The estimate itself is evaluated only
@@ -184,6 +191,9 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     steps only with it off.  A read takes the newest valid step with a
     positive estimate, going back to the previous read; an estimate more than
     one window old is stale, and the capacity measurement is read instead.
+    The read's window dot and estimate are ``ring_dot`` and
+    ``bandwidth_from_window`` written in line, the same operations in the
+    same order, so bitwise the same value.
 
     The replanning slope divides the read by the rung below it on the way up,
     above it on the way down.  That rung is looked up (``ladder_below``/
@@ -194,6 +204,10 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     The flat inversion needs a reference slope above -1.  A decision whose
     combined (ramp plus replanning) slope is at most -1 requests the top
     rung, the inversion's limit as the slope falls to -1.
+
+    The plant is one explicit-Euler step of the client buffer per te step,
+    draining at the playback rate only while playing (from the startup on,
+    with the buffer at or above the chunk duration), clamped at empty.
     """
     te, delta_startup, chunk_duration = cfg.te, cfg.delta_startup, cfg.chunk_duration
     t0, tf, x0, xf = cfg.t0, cfg.tf, cfg.x0, cfg.xf
@@ -203,6 +217,13 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     n = len(c_true)
     win = len(w_lin)
     ratio = cfg.steps(cfg.decision_interval)
+    gain = 6.0 / tau**3  # bandwidth_from_window's kernel gain
+
+    # the first step of each clock test: t >= delta_startup, t > valid_after
+    # and t >= tf (the ramp profile is constant from tf on)
+    k_startup = clock_step(n, lambda k: k * te >= delta_startup)
+    k_valid = clock_step(n, lambda k: k * te > valid_after)
+    k_flat = clock_step(n, lambda k: not k * te < tf)
 
     # the window-averaged capacity measurement, the fallback for a stale
     # estimate: one sequential running sum of sample in minus sample out;
@@ -233,6 +254,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     last_bad = 0            # last step that spoiled the estimate's window (x = 0 at step 0)
     last_valid = -win - 1   # step of the held estimate; stale from the start
     last_read = -1
+    next_decision = 0
     replan_active = False
     dirn = 1  # replanning starts on the way up
     y_ad = 0.0
@@ -242,26 +264,25 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     coef_dirn = 0
     coef_lo = coef_hi = 0.0
 
-    for k in range(n):
-        t = k * te
-        xm = x * (1.0 + noise[k])
-        if t < tf:
-            base = bezier_eval(t, t0, tf, x0, xf)
+    for k, C, nz in zip(range(n), c_true, noise):
+        xm = x * (1.0 + nz)
+        if k < k_flat:
+            base = bezier_eval(k * te, t0, tf, x0, xf)
         else:
-            base = xf  # the ramp profile is constant from tf on
+            base = xf
         h = k + win - 1
         x_hist[h] = xm
         u_hist[h] = u_held
 
         # Bandwidth estimate: valid only late enough, in playback regime with
         # x above the chunk duration and an unchanged bitrate over the window.
-        playing = t >= delta_startup and x >= chunk_duration
+        playing = k >= k_startup and x >= chunk_duration
         if not (playing and xm > chunk_duration):
             last_bad = k
-        elif t > valid_after and k - last_bad >= win:
+        elif k >= k_valid and k - last_bad >= win:
             valid[k] = True
 
-        decide = k % ratio == 0
+        decide = k == next_decision
         if replan or decide:
             # A non-positive value (measurement noise) is never acted on: the
             # last positive estimate and its validity clock are kept instead.
@@ -270,7 +291,13 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
             j = k
             while j > last_read:
                 if valid[j]:
-                    c_new = bandwidth_from_window(cur_R, ring_dot(w_lin, x_hist, j), tau)
+                    # ring_dot(w_lin, x_hist, j): from 0.0, oldest sample first
+                    dot = 0.0
+                    i = j
+                    for wi in w_lin:
+                        dot += wi * x_hist[i]
+                        i += 1
+                    c_new = cur_R * (1.0 - gain * dot)
                     if c_new > 0.0:
                         cest = c_new
                         last_valid = j
@@ -311,7 +338,8 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         ref = base + y_ad
 
         if decide:
-            ref_rate = bezier_derivative(t, t0, tf, x0, xf)
+            next_decision += ratio
+            ref_rate = bezier_derivative(k * te, t0, tf, x0, xf)
             if replan_active:
                 ref_rate += ad_rate
             if k >= win - 1:
@@ -337,7 +365,13 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         x_a.append(x)
         ref_a.append(ref)
 
-        x = plant_step(x, playing, cur_R, c_true[k], te)
+        # explicit Euler step of the true plant, clamped at empty
+        if playing:
+            x += te * (C / cur_R - 1.0)
+        else:
+            x += te * (C / cur_R)
+        if x < 0.0:
+            x = 0.0
 
     # the histories and converted inputs must not outlive the loop
     del x_hist, u_hist, cm_bar, c_true, noise

@@ -1,4 +1,5 @@
 """Channel scenarios, episode execution and the per-step episode log."""
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
@@ -37,7 +38,12 @@ class ChannelTrace:
 
 
 def episode_steps(cfg: RunConfig) -> int:
-    """The config's number of te steps; a duration that gives none is an error."""
+    """The config's number of te steps; a te that is not finite and positive,
+    or a duration that gives no step, is an error."""
+    if not 0.0 < cfg.te < math.inf:  # NaN fails both
+        raise ValueError(f"te must be finite and positive, got {cfg.te:g} s")
+    if not math.isfinite(cfg.duration):
+        raise ValueError(f"duration must be finite, got {cfg.duration:g} s")
     n = cfg.n_steps
     if n < 1:
         raise ValueError(f"duration {cfg.duration:g} s spans no step of te = {cfg.te:g} s")

@@ -13,7 +13,7 @@ from abrlab.cli import main, run_single
 from abrlab.config import RunConfig
 from abrlab.estimation import bump_kernel_weights, linear_kernel_weights
 from abrlab.kernels import (bandwidth_from_window, bezier_derivative, bezier_eval,
-                            f_from_window, ip_control, plant_step, ring_dot)
+                            f_from_window, ip_control, ring_dot)
 from abrlab.metrics import qoe_report
 
 TE = 0.1
@@ -191,13 +191,14 @@ def test_criterion_8_plant_euler_convergence():
     _verdict(8, f"scenario 1 final buffer: Te 0.1 vs 0.05 differ by {diff:.2e} "
                 f"< {threshold:.2f}", ok)
 
-    # the open-loop plant alone converges as well (sliding at the stall edge)
+    # the open-loop plant alone converges as well (sliding at the stall edge):
+    # explicit Euler at R 2.0 on C 0.7, draining while playing, clamped at empty
     def run_plant(te):
         cfg = RunConfig(te=te)
         x = 0.0
         for k in range(cfg.n_steps):
             playing = k * te >= cfg.delta_startup and x >= cfg.chunk_duration
-            x = plant_step(x, playing, 2.0, 0.7, te)
+            x = max(0.0, x + te * (0.7 / 2.0 - (1.0 if playing else 0.0)))
         return x
 
     assert abs(run_plant(0.1) - run_plant(0.05)) < threshold

@@ -102,6 +102,15 @@ class TestParsing:
     def test_no_replan_flag(self):
         assert parse_config(["--no-replan"]).replan is False
 
+    def test_one_parser_independent_configs(self):
+        # the parser is built once per process and parse_args keeps no state
+        assert build_arg_parser() is build_arg_parser()
+        a = parse_config(["--scenario", "2", "--replan", "--seeds", "3..4"])
+        b = parse_config(["--kp", "0.5"])
+        assert (a.scenario, a.replan, a.seeds, a.kp) == (2, True, [3, 4], RunConfig().kp)
+        assert b == RunConfig(kp=0.5)
+        assert a.seeds is not b.seeds and a.ladder is not b.ladder
+
     def test_validation_failures(self):
         with pytest.raises(ConfigError):
             parse_config(["--kp", "-1"])

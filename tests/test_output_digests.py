@@ -8,8 +8,9 @@ printed on stdout.  A change that moves one byte of any of them fails here.
 The CSV files hold ``%.10g`` text, which hides a one-ulp drift, so the file
 also pins the dtype and the SHA-256 of the raw bytes of every ``EpisodeLog``
 array for the same six cells at seed 0 and for non-default settings
-(buffer-measurement noise, other decision intervals and windows, and
-capacities that put the replanning read exactly on a rung).
+(buffer-measurement noise, other decision intervals and windows, clock
+thresholds at te 0.01, and capacities that put the replanning read exactly
+on a rung).
 
 Record the digests again only when the outputs change on purpose:
 
@@ -50,6 +51,16 @@ EPISODES["s2_replan_decision_1_tau_0.5"] = ["--scenario", "2", "--replan",
 EPISODES["s2_noreplan_x_noise_0.1"] = ["--scenario", "2", "--no-replan", "--x-noise", "0.1"]
 EPISODES["s3_noreplan_decision_0.5_tau_2"] = ["--scenario", "3", "--no-replan",
                                               "--decision-interval", "0.5", "--tau", "2"]
+# Clock thresholds at te 0.01, where ceil(x / te) is one step late: 0.07 s and
+# 0.28 s are first reached at steps 7 and 28 (ceil gives 8 and 29), and 2.47 s
+# at step 247 (ceil gives 248), there with the buffer already above a 0.5 s
+# chunk, so that playback starts at that step.
+for _replan in (True, False):
+    _flags = ["--scenario", "2", _arm(_replan), "--te", "0.01", "--duration", "20"]
+    EPISODES[f"{_call_key(2, _replan)}_te_0.01_startup_0.07_tf_0.28"] = _flags + [
+        "--delta-startup", "0.07", "--tf", "0.28"]
+    EPISODES[f"{_call_key(2, _replan)}_te_0.01_startup_2.47_chunk_0.5"] = _flags + [
+        "--delta-startup", "2.47", "--chunk-duration", "0.5"]
 # Rung boundaries of the replanning coefficient.  At seed 0 the first reads an
 # estimate exactly on a rung twice; in the second, reads on a rung decide the
 # rung both on the way up and on the way down.

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from abrlab.cli import _write_plotdata, run_single
 from abrlab.config import S3_DIP_MAX, RunConfig
-from abrlab.kernels import held_list, plant_step
+from abrlab.kernels import clock_step, held_list
 from abrlab.plant import (FMT, S3_FORCE_BELOW, ChannelTrace, build_scenario, format_column,
                           run_episode)
 
@@ -21,13 +21,15 @@ CFG = RunConfig()
 DELTA, CHUNK = CFG.delta_startup, CFG.chunk_duration
 
 
-def step(x, t, R, C, Te=0.1):
-    # the episode loop's playback rule, pinned on whole episodes by TestEpisode
-    return plant_step(x, t >= DELTA and x >= CHUNK, R, C, Te)
-
-
 def scenario(sid, **overrides):
     return RunConfig(scenario=sid, **overrides)
+
+
+def one_rate(R, C, **overrides):
+    """A 20 s episode at the one bitrate R (a one-rung ladder) on the constant
+    capacity C (scenario 1): the controller has no choice, so the buffer is
+    the plant's alone."""
+    return run_single(scenario(1, ladder=[R], c0=C, duration=20.0, **overrides), 0)
 
 
 class TestParams:
@@ -43,32 +45,68 @@ class TestParams:
 
 
 class TestStep:
+    # the plant is the episode loop's explicit-Euler step of the buffer
+
     def test_startup_fills(self):
-        assert step(0.0, 0.0, R=2.0, C=2.0) == pytest.approx(0.1)
+        log = one_rate(2.0, 2.0)
+        assert log.x[1] == pytest.approx(0.1)
+        # filling at C / R until the startup, whatever the buffer
+        np.testing.assert_allclose(np.diff(log.x[:51]), 0.1)
 
     def test_playback_drains(self):
-        assert step(2.0, 6.0, R=2.0, C=1.0) == pytest.approx(1.95)
+        log = one_rate(2.0, 1.0)
+        assert log.x[50] == pytest.approx(2.5)  # the startup step, playing
+        assert log.x[51] == pytest.approx(2.45)
 
     def test_playback_balanced(self):
-        assert step(4.0, 10.0, R=0.7, C=0.7) == pytest.approx(4.0)
+        log = one_rate(0.7, 0.7)
+        assert log.x[50] == pytest.approx(5.0)
+        assert np.all(log.x[50:] == log.x[50])
 
     def test_low_buffer_always_fills(self):
         # below the chunk duration the playout is frozen even after startup
-        assert step(1.0, 50.0, R=2.0, C=1.0) == pytest.approx(1.05)
+        log = one_rate(2.0, 1.0)
+        low = (log.t[:-1] >= DELTA) & (log.x[:-1] < CHUNK)
+        assert low.sum() > 10
+        np.testing.assert_allclose(np.diff(log.x)[low], 0.05)
 
     def test_clamped_at_zero(self):
-        x = plant_step(0.05, True, 4.0, 0.1, 0.1)
-        assert x == 0.0
+        # a chunk shorter than te: playback would drain the buffer below empty
+        log = one_rate(4.0, 0.1, chunk_duration=0.05, delta_startup=0.0)
+        drained = np.flatnonzero(log.regime[:-1] == 1)
+        assert len(drained) > 0
+        assert np.all(log.x[drained + 1] == 0.0)
 
     def test_regime_rule_property(self):
+        # every step: x + te * (C / R - drain), clamped at empty, draining from
+        # the startup on (the clock k * te) while x >= the chunk duration
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            x = float(rng.uniform(0.0, 10.0))
-            t = float(rng.uniform(0.0, 20.0))
-            R = float(rng.uniform(0.35, 5.0))
-            C = float(rng.uniform(0.1, 3.0))
-            drain = 1.0 if (t >= 5.0 and x >= 2.0) else 0.0
-            assert step(x, t, R, C) == pytest.approx(max(0.0, x + 0.1 * (C / R - drain)))
+        for _ in range(20):
+            R, C, delta, chunk = (float(rng.uniform(lo, hi)) for lo, hi in
+                                  ((0.35, 5.0), (0.1, 3.0), (0.0, 10.0), (0.0, 5.0)))
+            x = one_rate(R, C, delta_startup=delta, chunk_duration=chunk).x.tolist()
+            for k in range(len(x) - 1):
+                drain = 1.0 if (k * 0.1 >= delta and x[k] >= chunk) else 0.0
+                assert x[k + 1] == max(0.0, x[k] + 0.1 * (C / R - drain)), k
+
+
+class TestClock:
+    def test_first_passing_step(self):
+        # the clock test itself, not ceil(x / te): 0.07 / 0.01 rounds up to 8
+        assert clock_step(100, lambda k: k * 0.01 >= 0.07) == 7
+        assert clock_step(100, lambda k: not k * 0.01 < 0.28) == 28
+        assert clock_step(10, lambda k: k * 0.1 >= 5.0) == 10  # never within the episode
+        assert clock_step(10, lambda k: k * 0.1 >= np.nan) == 10
+        assert clock_step(0, lambda k: True) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(te=st.floats(1e-3, 1.0), at=st.floats(-1.0, 100.0), n=st.integers(0, 600))
+    def test_the_tests_hold_from_one_step_on(self, te, at, n):
+        for passes in (lambda k: k * te >= at, lambda k: k * te > at,
+                       lambda k: not k * te < at):
+            first = clock_step(n, passes)
+            assert not any(map(passes, range(first)))
+            assert all(map(passes, range(first, n)))
 
 
 class TestScenarios:
@@ -220,9 +258,11 @@ class TestEpisode:
             run_episode(tr, cfg)
 
     @pytest.mark.parametrize("overrides", ({"tau": 0.15}, {"decision_interval": 0.25},
-                                           {"tau": 0.9, "te": 0.2}))
+                                           {"tau": 0.9, "te": 0.2}, {"tau": np.inf},
+                                           {"decision_interval": np.nan}))
     def test_off_grid_window_or_cadence_rejected(self, overrides):
-        # steps() would round these to a whole step and run on the wrong grid
+        # steps() would round these to a whole step and run on the wrong grid,
+        # or fail without naming a non-finite one
         cfg = scenario(1, duration=20.0, **overrides)
         name = next(iter(overrides))
         with pytest.raises(ValueError, match=f"{name}: must be a positive whole multiple of te"):
@@ -236,6 +276,25 @@ class TestEpisode:
         # nor does a trace long enough for another config make it run
         with pytest.raises(ValueError, match="duration 0 s"):
             run_episode(build_scenario(scenario(sid), 0), cfg)
+
+    @pytest.mark.parametrize("sid", (1, 2, 3))
+    @pytest.mark.parametrize("te", (0.0, -0.1, np.nan, np.inf, -np.inf))
+    def test_te_not_finite_and_positive_rejected(self, sid, te):
+        cfg = scenario(sid, duration=20.0, te=te)
+        with pytest.raises(ValueError, match="te must be finite and positive"):
+            build_scenario(cfg, 0)
+        # nor does a trace drawn for a valid te make it run
+        with pytest.raises(ValueError, match="te must be finite and positive"):
+            run_episode(build_scenario(scenario(sid, duration=20.0), 0), cfg)
+
+    @pytest.mark.parametrize("sid", (1, 2, 3))
+    @pytest.mark.parametrize("duration", (np.nan, np.inf))
+    def test_duration_not_finite_rejected(self, sid, duration):
+        cfg = scenario(sid, duration=duration)
+        with pytest.raises(ValueError, match="duration must be finite"):
+            build_scenario(cfg, 0)
+        with pytest.raises(ValueError, match="duration must be finite"):
+            run_episode(build_scenario(scenario(sid, duration=20.0), 0), cfg)
 
     def test_clock_text_shared(self):
         cfg = RunConfig(duration=20.0, te=0.05)
