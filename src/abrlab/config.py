@@ -1,15 +1,20 @@
 """Run configuration: the one declaration of every parameter.
 
-Each ``RunConfig`` field carries its file section in its metadata.  The
-dotted file key (``section.name``), the command-line flag (``--name`` with
-``_`` as ``-``; booleans get a ``--no-name`` twin) and the text parse and
-format all derive from the field's name and type.
+Each ``RunConfig`` field carries its file section and its rules in its
+metadata (``_param``).  The dotted file key (``section.name``), the
+command-line flag (``--name`` with ``_`` as ``-``; booleans get a
+``--no-name`` twin) and the text parse and format all derive from the
+field's name and type.  The field's rules (its bounds, choices or te grid,
+and finiteness for every float) are checked by ``validate`` in one loop
+over the fields and printed in the flag's ``--help`` text; ``_problems``
+writes out only the rules across fields.
 """
 import argparse
 import math
+import operator
 import re
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import get_args, get_origin
 
 EMIT_CHOICES = ("log", "qoe", "table", "plotdata")
@@ -22,13 +27,43 @@ S3_DIP_MAX = 0.97 * S3_FORCE_BELOW
 # Largest |slope| of the unit ramp 280 T^3 (1-T)^4, reached at T = 3/7.
 RAMP_PEAK_SLOPE = 1935360 / 823543
 
+# rule keyword -> (op with op(bound, value) true for a valid value, and for a
+# bound: its word when at 0, its symbol when alone, its interval bracket)
+RULES = {"gt": (operator.lt, "positive", ">", "("),
+         "ge": (operator.le, "non-negative", ">=", "["),
+         "lt": (operator.gt, "negative", "<", ")"),
+         "le": (operator.ge, "non-positive", "<=", "]"),
+         "choices": (operator.contains,)}
+GRID_RULE = "must be a positive whole multiple of te"
+
 
 class ConfigError(ValueError):
     pass
 
 
-def _param(section: str, default, help: str | None = None):
-    meta = {"section": section, "help": help}
+def _rule_text(grid, rules) -> str:
+    """A field's declared rule in words, '' when it declares none."""
+    if grid:
+        return GRID_RULE
+    if "choices" in rules:
+        return "must be one of " + ", ".join(map(str, rules["choices"]))
+    if len(rules) == 2:
+        (lo_op, lo), (hi_op, hi) = rules.items()
+        return f"must lie in {RULES[lo_op][3]}{lo:.4g}, {hi:.4g}{RULES[hi_op][3]}"
+    return "".join(f"must be {RULES[op][1] if b == 0 else f'{RULES[op][2]} {b:g}'}"
+                   for op, b in rules.items())  # one bound or none
+
+
+def _param(section: str, default, help: str | None = None, *, grid=False, **rules):
+    """A field with its file section, help text and rules.  The ``RULES``
+    keywords (bounds ``gt``/``ge``/``lt``/``le``, a lower bound first when
+    there are two, or ``choices``) apply to the value, or to each item of a
+    list field; ``grid`` marks a positive whole multiple of te.  The flag's
+    help ends with the rule in words."""
+    rule = _rule_text(grid, rules)
+    meta = {"section": section, "help": "; ".join(filter(None, (help, rule))), "rule": rule,
+            "grid": grid, "rules": rules,
+            "tests": [partial(RULES[op][0], b) for op, b in rules.items()]}
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=meta)
     return field(default=default, metadata=meta)
@@ -36,41 +71,45 @@ def _param(section: str, default, help: str | None = None):
 
 @dataclass
 class RunConfig:
-    scenario: int = _param("run", 1, "1, 2 or 3")
+    scenario: int = _param("run", 1, choices=(1, 2, 3))
     replan: bool = _param("run", False)
-    seeds: list[int] = _param("run", [0], "e.g. '0..99' or '1,2,5'")
+    seeds: list[int] = _param("run", [0], "e.g. '0..99' or '1,2,5'", ge=0)
     out: str = _param("run", "out", "output directory")
-    emit: list[str] = _param("run", ["qoe", "table"],
-                             "comma list from: " + ",".join(EMIT_CHOICES))
-    # reference trajectory
-    t0: float = _param("trajectory", 0.0)
+    emit: list[str] = _param("run", ["qoe", "table"], "comma list", choices=EMIT_CHOICES)
+    # reference trajectory; the buffer levels are targets, never below empty
+    t0: float = _param("trajectory", 0.0, ge=0.0)
     tf: float = _param("trajectory", 10.0)
-    x0: float = _param("trajectory", 0.0)
-    xf: float = _param("trajectory", 4.0)
-    replan_lower: float = _param("trajectory", 4.5)
+    x0: float = _param("trajectory", 0.0, ge=0.0)
+    xf: float = _param("trajectory", 4.0, ge=0.0)
+    # a lower bound the measured buffer never falls below would leave
+    # replanning that turned downward never turning back up
+    replan_lower: float = _param("trajectory", 4.5, gt=0.0)
     replan_upper: float = _param("trajectory", 12.0)
-    # controller
+    # controller: kp > 0 for closed-loop stability; alpha < 0, as the input
+    # gain -C/R^2 is
     ladder: list[float] = _param("controller", [0.35, 0.6, 1.0, 2.0, 3.0, 5.0],
-                                 "comma list of admissible bitrates")
-    alpha: float = _param("controller", -10.0)
-    kp: float = _param("controller", 0.25)
-    tau: float = _param("controller", 1.0)
-    decision_interval: float = _param("controller", 2.0)
-    # plant / scenarios
-    c0: float = _param("plant", 0.7)
+                                 "comma list of admissible bitrates", gt=0.0)
+    alpha: float = _param("controller", -10.0, lt=0.0)
+    kp: float = _param("controller", 0.25, gt=0.0)
+    tau: float = _param("controller", 1.0, grid=True)
+    decision_interval: float = _param("controller", 2.0, grid=True)
+    # plant / scenarios: a relative measurement noise of 1 or more can read a
+    # buffer or a capacity as zero or below; scenario 3 always dips below
+    # S3_FORCE_BELOW, so its lowest level may not lie above S3_DIP_MAX
+    c0: float = _param("plant", 0.7, gt=0.0)
     duration: float = _param("plant", 600.0)
-    delta_startup: float = _param("plant", 5.0)
-    chunk_duration: float = _param("plant", 2.0)
-    te: float = _param("plant", 0.1)
-    x_noise: float = _param("plant", 0.0)
-    s2_segment: float = _param("scenario", 60.0)
-    s2_level_lo: float = _param("scenario", 0.5)
+    delta_startup: float = _param("plant", 5.0, ge=0.0)
+    chunk_duration: float = _param("plant", 2.0, grid=True)
+    te: float = _param("plant", 0.1, gt=0.0)
+    x_noise: float = _param("plant", 0.0, ge=0.0, lt=1.0)
+    s2_segment: float = _param("scenario", 60.0, grid=True)
+    s2_level_lo: float = _param("scenario", 0.5, gt=0.0)
     s2_level_hi: float = _param("scenario", 2.5)
-    s2_noise: float = _param("scenario", 0.2)
-    s3_segment: float = _param("scenario", 20.0)
-    s3_level_lo: float = _param("scenario", 0.25)
+    s2_noise: float = _param("scenario", 0.2, ge=0.0, lt=1.0)
+    s3_segment: float = _param("scenario", 20.0, grid=True)
+    s3_level_lo: float = _param("scenario", 0.25, gt=0.0, le=S3_DIP_MAX)
     s3_level_hi: float = _param("scenario", 1.5)
-    s3_noise: float = _param("scenario", 0.3)
+    s3_noise: float = _param("scenario", 0.3, ge=0.0, lt=1.0)
 
     def steps(self, seconds: float) -> int:
         """Te steps in ``seconds``, rounded to the nearest whole step."""
@@ -86,65 +125,43 @@ class RunConfig:
         for name in names:
             ratio = getattr(self, name) / self.te
             if not math.isfinite(ratio) or round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
-                yield f"{name}: must be a positive whole multiple of te"
+                yield f"{name}: {GRID_RULE}"
 
     def validate(self) -> None:
         for problem in self._problems():
             raise ConfigError(problem)
 
     def _problems(self):
-        """Yield what is wrong, in order; later checks rely on earlier ones."""
-        for f in fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
-                yield f"{f.name}: must be finite, got {getattr(self, f.name)}"
-        if not all(map(math.isfinite, self.ladder)):
-            yield "ladder: rates must be finite"
-        if self.scenario not in (1, 2, 3):
-            yield f"scenario: must be 1, 2 or 3, got {self.scenario}"
+        """Yield what is wrong, in order; later checks rely on earlier ones.
+        The fields' own rules come first (``FIELD_RULES``, then the te grid),
+        then the rules across fields."""
+        for name, each, floats, tests, rule in FIELD_RULES:
+            value = getattr(self, name)
+            for v in value if each else (value,):
+                if floats and not math.isfinite(v):
+                    yield f"{name}: must be finite, got {v!r}"
+                for test in tests:
+                    if not test(v):
+                        yield f"{name}: {rule}, got {v!r}"
+        yield from self.off_grid(*GRID_FIELDS)
         if not self.seeds:
             yield "seeds: at least one seed required"
-        if any(s < 0 for s in self.seeds):
-            yield "seeds: must be non-negative"
         if len(set(self.seeds)) < len(self.seeds):
             yield "seeds: must be distinct"
-        for e in self.emit:
-            if e not in EMIT_CHOICES:
-                yield f"emit: unknown format {e!r} (choose from {EMIT_CHOICES})"
         if self.out != self.out.strip() or any(c in self.out for c in "#\r\n"):
             yield (f"out: a config file cannot hold {self.out!r}: no '#', no line break,"
                    " no whitespace at either end")
-        if self.c0 <= 0.0:
-            yield "c0: nominal capacity must be positive"
-        if not 0.0 <= self.x_noise < 1.0:
-            yield "x_noise: must lie in [0, 1), or the measured buffer can be <= 0"
-        if self.replan_lower <= 0.0:
-            yield "replan_lower: must be positive"
         if not self.replan_lower < self.replan_upper:
             yield "replan_lower must be below replan_upper"
-        if not 0.0 <= self.t0 < self.tf:
-            yield f"trajectory: require 0 <= t0 < tf, got t0={self.t0}, tf={self.tf}"
-        if self.x0 < 0.0 or self.xf < 0.0:
-            yield ("trajectory: buffer levels must be non-negative,"
-                   f" got x0={self.x0}, xf={self.xf}")
+        if not self.t0 < self.tf:
+            yield f"trajectory: require t0 < tf, got t0={self.t0}, tf={self.tf}"
         if RAMP_PEAK_SLOPE * (self.x0 - self.xf) >= self.tf - self.t0:
             yield ("trajectory: the reference must fall slower than playback drains the"
                    f" buffer: require x0 - xf < {1 / RAMP_PEAK_SLOPE:.4f} * (tf - t0)")
         if not self.ladder:
             yield "ladder: must be non-empty"
-        if any(v <= 0.0 for v in self.ladder):
-            yield "ladder: rates must be positive"
         if any(b <= a for a, b in zip(self.ladder, self.ladder[1:])):
             yield "ladder: rates must be strictly increasing"
-        if self.kp <= 0.0:
-            yield "kp: must be positive (closed-loop stability)"
-        if self.alpha >= 0.0:
-            yield "alpha: must be negative, as the input gain -C/R^2 is"
-        if self.delta_startup < 0.0:
-            yield "delta_startup: must be non-negative"
-        if self.te <= 0.0:
-            yield "te: must be positive"
-        yield from self.off_grid("chunk_duration", "decision_interval", "tau",
-                                 "s2_segment", "s3_segment")
         if self.tau < 2.0 * self.te:
             yield "tau: must be at least 2*te"
         ratio = self.steps(self.decision_interval)
@@ -156,29 +173,38 @@ class RunConfig:
         if last_decision < self.delta_startup:
             yield f"delta_startup: must be at most the last decision time, {last_decision:g} s"
         for sid in (2, 3):
-            lo, hi, noise = (getattr(self, f"s{sid}_{name}")
-                             for name in ("level_lo", "level_hi", "noise"))
-            if not 0.0 < lo <= hi:
-                yield f"s{sid}_level_lo/hi: require 0 < level_lo <= level_hi"
-            if not 0.0 <= noise < 1.0:
-                yield f"s{sid}_noise: must lie in [0, 1), or measured capacity can be <= 0"
-        if self.s3_level_lo > S3_DIP_MAX:
-            yield (f"s3_level_lo: must be at most {S3_DIP_MAX:.4g}, as scenario 3 always"
-                   f" dips below {S3_FORCE_BELOW}")
+            if not getattr(self, f"s{sid}_level_lo") <= getattr(self, f"s{sid}_level_hi"):
+                yield f"s{sid}_level_lo/hi: require level_lo <= level_hi"
+
+
+GRID_FIELDS = tuple(f.name for f in fields(RunConfig) if f.metadata["grid"])
+# (name, a list, of floats, tests, rule) of every field: _problems checks
+# each float (or float item) finite, then each value (or item) against tests
+FIELD_RULES = [(f.name, get_origin(f.type) is list, f.type in (float, list[float]),
+                f.metadata["tests"], f.metadata["rule"]) for f in fields(RunConfig)]
+
+# The most seeds a run may name.  A batch keeps a QoE report of about
+# 0.3 KB per seed until it ends and spends at least 0.2 ms on each (a trace
+# draw and a report; scenario 1 at the defaults shares one episode), so a
+# batch at the cap holds about 0.3 GB and runs for minutes.
+MAX_SEEDS = 10**6
 
 
 def parse_seeds(text: str) -> list:
-    """Seed list syntax: 'a..b' inclusive range or comma-separated integers."""
+    """Seed list syntax: 'a..b' inclusive range or comma-separated integers,
+    at most MAX_SEEDS of them; a range is measured before its list is built."""
     text = text.strip()
     lo, sep, hi = text.partition("..")
     try:
-        seeds = (list(range(int(lo), int(hi) + 1)) if sep
+        seeds = (range(int(lo), int(hi) + 1) if sep
                  else [int(v) for v in text.split(",") if v.strip()])
     except ValueError as exc:
         raise ConfigError(f"seeds: cannot parse {text!r}") from exc
     if sep and not seeds:
         raise ConfigError(f"seeds: empty range {text!r}")
-    return seeds
+    if seeds[MAX_SEEDS:]:  # a slice, as len() of a range past sys.maxsize raises
+        raise ConfigError(f"seeds: {text!r} names more than {MAX_SEEDS} seeds")
+    return list(seeds)
 
 
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
@@ -250,7 +276,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     no state between calls, so every ``parse_config`` shares it."""
     p = argparse.ArgumentParser(
         prog="abrlab",
-        description="Adaptive-bitrate buffer-control scenario runner")
+        description="Adaptive-bitrate buffer-control scenario runner",
+        epilog="Every number must be finite.")
     # a negative value is a value, in exponent form too (--alpha -1e-3); the
     # default pattern takes only -12 and -1.5
     p._negative_number_matcher = re.compile(r"^-\.?\d")

@@ -151,7 +151,10 @@ def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
 
     The kernel's numeric preconditions are checked here: capacities finite
     and positive at every step, and the estimator window and the decision
-    interval whole numbers of te steps; anything else is a ``ValueError``."""
+    interval whole numbers of te steps; anything else is a ``ValueError``.
+    So is a buffer ``x``, reference ``ref`` or correction ``u`` that comes out
+    of the kernel not finite at some step (a config whose magnitudes
+    overflow); ``c_est`` is NaN before the first estimate by design."""
     n = episode_steps(cfg)
     if len(trace.true_capacity) < n:
         raise ValueError("trace shorter than episode duration")
@@ -171,6 +174,11 @@ def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
     x, ref, valid, R_k, u_k = kernels.episode_loop(
         c_true, c_meas, x_noise, w_lin, w_bump, cfg)
     ratio = cfg.steps(cfg.decision_interval)
+    for name, column, steps_per_value in (("x", x, 1), ("ref", ref, 1), ("u", u_k, ratio)):
+        finite = np.isfinite(column)
+        if not finite.all():
+            raise ValueError(f"{name} is not finite, first at step"
+                             f" {finite.argmin() * steps_per_value}")
     t = np.arange(n) * cfg.te
     x_meas = x * (1.0 + x_noise)
     R = np.repeat(R_k, ratio)[:n]

@@ -2,16 +2,18 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_origin
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from abrlab import kernels
+from abrlab import config, kernels
 from abrlab.cli import main, run_single
 from abrlab.config import (ConfigError, RunConfig, build_arg_parser, emit_config,
                            parse_config, parse_seeds, read_config_file)
@@ -85,6 +87,19 @@ class TestSeeds:
         with pytest.raises(ConfigError):
             parse_seeds("a,b")
 
+    def test_more_than_max_seeds_rejected_before_a_list_is_built(self):
+        # the range's list would take 800 GB; building any list here fails
+        with mock.patch.object(config, "list", create=True,
+                               side_effect=AssertionError("a list was built")):
+            for text in ("0..100000000000", f"0..{10**30}"):
+                with pytest.raises(ConfigError, match="^seeds: .* more than 1000000 seeds"):
+                    parse_seeds(text)
+        with mock.patch.object(config, "MAX_SEEDS", 3):
+            assert parse_seeds("5..7") == [5, 6, 7] and parse_seeds("1,2,3") == [1, 2, 3]
+            for text in ("5..8", "1,2,3,4"):
+                with pytest.raises(ConfigError, match="^seeds: .* more than 3 seeds"):
+                    parse_seeds(text)
+
 
 class TestParsing:
     def test_defaults(self):
@@ -139,7 +154,7 @@ class TestParsing:
             parse_config(["--x0", "10", "--xf", "0", "--tf", "5"])
         # a buffer target below empty
         for flags in (["--xf", "-3"], ["--x0", "-2"]):
-            with pytest.raises(ConfigError, match="trajectory:"):
+            with pytest.raises(ConfigError, match=flags[0][2:] + ":"):
                 parse_config(flags)
         # a startup delay after the last decision, which leaves no chunk to
         # count rebuffering over
@@ -301,6 +316,21 @@ class TestMain:
         assert "seeds: must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("flags, column", [
+        (["--ladder", "1e-300", "--c0", "1e300"], "x"),
+        (["--kp", "1e300", "--alpha", "-1e-300"], "u"),
+        (["--scenario", "3", "--replan", "--s3-level-hi", "1e308"], "x")],
+        ids=["tiny-rung", "huge-kp", "huge-s3-level"])
+    def test_non_finite_episode_exits_1(self, tmp_path, capsys, flags, column):
+        # validate accepts these magnitudes, but the buffer or the correction
+        # overflows; the run stops with the column and the step
+        code = main(["--duration", "120", "--out", str(tmp_path)] + flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"abrlab: {column} is not finite, first at step ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("seeds", ["--seeds=1,1", "--seeds=0,1,0"])
     def test_repeated_seed_exits_2(self, tmp_path, capsys, seeds):
         code = main(self.ARGS + [seeds, "--out", str(tmp_path / "never")])
@@ -329,6 +359,41 @@ class TestMain:
         rows = (tmp_path / "qoe.csv").read_text().splitlines()
         assert [row.split(",")[2] for row in rows[1:]] == [str(s) for s in range(100)]
         assert len(set(row.split(",", 3)[3] for row in rows[1:])) == 1
+
+
+@pytest.mark.parametrize("f", [f for f in fields(RunConfig) if f.metadata["rule"]],
+                         ids=lambda f: f.name)
+def test_declared_rule(f):
+    """A value just past a declared bound, off the te grid, outside the
+    choices or (for a float) not finite is rejected with an error that starts
+    with the field's name; a closed bound and each choice are accepted; the
+    rule is in the flag's help."""
+    def check(value, valid):
+        cfg = replace(RunConfig(), **{f.name: [value] if get_origin(f.type) is list else value})
+        if valid:
+            cfg.validate()
+        else:
+            with pytest.raises(ConfigError, match=f"^{f.name}: "):
+                cfg.validate()
+
+    te, floats = RunConfig().te, f.type in (float, list[float])
+    for value in (math.nan, math.inf, -math.inf) if floats else ():
+        check(value, False)
+    for value in (0.0, -te, 1.5 * te) if f.metadata["grid"] else ():
+        check(value, False)
+    for op, bound in f.metadata["rules"].items():
+        if op == "choices":
+            for value in bound:
+                check(value, True)
+            for value in {0, 4, "bogus"} - set(bound):
+                check(value, False)
+            continue
+        inward = 1 if op in ("gt", "ge") else -1
+        past = math.nextafter(bound, -inward * math.inf) if floats else bound - inward
+        check(past, False)
+        check(bound, op in ("ge", "le"))
+    helps = {action.dest: action.help for action in build_arg_parser()._actions}
+    assert helps[f.name].endswith(f.metadata["rule"])
 
 
 @settings(max_examples=40, deadline=None)
