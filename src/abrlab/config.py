@@ -164,6 +164,10 @@ class RunConfig:
             yield "ladder: rates must be strictly increasing"
         if self.tau < 2.0 * self.te:
             yield "tau: must be at least 2*te"
+        # before n_steps rounds it: a quotient past the int range overflows
+        if self.duration / self.te > MAX_STEPS:
+            yield (f"duration: must span at most {MAX_STEPS} te steps,"
+                   f" got {self.duration / self.te:.4g}")
         ratio = self.steps(self.decision_interval)
         if self.n_steps <= ratio:
             yield "duration: must span more than one decision interval (two decisions)"
@@ -188,6 +192,13 @@ FIELD_RULES = [(f.name, get_origin(f.type) is list, f.type in (float, list[float
 # draw and a report; scenario 1 at the defaults shares one episode), so a
 # batch at the cap holds about 0.3 GB and runs for minutes.
 MAX_SEEDS = 10**6
+
+# The most te steps an episode may span.  An episode holds about 0.2 KB per
+# step while it runs and 0.4 KB once its log is text (RSS growth from 60,000
+# to 600,000 steps, scenario 2 with replanning at te 0.01; BENCH_13.json
+# gives the loop's peak as 1.18 MB per 6,000 steps), so an episode at the
+# cap holds about 0.4 GB and runs for 1-10 s.
+MAX_STEPS = 10**6
 
 
 def parse_seeds(text: str) -> list:

@@ -39,21 +39,20 @@ def bezier_derivative(t, t0, tf, x0, xf):
 
 def quantize(r, ladder):
     """The ladder element nearest the rate r, ties broken toward the lower
-    rate.
+    rate; a rate past either end gets that end's rung, and NaN the lowest.
 
-    Ties are resolved with a small relative tolerance so that midpoints
-    which are not exactly representable (e.g. 0.8 between 0.6 and 1.0)
-    still round down.
+    The candidates are the two rungs around r (``bisect_left``, as in
+    ``rung_interval``).  Ties are resolved with a small relative tolerance so
+    that midpoints which are not exactly representable (e.g. 0.8 between 0.6
+    and 1.0) still round down.
     """
-    best = 0
-    best_d = abs(ladder[0] - r)
-    tol = 1e-12 * (1.0 + abs(r))
-    for i in range(1, len(ladder)):
-        d = abs(ladder[i] - r)
-        if d < best_d - tol:
-            best_d = d
-            best = i
-    return ladder[best]
+    i = bisect_left(ladder, r)
+    if i == 0:
+        return ladder[0]
+    if i == len(ladder):
+        return ladder[-1]
+    lo, hi = ladder[i - 1], ladder[i]
+    return hi if hi - r < r - lo - 1e-12 * (1.0 + abs(r)) else lo
 
 
 def ladder_below(c, ladder):
@@ -202,8 +201,9 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     or the direction flips; in between it is the same rung.
 
     The flat inversion needs a reference slope above -1.  A decision whose
-    combined (ramp plus replanning) slope is at most -1 requests the top
-    rung, the inversion's limit as the slope falls to -1.
+    combined (ramp plus replanning) slope is at most -1 makes an unbounded
+    request, the inversion's limit as the slope falls to -1, and so gets the
+    top rung.
 
     The plant is one explicit-Euler step of the client buffer per te step,
     draining at the playback rate only while playing (from the startup on,
@@ -248,7 +248,6 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
 
     x = 0.0
     cur_R = ladder[0]
-    top_R = ladder[-1]
     u_held = 0.0  # zero-order-held continuous correction, the estimator's input
     cest = 0.0
     last_bad = 0            # last step that spoiled the estimate's window (x = 0 at step 0)
@@ -347,13 +346,11 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
                 u_cont = ip_control(f_est, ref_rate, xm - ref, alpha, kp)
             else:
                 u_cont = 0.0  # estimator warm-up: pure feedforward
-            if ref_rate > -1.0:
-                # flat inversion along the full (replanned) reference
-                new_R = quantize(feedforward(c_known, ref_rate) + u_cont, ladder)
-            else:
-                # a reference draining at least as fast as playback: the
-                # inversion's limit as the slope falls to -1 is unbounded
-                new_R = top_R
+            # flat inversion along the full (replanned) reference; a reference
+            # draining at least as fast as playback requests an unbounded rate,
+            # the inversion's limit as the slope falls to -1: the top rung
+            new_R = quantize(feedforward(c_known, ref_rate) + u_cont if ref_rate > -1.0
+                             else inf, ladder)
             if new_R != cur_R:
                 last_bad = k  # a bitrate change spoils the window too
                 cur_R = new_R

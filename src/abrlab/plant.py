@@ -107,7 +107,7 @@ class EpisodeLog:
                                                      self.x.view(np.int64)):
                 text = self.text("x")  # no buffer-measurement noise
             else:
-                text = format_column(getattr(self, name), LOG_FORMATS.get(name, FMT.__mod__))
+                text = kernels.held_list(getattr(self, name), LOG_FORMATS.get(name, FMT.__mod__))
             self._text[name] = text
         return text
 
@@ -119,14 +119,7 @@ class EpisodeLog:
 def clock_text(n: int, te: float) -> list:
     """Text of the clock column ``arange(n) * te``.  Every episode of a run has
     the same clock, so it is formatted once and its text shared."""
-    return format_column(np.arange(n) * te)
-
-
-def format_column(column: np.ndarray, fmt=FMT.__mod__) -> list:
-    """The text ``fmt`` gives each value of a 1-D column (as a Python value),
-    formatted once per run of bitwise-equal neighbours (``kernels.held_list``),
-    so a held column costs one format per run."""
-    return kernels.held_list(column, fmt)
+    return kernels.held_list(np.arange(n) * te, FMT.__mod__)
 
 
 def write_columns(path, header, columns) -> None:
@@ -134,7 +127,7 @@ def write_columns(path, header, columns) -> None:
     line endings.  Every CSV file of a run is written here.
 
     An episode's columns are turned into text once per log (``EpisodeLog.text``
-    through ``format_column``) and shared by its three files; the QoE and table
+    through ``kernels.held_list``) and shared by its three files; the QoE and table
     writers format their few values directly.  Rows are joined WRITE_ROWS at a
     time to bound the memory held."""
     rows = map(",".join, zip(*columns))

@@ -331,6 +331,25 @@ class TestMain:
         assert err.startswith(f"abrlab: {column} is not finite, first at step ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [["--te", "1e-300", "--duration", "1e300"],
+                                       ["--duration", "1e12"]],
+                             ids=["steps-overflow-int", "steps-past-cap"])
+    def test_more_than_max_steps_exits_2(self, tmp_path, capsys, flags):
+        # duration / te is inf in the first, which no step count rounds to;
+        # the second would allocate its 10^13-step trace
+        code = main(flags + ["--out", str(tmp_path / "never")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("abrlab: invalid configuration: duration: must span at most")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "never").exists()
+
+    def test_max_steps_is_inclusive(self):
+        with mock.patch.object(config, "MAX_STEPS", 200):
+            RunConfig(duration=20.0).validate()  # 200 steps of 0.1 s
+            with pytest.raises(ConfigError, match="^duration: must span at most 200 te steps"):
+                RunConfig(duration=20.1).validate()
+
     @pytest.mark.parametrize("seeds", ["--seeds=1,1", "--seeds=0,1,0"])
     def test_repeated_seed_exits_2(self, tmp_path, capsys, seeds):
         code = main(self.ARGS + [seeds, "--out", str(tmp_path / "never")])

@@ -1,6 +1,9 @@
 """Feedforward, iP feedback, quantization and the decision pipeline."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from abrlab import kernels
 from abrlab.cli import run_single
@@ -129,12 +132,55 @@ class TestQuantize:
     def test_clamps_out_of_range(self):
         assert quantize(0.01, LADDER) == 0.35
         assert quantize(99.0, LADDER) == 5.0
+        # from about 5e12 on the relative tie tolerance exceeds the ladder's span
+        for r in (5e12, 1e300, math.inf):
+            assert quantize(r, LADDER) == 5.0
+        assert quantize(math.nan, LADDER) == quantize(-math.inf, LADDER) == 0.35
 
     def test_residual_bounded_in_range(self):
         rng = np.random.default_rng(7)
         for r in rng.uniform(0.35, 5.0, 200):
             eps = quantize(float(r), LADDER) - float(r)
             assert abs(eps) <= np.diff(LADDER).max() / 2 + 1e-12
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_equals_linear_scan(self, data):
+        ladder = sorted(data.draw(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=8,
+                                           unique=True)))
+        top = ladder[-1]
+        mids = [(a + b) / 2 for a, b in zip(ladder, ladder[1:])]
+        near = st.sampled_from(ladder + mids)
+        ulps = st.integers(-4, 4)
+        r = data.draw(st.builds(_ulps_away, near, ulps) | st.floats(-1.0, 2.0 * top))
+        assume(all(b - a > _tie_tol(r) for a, b in zip(ladder, ladder[1:])))
+        assert quantize(r, ladder) == _scan_quantize(r, ladder)
+
+
+def _tie_tol(r):
+    return 1e-12 * (1.0 + abs(r))
+
+
+def _ulps_away(x, k):
+    """The float k ulps above x (below for negative k)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _scan_quantize(r, ladder):
+    """The nearest rung by a linear scan, ties toward the lower rate: the
+    reference for ``quantize`` on ladders whose rungs lie more than the tie
+    tolerance apart, below twice the top rung."""
+    best = 0
+    best_d = abs(ladder[0] - r)
+    tol = _tie_tol(r)
+    for i in range(1, len(ladder)):
+        d = abs(ladder[i] - r)
+        if d < best_d - tol:
+            best_d = d
+            best = i
+    return ladder[best]
 
 
 def _decide(x_meas, ref, f_est=0.0, c_nominal=0.7):
@@ -151,6 +197,12 @@ class TestDecide:
         changes = np.nonzero(np.diff(log.R))[0] + 1
         assert changes.size > 0 and np.all(changes % 10 == 0)
         assert len(log.R_k) == 120
+
+    def test_huge_gain_reaches_top_rung(self):
+        # at kp 1e14 every request after the warm-up lies far outside the
+        # ladder, below or above it: each gets the bottom or the top rung
+        log = run_single(RunConfig(kp=1e14, duration=120.0), 0)
+        assert 5.0 in log.R_k
 
     def test_warm_up_is_pure_feedforward(self):
         log = run_single(RunConfig(), 0)

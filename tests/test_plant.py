@@ -12,8 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from abrlab.cli import _write_plotdata, run_single
 from abrlab.config import S3_DIP_MAX, RunConfig
 from abrlab.kernels import clock_step, held_list
-from abrlab.plant import (FMT, S3_FORCE_BELOW, ChannelTrace, build_scenario, format_column,
-                          run_episode)
+from abrlab.plant import FMT, S3_FORCE_BELOW, ChannelTrace, build_scenario, run_episode
 
 from config_strategies import run_configs
 
@@ -300,7 +299,7 @@ class TestEpisode:
         cfg = RunConfig(duration=20.0, te=0.05)
         a, b = (run_episode(build_scenario(cfg, seed), cfg) for seed in (0, 1))
         assert a.text("t") is b.text("t")
-        assert a.text("t") == format_column(a.t)
+        assert a.text("t") == held_list(a.t, FMT.__mod__)
 
     def test_episode_csv(self, tmp_path):
         cfg = RunConfig(duration=20.0)
@@ -320,8 +319,9 @@ class TestCsv:
     @example(values=[np.nan, np.nan, np.nan, 0.25, 0.25])  # c_est before its first estimate
     @example(values=[np.inf, -np.inf, -np.inf, np.inf])
     @example(values=[2.5])
-    def test_format_column_formats_every_value(self, values):
-        assert format_column(np.array(values, dtype=np.float64)) == [FMT % v for v in values]
+    def test_held_list_formats_every_value(self, values):
+        column = np.array(values, dtype=np.float64)
+        assert held_list(column, FMT.__mod__) == [FMT % v for v in values]
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.sampled_from([0.0, -0.0, 0.7, np.nan]) | st.floats(), max_size=40))
@@ -336,11 +336,11 @@ class TestCsv:
         for i in range(1, len(held)):
             assert (held[i] is held[i - 1]) == (bits[i] == bits[i - 1])
 
-    def test_format_column_int_bool_and_object_columns(self):
+    def test_held_list_int_bool_and_object_columns(self):
         d = "%d".__mod__
-        assert format_column(np.array([0, 0, 1, 1, 0], dtype=np.int8), d) == ["0", "0", "1", "1", "0"]
-        assert format_column(np.array([True, True, False]), d) == ["1", "1", "0"]
-        assert format_column(np.array([], dtype=np.float64)) == []
+        assert held_list(np.array([0, 0, 1, 1, 0], dtype=np.int8), d) == ["0", "0", "1", "1", "0"]
+        assert held_list(np.array([True, True, False]), d) == ["1", "1", "0"]
+        assert held_list(np.array([], dtype=np.float64), FMT.__mod__) == []
 
     @settings(max_examples=40, deadline=None)
     @given(cfg=run_configs(), seed=st.integers(0, 1000))
