@@ -5,17 +5,21 @@ floats, which are much cheaper to compute with than NumPy scalars and give
 the same IEEE results.  The fused ``episode_loop`` is the one implementation
 of the controller and of the plant; its docstring states what it computes
 and returns, and how its per-step body keeps to arithmetic: clock tests on
-step indices, the read and the Euler step written in line.
+step indices, the read's window dot a generated function (``window_dot``),
+the estimate and the Euler step written in line.
 """
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from itertools import chain, repeat
-from math import inf
+from math import inf, nan
 
 import numpy as np
 
 # Distance between the measured buffer and the replanned reference beyond
 # which the reference correction restarts at the buffer.
 RESTART_GAP = 2.0
+# Products summed per statement of a generated window dot.
+DOT_TERMS = 64
 
 
 def bezier_eval(t, t0, tf, x0, xf):
@@ -78,19 +82,28 @@ def rung_interval(c, ladder):
     return (ladder[i - 1] if i > 0 else -inf), (ladder[i] if i < len(ladder) else inf)
 
 
-def ring_dot(w, xs, start):
-    """Dot of weights with the window xs[start:start + len(w)], oldest first.
+@lru_cache(maxsize=64)
+def window_dot(w):
+    """The dot of the weights ``w`` (a tuple of floats) with a window of
+    samples, as a generated function ``dot(xs, start)``, one per weight vector.
 
-    The episode loop's sample histories start with len(w) - 1 zeros, so the
-    window ending at step k starts at index k.  Given array rows for samples
-    (``held_estimates``), it returns every window's dot as one array.
+    ``dot`` computes ``0.0 + w[0] * xs[start] + w[1] * xs[start + 1] + ...``,
+    oldest sample first, each weight written as its float's ``repr``: the
+    products and additions of a loop over the taps, in the same order, without
+    its per-tap bytecode.  The episode loop's sample histories start with
+    len(w) - 1 zeros, so the window ending at step k starts at index k.  Given
+    array rows for samples (``held_estimates``), it returns every window's dot
+    as one array.  A statement sums at most ``DOT_TERMS`` products, because
+    one expression of thousands of terms overflows the compiler's recursion.
     """
-    acc = 0.0
-    i = start
-    for wi in w:  # cheaper than indexing both by range(len(w))
-        acc += wi * xs[i]
-        i += 1
-    return acc
+    terms = [f"{float(wi)!r} * xs[start + {i}]" if i else f"{float(wi)!r} * xs[start]"
+             for i, wi in enumerate(w)]
+    src = "def dot(xs, start):\n    acc = 0.0\n" + "".join(
+        f"    acc = acc + {' + '.join(terms[i:i + DOT_TERMS])}\n"
+        for i in range(0, len(terms), DOT_TERMS)) + "    return acc\n"
+    scope = {"inf": inf, "nan": nan}  # the repr of a non-finite weight
+    exec(compile(src, "<window_dot>", "exec"), scope)
+    return scope["dot"]
 
 
 def bandwidth_from_window(R, dot, tau):
@@ -103,14 +116,16 @@ def held_estimates(x_meas, valid, R_before, w_lin, tau):
     """Per-step bandwidth estimate column: the last positive estimate at a
     valid step, NaN before the first.
 
-    Each window dot is ``ring_dot``'s over the zero-padded measured buffer and
-    each estimate uses the bitrate held before its step's decision, so every
-    value is bitwise the loop's scalar estimate.
+    Each window dot is the read's ``window_dot`` over the zero-padded measured
+    buffer, the same products added in the same order elementwise, and each
+    estimate uses the bitrate held before its step's decision, so every value
+    is bitwise the loop's scalar estimate.
     """
     n = len(x_meas)
     xp = np.concatenate((np.zeros(len(w_lin) - 1), x_meas))
     # row i of the view is xp[i:i + n]: the i-th sample of every window
-    dot = ring_dot(w_lin, np.lib.stride_tricks.sliding_window_view(xp, n), 0)
+    lin_dot = window_dot(tuple(w_lin.tolist()))
+    dot = lin_dot(np.lib.stride_tricks.sliding_window_view(xp, n), 0)
     est = bandwidth_from_window(R_before, dot, tau)
     keep = valid & (est > 0.0)
     # the running count of kept steps indexes the m-th kept estimate after a
@@ -118,9 +133,10 @@ def held_estimates(x_meas, valid, R_before, w_lin, tau):
     return np.concatenate(([np.nan], est[keep]))[np.cumsum(keep)]
 
 
-def f_from_window(w_lin, w_bump, ys, us, start, alpha, tau):
-    """Windowed estimate of the lumped drift F of the ultra-local model."""
-    return -6.0 / tau**3 * (ring_dot(w_lin, ys, start) + alpha * ring_dot(w_bump, us, start))
+def f_from_window(lin_dot, bump_dot, ys, us, start, alpha, tau):
+    """Windowed estimate of the lumped drift F of the ultra-local model, from
+    the ``window_dot`` functions of the linear and bump kernel weights."""
+    return -6.0 / tau**3 * (lin_dot(ys, start) + alpha * bump_dot(us, start))
 
 
 def ip_control(f_est, ref_rate, e, alpha, kp):
@@ -190,9 +206,9 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     steps only with it off.  A read takes the newest valid step with a
     positive estimate, going back to the previous read; an estimate more than
     one window old is stale, and the capacity measurement is read instead.
-    The read's window dot and estimate are ``ring_dot`` and
-    ``bandwidth_from_window`` written in line, the same operations in the
-    same order, so bitwise the same value.
+    The read's window dot is ``window_dot``'s function of the linear weights,
+    and its estimate is ``bandwidth_from_window`` written in line, the same
+    operations in the same order, so bitwise the same value.
 
     The replanning slope divides the read by the rung below it on the way up,
     above it on the way down.  That rung is looked up (``ladder_below``/
@@ -227,9 +243,11 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
 
     # the window-averaged capacity measurement, the fallback for a stale
     # estimate: one sequential running sum of sample in minus sample out;
-    # read at a few percent of the steps, so not converted to a list
+    # read at a few percent of the steps, so not converted to a list; a sum
+    # that overflows gives a non-finite x, which run_episode reports
     c_out = np.concatenate((np.zeros(win), c_meas))[:n]
-    cm_bar = np.cumsum(c_meas - c_out) / np.minimum(np.arange(1, n + 1), win)
+    with np.errstate(over="ignore"):
+        cm_bar = np.cumsum(c_meas - c_out) / np.minimum(np.arange(1, n + 1), win)
 
     # convert once: the loop computes on Python floats and stores into lists,
     # converted back to arrays after it; a held capacity and zero buffer
@@ -237,13 +255,13 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     c_true = held_list(c_true)
     noise = held_list(x_noise)
     ladder = [float(r) for r in cfg.ladder]
-    w_lin = w_lin.tolist()
-    w_bump = w_bump.tolist()
+    lin_dot = window_dot(tuple(w_lin.tolist()))
+    bump_dot = window_dot(tuple(w_bump.tolist()))
     # measured buffer and held correction, zero-padded by win - 1 samples
     # so the window ending at step k starts at index k
     x_hist = [0.0] * (n + win - 1)
     u_hist = [0.0] * (n + win - 1)
-    valid = [False] * n
+    valid = bytearray(n)
     x_a, ref_a, Rk, uk = [], [], [], []
 
     x = 0.0
@@ -279,7 +297,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         if not (playing and xm > chunk_duration):
             last_bad = k
         elif k >= k_valid and k - last_bad >= win:
-            valid[k] = True
+            valid[k] = 1
 
         decide = k == next_decision
         if replan or decide:
@@ -290,13 +308,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
             j = k
             while j > last_read:
                 if valid[j]:
-                    # ring_dot(w_lin, x_hist, j): from 0.0, oldest sample first
-                    dot = 0.0
-                    i = j
-                    for wi in w_lin:
-                        dot += wi * x_hist[i]
-                        i += 1
-                    c_new = cur_R * (1.0 - gain * dot)
+                    c_new = cur_R * (1.0 - gain * lin_dot(x_hist, j))
                     if c_new > 0.0:
                         cest = c_new
                         last_valid = j
@@ -342,7 +354,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
             if replan_active:
                 ref_rate += ad_rate
             if k >= win - 1:
-                f_est = f_from_window(w_lin, w_bump, x_hist, u_hist, k, alpha, tau)
+                f_est = f_from_window(lin_dot, bump_dot, x_hist, u_hist, k, alpha, tau)
                 u_cont = ip_control(f_est, ref_rate, xm - ref, alpha, kp)
             else:
                 u_cont = 0.0  # estimator warm-up: pure feedforward
@@ -372,7 +384,8 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
 
     # the histories and converted inputs must not outlive the loop
     del x_hist, u_hist, cm_bar, c_true, noise
-    return np.asarray(x_a), np.asarray(ref_a), np.asarray(valid), np.asarray(Rk), np.asarray(uk)
+    return (np.array(x_a, dtype=float), np.array(ref_a, dtype=float),
+            np.frombuffer(valid, dtype=bool), np.array(Rk, dtype=float), np.array(uk, dtype=float))
 
 
 # perfbench traces ``episode_loop`` and profiles ``_episode_loop`` by its code name

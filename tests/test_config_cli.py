@@ -3,6 +3,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
+import abrlab
 from abrlab import config, kernels
 from abrlab.cli import main, run_single
 from abrlab.config import (ConfigError, RunConfig, build_arg_parser, emit_config,
@@ -316,7 +320,6 @@ class TestMain:
         assert "seeds: must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("flags, column", [
         (["--ladder", "1e-300", "--c0", "1e300"], "x"),
         (["--kp", "1e300", "--alpha", "-1e-300"], "u"),
@@ -330,6 +333,22 @@ class TestMain:
         assert code == 1
         assert err.startswith(f"abrlab: {column} is not finite, first at step ")
         assert "Traceback" not in err
+
+    def test_overflow_prints_one_stderr_line(self, tmp_path, capfd):
+        # in a fresh process, with every warning shown: the capacity average
+        # overflows, and only the backstop's line reaches stderr
+        src = str(Path(abrlab.__file__).parents[1])
+        code = subprocess.run(
+            [sys.executable, "-W", "default", "-c",
+             "import sys; from abrlab.cli import main; sys.exit(main(sys.argv[1:]))",
+             "--scenario", "3", "--replan", "--s3-level-hi", "1e308", "--duration", "120",
+             "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src}).returncode
+        err = capfd.readouterr().err
+        assert code == 1
+        assert err.startswith("abrlab: x is not finite, first at step ")
+        assert err.count("\n") == 1
+        assert "Warning" not in err
 
     @pytest.mark.parametrize("flags", [["--te", "1e-300", "--duration", "1e300"],
                                        ["--duration", "1e12"]],

@@ -1,4 +1,6 @@
 """Windowed bandwidth and drift estimators."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 from abrlab.cli import run_single
 from abrlab.config import RunConfig
 from abrlab.estimation import bump_kernel_weights, linear_kernel_weights
-from abrlab.kernels import bandwidth_from_window, f_from_window, ring_dot
+from abrlab.kernels import bandwidth_from_window, f_from_window, window_dot
 
 from config_strategies import run_configs
 
 TAU = 1.0
 TE = 0.1
 N_SEG = 10
-W_LIN = linear_kernel_weights(TAU, N_SEG)
-W_BUMP = bump_kernel_weights(TAU, N_SEG)
+LIN_DOT = window_dot(tuple(linear_kernel_weights(TAU, N_SEG).tolist()))
+BUMP_DOT = window_dot(tuple(bump_kernel_weights(TAU, N_SEG).tolist()))
 
 
 def affine(a, b):
@@ -23,11 +25,11 @@ def affine(a, b):
 
 
 def bandwidth(ys, R):
-    return bandwidth_from_window(R, ring_dot(W_LIN, ys, 0), TAU)
+    return bandwidth_from_window(R, LIN_DOT(ys, 0), TAU)
 
 
 def drift(ys, us, alpha):
-    return f_from_window(W_LIN, W_BUMP, ys, us, 0, alpha, TAU)
+    return f_from_window(LIN_DOT, BUMP_DOT, ys, us, 0, alpha, TAU)
 
 
 class TestWeights:
@@ -61,16 +63,16 @@ class TestRingWindow:
         # with win - 1 zeros, so the window ending at step k starts at index k
         win = N_SEG + 1
         xs = np.concatenate((np.zeros(win - 1), np.arange(15.0)))
-        first, last = np.eye(win)[0], np.eye(win)[-1]
-        ramp = np.arange(win, dtype=float)
+        first, last, ramp = (window_dot(tuple(w.tolist())) for w in
+                             (np.eye(win)[0], np.eye(win)[-1], np.arange(win, dtype=float)))
         # mid-episode: the window ending at step 14 holds steps 4..14
-        assert ring_dot(first, xs, 14) == 4.0
-        assert ring_dot(last, xs, 14) == 14.0
-        assert ring_dot(ramp, xs, 14) == pytest.approx(np.arange(win) @ np.arange(4.0, 15.0))
+        assert first(xs, 14) == 4.0
+        assert last(xs, 14) == 14.0
+        assert ramp(xs, 14) == pytest.approx(np.arange(win) @ np.arange(4.0, 15.0))
         # warm-up: the window ending at step 5 straddles five pad zeros
-        assert ring_dot(first, xs, 5) == 0.0
-        assert ring_dot(last, xs, 5) == 5.0
-        assert ring_dot(ramp, xs, 5) == pytest.approx(np.arange(5, win) @ np.arange(6.0))
+        assert first(xs, 5) == 0.0
+        assert last(xs, 5) == 5.0
+        assert ramp(xs, 5) == pytest.approx(np.arange(5, win) @ np.arange(6.0))
 
     def test_invalid_params(self):
         for tau, te in ((0.0, TE), (TAU, 0.0), (0.15, 0.1)):
@@ -78,6 +80,74 @@ class TestRingWindow:
                 RunConfig(tau=tau, te=te).validate()
         with pytest.raises(ValueError):
             RunConfig(tau=0.1, te=0.1).validate()  # window shorter than two periods
+
+
+def reference_dot(w, xs, start):
+    """The window dot as a plain loop: from 0.0, oldest sample first."""
+    acc = 0.0
+    for i, wi in enumerate(w):
+        acc += wi * xs[start + i]
+    return acc
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# finite samples and weights, with zeros of both signs, negatives and
+# subnormals among them
+SAMPLES = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, -2.5e-308])
+WEIGHTS = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 5e-324])
+
+
+class TestWindowDot:
+    @settings(max_examples=200, deadline=None)
+    @given(w=st.lists(WEIGHTS, min_size=2, max_size=200), data=st.data())
+    def test_matches_the_loop_bitwise(self, w, data):
+        xs = data.draw(st.lists(SAMPLES, min_size=len(w), max_size=len(w) + 20))
+        start = data.draw(st.integers(0, len(xs) - len(w)))
+        assert same_bits(window_dot(tuple(w))(xs, start), reference_dot(w, xs, start))
+
+    @settings(max_examples=50, deadline=None)
+    @given(w=st.lists(WEIGHTS, min_size=2, max_size=50), data=st.data())
+    def test_rows_are_the_loop_per_column(self, w, data):
+        # on array rows the generated expression is the same left fold,
+        # elementwise: each column is bitwise the loop over that column
+        cols = data.draw(st.integers(1, 5))
+        rows = data.draw(st.integers(len(w), len(w) + 5))
+        xs = np.array(data.draw(st.lists(SAMPLES, min_size=rows * cols,
+                                         max_size=rows * cols))).reshape(rows, cols)
+        start = data.draw(st.integers(0, rows - len(w)))
+        got = window_dot(tuple(w))(xs, start)
+        for c in range(cols):
+            assert same_bits(got[c], reference_dot(w, xs[:, c].tolist(), start)), c
+
+    def test_long_window(self):
+        # thousands of taps: summed in statements of a bounded number of
+        # products, so the generated source compiles
+        rng = np.random.default_rng(3)
+        w = rng.normal(size=5001).tolist()
+        xs = rng.normal(size=5100).tolist()
+        dot = window_dot(tuple(w))
+        for start in (0, 57, 99):
+            assert same_bits(dot(xs, start), reference_dot(w, xs, start))
+        rows = np.array(xs).reshape(-1, 1)
+        assert same_bits(dot(rows, 7)[0], reference_dot(w, xs, 7))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_weight_is_the_loop(self, bad):
+        xs = [0.0, 2.0, -1.5, 0.0, 3.0]
+        for i in range(4):
+            w = [0.5, -0.25, 1.0, 2.0]
+            w[i] = bad
+            for start in (0, 1):
+                got, ref = window_dot(tuple(w))(xs, start), reference_dot(w, xs, start)
+                assert got == ref or (math.isnan(got) and math.isnan(ref)), (i, start)
+
+    def test_equal_weights_share_one_function(self):
+        w = linear_kernel_weights(TAU, N_SEG)
+        assert window_dot(tuple(w.tolist())) is window_dot(tuple(w.tolist()))
+        assert window_dot(tuple(w.tolist())) is not window_dot(tuple((2.0 * w).tolist()))
 
 
 class TestBandwidth:
@@ -135,14 +205,14 @@ class TestBandwidth:
         # held before that step's decision
         log = run_single(cfg, seed)
         n_seg = int(round(cfg.tau / cfg.te))
-        w = linear_kernel_weights(cfg.tau, n_seg)
+        lin_dot = window_dot(tuple(linear_kernel_weights(cfg.tau, n_seg).tolist()))
         xs = np.concatenate((np.zeros(n_seg), log.x_meas))
         R_before = np.concatenate(([cfg.ladder[0]], log.R[:-1]))
         prev = np.concatenate(([np.nan], log.c_est[:-1]))
         same = (log.c_est == prev) | (np.isnan(log.c_est) & np.isnan(prev))
         for k in np.nonzero(~same)[0]:
             assert log.c_est[k] > 0.0, k
-            dot = ring_dot(w, xs, k)
+            dot = lin_dot(xs, k)
             assert log.c_est[k] == bandwidth_from_window(R_before[k], dot, cfg.tau), k
 
     def test_dither_is_attenuated(self):

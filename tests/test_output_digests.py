@@ -9,8 +9,8 @@ The CSV files hold ``%.10g`` text, which hides a one-ulp drift, so the file
 also pins the dtype and the SHA-256 of the raw bytes of every ``EpisodeLog``
 array for the same six cells at seed 0 and for non-default settings
 (buffer-measurement noise, other decision intervals and windows, clock
-thresholds at te 0.01, and capacities that put the replanning read exactly
-on a rung).
+thresholds at te 0.01, capacities that put the replanning read exactly on a
+rung, and a window of 4,001 taps).
 
 Record the digests again only when the outputs change on purpose:
 
@@ -67,6 +67,9 @@ for _replan in (True, False):
 EPISODES["s1_replan_c0_2"] = ["--scenario", "1", "--replan", "--c0", "2"]
 EPISODES["s1_replan_c0_0.6_band_3_5"] = ["--scenario", "1", "--replan", "--c0", "0.6",
                                          "--replan-lower", "3", "--replan-upper", "5"]
+# A long window: 4,001 taps, with an estimate at 1,199 of its 6,000 steps.
+EPISODES["s2_replan_te_0.01_tau_40"] = ["--scenario", "2", "--replan", "--te", "0.01",
+                                        "--tau", "40", "--duration", "60"]
 
 
 def output_digests(scenario: int, replan: bool, outdir: Path) -> dict:
