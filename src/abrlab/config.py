@@ -24,6 +24,12 @@ EMIT_CHOICES = ("log", "qoe", "table", "plotdata")
 S3_FORCE_BELOW = 0.35
 S3_DIP_MAX = 0.97 * S3_FORCE_BELOW
 
+# Magnitude range of every rate (ladder rung, capacity level, c0) and of the
+# gains kp and alpha.  Wider ones overflow: a rung of 1e-300 under a capacity
+# of 1e300 fills the buffer at 1e600 s per s, and kp = 1e300 over alpha =
+# -1e-300 makes the correction inf.
+RATE_MIN, RATE_MAX = 1e-6, 1e6
+
 # Largest |slope| of the unit ramp 280 T^3 (1-T)^4, reached at T = 3/7.
 RAMP_PEAK_SLOPE = 1935360 / 823543
 
@@ -86,29 +92,31 @@ class RunConfig:
     replan_lower: float = _param("trajectory", 4.5, gt=0.0)
     replan_upper: float = _param("trajectory", 12.0)
     # controller: kp > 0 for closed-loop stability; alpha < 0, as the input
-    # gain -C/R^2 is
+    # gain -C/R^2 is; rungs and |alpha| within RATE_MIN..RATE_MAX, kp at most
+    # RATE_MAX
     ladder: list[float] = _param("controller", [0.35, 0.6, 1.0, 2.0, 3.0, 5.0],
-                                 "comma list of admissible bitrates", gt=0.0)
-    alpha: float = _param("controller", -10.0, lt=0.0)
-    kp: float = _param("controller", 0.25, gt=0.0)
+                                 "comma list of admissible bitrates", ge=RATE_MIN, le=RATE_MAX)
+    alpha: float = _param("controller", -10.0, ge=-RATE_MAX, le=-RATE_MIN)
+    kp: float = _param("controller", 0.25, gt=0.0, le=RATE_MAX)
     tau: float = _param("controller", 1.0, grid=True)
     decision_interval: float = _param("controller", 2.0, grid=True)
     # plant / scenarios: a relative measurement noise of 1 or more can read a
     # buffer or a capacity as zero or below; scenario 3 always dips below
-    # S3_FORCE_BELOW, so its lowest level may not lie above S3_DIP_MAX
-    c0: float = _param("plant", 0.7, gt=0.0)
+    # S3_FORCE_BELOW, so its lowest level may not lie above S3_DIP_MAX; a
+    # level pair lies within RATE_MIN..RATE_MAX, as level_lo <= level_hi
+    c0: float = _param("plant", 0.7, ge=RATE_MIN, le=RATE_MAX)
     duration: float = _param("plant", 600.0)
     delta_startup: float = _param("plant", 5.0, ge=0.0)
     chunk_duration: float = _param("plant", 2.0, grid=True)
     te: float = _param("plant", 0.1, gt=0.0)
     x_noise: float = _param("plant", 0.0, ge=0.0, lt=1.0)
     s2_segment: float = _param("scenario", 60.0, grid=True)
-    s2_level_lo: float = _param("scenario", 0.5, gt=0.0)
-    s2_level_hi: float = _param("scenario", 2.5)
+    s2_level_lo: float = _param("scenario", 0.5, ge=RATE_MIN)
+    s2_level_hi: float = _param("scenario", 2.5, le=RATE_MAX)
     s2_noise: float = _param("scenario", 0.2, ge=0.0, lt=1.0)
     s3_segment: float = _param("scenario", 20.0, grid=True)
-    s3_level_lo: float = _param("scenario", 0.25, gt=0.0, le=S3_DIP_MAX)
-    s3_level_hi: float = _param("scenario", 1.5)
+    s3_level_lo: float = _param("scenario", 0.25, ge=RATE_MIN, le=S3_DIP_MAX)
+    s3_level_hi: float = _param("scenario", 1.5, le=RATE_MAX)
     s3_noise: float = _param("scenario", 0.3, ge=0.0, lt=1.0)
 
     def steps(self, seconds: float) -> int:

@@ -160,22 +160,36 @@ def clock_step(n, passes):
     return bisect_left(range(n), True, key=passes)
 
 
-def held_list(column, fn=None) -> list:
-    """The values of a 1-D array as a list of Python values, or ``fn`` of
-    each.  Each run of bitwise-equal neighbours shares one value (one ``fn``
-    call): a held column costs one object per run.  Bitwise, ``-0.0`` and
-    ``0.0`` stay apart and a run of NaNs is one run."""
+def held_list(column, fmt=None) -> list:
+    """The values of a 1-D array as a list of Python values, or as text, each
+    value formatted by the ``%`` template ``fmt`` (``"%.10g"``, ``"%d"``).
+    Bitwise, ``-0.0`` and ``0.0`` stay apart and NaNs of one payload are
+    equal.
+
+    Each run of equal neighbours shares one value: a held column costs one
+    object per run.  Text is shared further, one ``str`` per distinct value
+    wherever it recurs (``c_est`` returns to earlier estimates out of order):
+    the distinct values of the runs are found (``np.unique``) unless a sort
+    shows that every value differs, as in a buffer column.  They are
+    formatted by one ``%`` over the template repeated once per value."""
     if len(column) == 0:
         return []
     bits = column.view(f"u{column.itemsize}")
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    values = column[starts].tolist()
-    if fn is not None:
-        values = list(map(fn, values))
-    if len(values) == len(column):
-        return values
-    runs = np.diff(starts, append=len(column)).tolist()
-    return list(chain.from_iterable(map(repeat, values, runs)))
+    if fmt is None:
+        values = column[starts].tolist()
+        if len(values) == len(column):
+            return values
+        runs = np.diff(starts, append=len(column)).tolist()
+        return list(chain.from_iterable(map(repeat, values, runs)))
+    if len(starts) == len(column) and (np.diff(np.sort(bits)) != 0).all():
+        index = None  # every value differs
+    else:
+        bits, index = np.unique(bits[starts], return_inverse=True)
+        index = np.repeat(index, np.diff(starts, append=len(column)))
+    values = bits.view(column.dtype).tolist()
+    texts = ((fmt + "\n") * len(values) % tuple(values)).split("\n")[:-1]
+    return texts if index is None else np.array(texts, dtype=object)[index].tolist()
 
 
 def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):

@@ -10,11 +10,13 @@ from . import estimation, kernels
 from .config import S3_DIP_MAX, S3_FORCE_BELOW, RunConfig
 
 FMT = "%.10g"  # stable float formatting for byte-identical reruns
-REGIME_LABELS = ("filling", "playing")  # indexed by the int8 regime flag
+# indexed by the int8 regime flag
+REGIME_LABELS = np.array(("filling", "playing"), dtype=object)
 WRITE_ROWS = 1000  # CSV rows joined per write
 LOG_COLUMNS = ("t", "x", "x_meas", "R", "c_true", "c_est", "u", "ref", "regime", "stalled")
-# text of one value of a log column, FMT unless named here
-LOG_FORMATS = {"regime": REGIME_LABELS.__getitem__, "stalled": "%d".__mod__}
+# template of a log column's values, FMT unless named here; the regime is a
+# lookup of its labels
+LOG_FORMATS = {"stalled": "%d"}
 
 # First entropy word of the buffer-measurement noise stream, which keeps it
 # apart from the capacity stream of the same scenario and seed.
@@ -98,7 +100,8 @@ class EpisodeLog:
     _text: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def text(self, name: str) -> list:
-        """The column ``name`` as text, formatted on first use only."""
+        """The column ``name`` as text, formatted on first use only, one
+        ``str`` per distinct value (``kernels.held_list``)."""
         text = self._text.get(name)
         if text is None:
             if name == "t":
@@ -106,8 +109,10 @@ class EpisodeLog:
             elif name == "x_meas" and np.array_equal(self.x_meas.view(np.int64),
                                                      self.x.view(np.int64)):
                 text = self.text("x")  # no buffer-measurement noise
+            elif name == "regime":
+                text = REGIME_LABELS[self.regime].tolist()
             else:
-                text = kernels.held_list(getattr(self, name), LOG_FORMATS.get(name, FMT.__mod__))
+                text = kernels.held_list(getattr(self, name), LOG_FORMATS.get(name, FMT))
             self._text[name] = text
         return text
 
@@ -119,7 +124,7 @@ class EpisodeLog:
 def clock_text(n: int, te: float) -> list:
     """Text of the clock column ``arange(n) * te``.  Every episode of a run has
     the same clock, so it is formatted once and its text shared."""
-    return kernels.held_list(np.arange(n) * te, FMT.__mod__)
+    return kernels.held_list(np.arange(n) * te, FMT)
 
 
 def write_columns(path, header, columns) -> None:
@@ -127,9 +132,10 @@ def write_columns(path, header, columns) -> None:
     line endings.  Every CSV file of a run is written here.
 
     An episode's columns are turned into text once per log (``EpisodeLog.text``
-    through ``kernels.held_list``) and shared by its three files; the QoE and table
-    writers format their few values directly.  Rows are joined WRITE_ROWS at a
-    time to bound the memory held."""
+    through ``kernels.held_list``: one ``str`` per distinct value of a column)
+    and shared by its three files; the QoE and table writers format their few
+    values directly.  Rows are joined WRITE_ROWS at a time to bound the memory
+    held."""
     rows = map(",".join, zip(*columns))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")

@@ -2,10 +2,11 @@
 accepts, alone and with a batch of seeds.
 
 A float field is drawn from its declared bounds (``_param`` metadata) cut to
-a finite box.  The boxes bound the magnitudes, and with them an example's
-cost, for two reasons: tier-1 time, and that ``validate`` does not yet cap
-the magnitudes whose products overflow, so some configs it accepts far out
-of the boxes do not run (ROADMAP item 1).  te takes three values and the
+a finite box, inside the declared magnitude ranges of the rates and gains.
+The boxes bound the magnitudes, and with them an example's cost, for two
+reasons: tier-1 time, and that ``validate`` does not yet bound products of
+fields (such as duration x capacity / rung), so some configs it accepts far
+out of the boxes do not run (ROADMAP item 1).  te takes three values and the
 grid fields whole multiples of it."""
 from dataclasses import fields, replace
 from itertools import accumulate

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_origin
@@ -21,7 +22,7 @@ from abrlab import config, kernels
 from abrlab.cli import main, run_single
 from abrlab.config import (ConfigError, RunConfig, build_arg_parser, emit_config,
                            parse_config, parse_seeds, read_config_file)
-from abrlab.plant import build_scenario
+from abrlab.plant import build_scenario, run_episode
 
 from config_strategies import run_configs, seed_batches
 
@@ -320,35 +321,52 @@ class TestMain:
         assert "seeds: must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
-    @pytest.mark.parametrize("flags, column", [
-        (["--ladder", "1e-300", "--c0", "1e300"], "x"),
-        (["--kp", "1e300", "--alpha", "-1e-300"], "u"),
-        (["--scenario", "3", "--replan", "--s3-level-hi", "1e308"], "x")],
-        ids=["tiny-rung", "huge-kp", "huge-s3-level"])
-    def test_non_finite_episode_exits_1(self, tmp_path, capsys, flags, column):
-        # validate accepts these magnitudes, but the buffer or the correction
-        # overflows; the run stops with the column and the step
-        code = main(["--duration", "120", "--out", str(tmp_path)] + flags)
+    # magnitudes whose products overflow: the buffer fills at 1e600 s per s,
+    # the correction is inf, the capacity average overflows
+    OVERFLOWING = [(["--ladder", "1e-300", "--c0", "1e300"], "ladder", "x"),
+                   (["--kp", "1e300", "--alpha", "-1e-300"], "alpha", "u"),
+                   (["--scenario", "3", "--replan", "--s3-level-hi", "1e308"], "s3_level_hi", "x")]
+    OVERFLOWING_IDS = ["tiny-rung", "huge-kp", "huge-s3-level"]
+
+    @pytest.mark.parametrize("flags, name, column", OVERFLOWING, ids=OVERFLOWING_IDS)
+    def test_overflowing_magnitude_exits_2(self, tmp_path, capsys, flags, name, column):
+        code = main(["--duration", "120", "--out", str(tmp_path / "never")] + flags)
         err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith(f"abrlab: {column} is not finite, first at step ")
-        assert "Traceback" not in err
+        assert code == 2
+        assert err.startswith(f"abrlab: invalid configuration: {name}: must ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("flags, name, column", OVERFLOWING, ids=OVERFLOWING_IDS)
+    def test_run_episode_rejects_a_non_finite_column(self, flags, name, column):
+        # the backstop behind validate: an unvalidated config of the same
+        # magnitudes stops after the kernel with the column and the step, and
+        # without a NumPy overflow warning
+        with mock.patch.object(RunConfig, "validate"):
+            cfg = parse_config(["--duration", "120"] + flags)
+        with pytest.raises(ConfigError, match=f"^{name}: "):
+            cfg.validate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{column} is not finite, first at step "):
+                run_episode(build_scenario(cfg, 0), cfg)
 
     def test_overflow_prints_one_stderr_line(self, tmp_path, capfd):
-        # in a fresh process, with every warning shown: the capacity average
-        # overflows, and only the backstop's line reaches stderr
+        # in a fresh process, with every warning shown: the config is
+        # rejected before the capacity average can overflow
         src = str(Path(abrlab.__file__).parents[1])
         code = subprocess.run(
             [sys.executable, "-W", "default", "-c",
              "import sys; from abrlab.cli import main; sys.exit(main(sys.argv[1:]))",
              "--scenario", "3", "--replan", "--s3-level-hi", "1e308", "--duration", "120",
-             "--out", str(tmp_path)],
+             "--out", str(tmp_path / "never")],
             env={**os.environ, "PYTHONPATH": src}).returncode
         err = capfd.readouterr().err
-        assert code == 1
-        assert err.startswith("abrlab: x is not finite, first at step ")
+        assert code == 2
+        assert err.startswith("abrlab: invalid configuration: s3_level_hi: must be <= ")
         assert err.count("\n") == 1
         assert "Warning" not in err
+        assert not (tmp_path / "never").exists()
 
     @pytest.mark.parametrize("flags", [["--te", "1e-300", "--duration", "1e300"],
                                        ["--duration", "1e12"]],
