@@ -30,6 +30,11 @@ S3_DIP_MAX = 0.97 * S3_FORCE_BELOW
 # -1e-300 makes the correction inf.
 RATE_MIN, RATE_MAX = 1e-6, 1e6
 
+# Magnitude range of the estimator window tau, which keeps the estimators'
+# gain 6 / tau^3 a finite, nonzero float: tau = 2e295 overflows tau^3, and
+# tau = 2e-200 underflows it to 0.
+TAU_MIN, TAU_MAX = 1e-6, 1e6
+
 # Largest |slope| of the unit ramp 280 T^3 (1-T)^4, reached at T = 3/7.
 RAMP_PEAK_SLOPE = 1935360 / 823543
 
@@ -48,16 +53,17 @@ class ConfigError(ValueError):
 
 
 def _rule_text(grid, rules) -> str:
-    """A field's declared rule in words, '' when it declares none."""
-    if grid:
-        return GRID_RULE
+    """A field's declared rule in words, '' when it declares none: the te
+    grid, then the choices or the bounds."""
     if "choices" in rules:
-        return "must be one of " + ", ".join(map(str, rules["choices"]))
-    if len(rules) == 2:
+        bounds = "must be one of " + ", ".join(map(str, rules["choices"]))
+    elif len(rules) == 2:
         (lo_op, lo), (hi_op, hi) = rules.items()
-        return f"must lie in {RULES[lo_op][3]}{lo:.4g}, {hi:.4g}{RULES[hi_op][3]}"
-    return "".join(f"must be {RULES[op][1] if b == 0 else f'{RULES[op][2]} {b:g}'}"
-                   for op, b in rules.items())  # one bound or none
+        bounds = f"must lie in {RULES[lo_op][3]}{lo:.4g}, {hi:.4g}{RULES[hi_op][3]}"
+    else:
+        bounds = "".join(f"must be {RULES[op][1] if b == 0 else f'{RULES[op][2]} {b:g}'}"
+                         for op, b in rules.items())  # one bound or none
+    return "; ".join(filter(None, (GRID_RULE if grid else "", bounds)))
 
 
 def _param(section: str, default, help: str | None = None, *, grid=False, **rules):
@@ -93,12 +99,13 @@ class RunConfig:
     replan_upper: float = _param("trajectory", 12.0)
     # controller: kp > 0 for closed-loop stability; alpha < 0, as the input
     # gain -C/R^2 is; rungs and |alpha| within RATE_MIN..RATE_MAX, kp at most
-    # RATE_MAX
+    # RATE_MAX; tau within TAU_MIN..TAU_MAX, bounded below by gt because
+    # tau = TAU_MIN is less than 2 te at the default te
     ladder: list[float] = _param("controller", [0.35, 0.6, 1.0, 2.0, 3.0, 5.0],
                                  "comma list of admissible bitrates", ge=RATE_MIN, le=RATE_MAX)
     alpha: float = _param("controller", -10.0, ge=-RATE_MAX, le=-RATE_MIN)
     kp: float = _param("controller", 0.25, gt=0.0, le=RATE_MAX)
-    tau: float = _param("controller", 1.0, grid=True)
+    tau: float = _param("controller", 1.0, grid=True, gt=TAU_MIN, le=TAU_MAX)
     decision_interval: float = _param("controller", 2.0, grid=True)
     # plant / scenarios: a relative measurement noise of 1 or more can read a
     # buffer or a capacity as zero or below; scenario 3 always dips below

@@ -3,10 +3,16 @@
 The callees take arrays or lists alike: the episode loop hands them Python
 floats, which are much cheaper to compute with than NumPy scalars and give
 the same IEEE results.  The fused ``episode_loop`` is the one implementation
-of the controller and of the plant; its docstring states what it computes
-and returns, and how its per-step body keeps to arithmetic: clock tests on
-step indices, the read's window dot a generated function (``window_dot``),
-the estimate and the Euler step written in line.
+of the controller and of the plant.  It runs one decision interval at a
+time: the plant over the interval's steps, then the controller over the same
+steps, then the decision.  That order is exact because the bitrate is held
+between decisions, so the plant there reads neither the bandwidth estimate
+nor the reference, and it lets the replanning reads take their window dots
+from one generated call per block of steps (``window_dot``).  The loop's
+docstring states what it computes and returns, and how its per-step bodies
+keep to arithmetic: clock tests on step indices, the estimate and the Euler
+step written in line, the Euler step's increments computed once per run of a
+held capacity.
 """
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
@@ -20,6 +26,10 @@ import numpy as np
 RESTART_GAP = 2.0
 # Products summed per statement of a generated window dot.
 DOT_TERMS = 64
+# Products in one generated block of window dots: a block holds as many whole
+# windows as fit, and at least one, so its source and compile time stay
+# bounded at any window length (at 4,001 taps a block is one window).
+BLOCK_TERMS = 512
 
 
 def bezier_eval(t, t0, tf, x0, xf):
@@ -83,26 +93,35 @@ def rung_interval(c, ladder):
 
 
 @lru_cache(maxsize=64)
-def window_dot(w):
-    """The dot of the weights ``w`` (a tuple of floats) with a window of
-    samples, as a generated function ``dot(xs, start)``, one per weight vector.
+def window_dot(w, m):
+    """The dots of the weights ``w`` (a tuple of floats) with ``m`` consecutive
+    windows of samples, as a generated function ``dot(xs, start)``, one per
+    weight vector and block size ``m``.
 
-    ``dot`` computes ``0.0 + w[0] * xs[start] + w[1] * xs[start + 1] + ...``,
-    oldest sample first, each weight written as its float's ``repr``: the
-    products and additions of a loop over the taps, in the same order, without
-    its per-tap bytecode.  The episode loop's sample histories start with
-    len(w) - 1 zeros, so the window ending at step k starts at index k.  Given
-    array rows for samples (``held_estimates``), it returns every window's dot
-    as one array.  A statement sums at most ``DOT_TERMS`` products, because
-    one expression of thousands of terms overflows the compiler's recursion.
+    ``dot`` returns a list of ``m`` dots, the i-th of the window that starts
+    at ``start + i``: ``0.0 + w[0] * xs[start + i] + w[1] * xs[start + i + 1]
+    + ...``, oldest sample first, each weight written as its float's ``repr``:
+    the products and additions of a loop over the taps, in the same order,
+    without its per-tap bytecode.  It loads each of the block's ``len(w) + m -
+    1`` samples into a local once, by unpacking one slice, so ``xs`` must hold
+    all of them.  The episode loop's sample histories start with len(w) - 1
+    zeros, so the window ending at step k starts at index k.  Given array rows
+    for samples (``held_estimates``), each dot is an array, elementwise the
+    same.  A statement sums at most ``DOT_TERMS`` products, because one
+    expression of thousands of terms overflows the compiler's recursion.  The
+    dots are a list, not a tuple: CPython 3.11 keeps every freed 20-item tuple
+    on a free list that it never takes them from again, up to 2,000 of them.
     """
-    terms = [f"{float(wi)!r} * xs[start + {i}]" if i else f"{float(wi)!r} * xs[start]"
-             for i, wi in enumerate(w)]
-    src = "def dot(xs, start):\n    acc = 0.0\n" + "".join(
-        f"    acc = acc + {' + '.join(terms[i:i + DOT_TERMS])}\n"
-        for i in range(0, len(terms), DOT_TERMS)) + "    return acc\n"
+    samples = len(w) + m - 1
+    src = [f"def dot(xs, start):\n    {''.join(f's{i}, ' for i in range(samples))}"
+           f"= xs[start:start + {samples}]\n"]
+    for j in range(m):
+        terms = [f"{float(wi)!r} * s{i + j}" for i, wi in enumerate(w)]
+        src += (f"    d{j} = {f'd{j}' if i else '0.0'} + {' + '.join(terms[i:i + DOT_TERMS])}\n"
+                for i in range(0, len(terms), DOT_TERMS))
+    src.append(f"    return [{', '.join(f'd{j}' for j in range(m))}]\n")
     scope = {"inf": inf, "nan": nan}  # the repr of a non-finite weight
-    exec(compile(src, "<window_dot>", "exec"), scope)
+    exec(compile("".join(src), "<window_dot>", "exec"), scope)
     return scope["dot"]
 
 
@@ -123,9 +142,8 @@ def held_estimates(x_meas, valid, R_before, w_lin, tau):
     """
     n = len(x_meas)
     xp = np.concatenate((np.zeros(len(w_lin) - 1), x_meas))
-    # row i of the view is xp[i:i + n]: the i-th sample of every window
-    lin_dot = window_dot(tuple(w_lin.tolist()))
-    dot = lin_dot(np.lib.stride_tricks.sliding_window_view(xp, n), 0)
+    # row i is xp[i:i + n]: the i-th sample of every window
+    (dot,) = window_dot(tuple(w_lin.tolist()), 1)([xp[i:i + n] for i in range(len(w_lin))], 0)
     est = bandwidth_from_window(R_before, dot, tau)
     keep = valid & (est > 0.0)
     # the running count of kept steps indexes the m-th kept estimate after a
@@ -133,10 +151,11 @@ def held_estimates(x_meas, valid, R_before, w_lin, tau):
     return np.concatenate(([np.nan], est[keep]))[np.cumsum(keep)]
 
 
-def f_from_window(lin_dot, bump_dot, ys, us, start, alpha, tau):
+def f_from_window(lin, bump, alpha, tau):
     """Windowed estimate of the lumped drift F of the ultra-local model, from
-    the ``window_dot`` functions of the linear and bump kernel weights."""
-    return -6.0 / tau**3 * (lin_dot(ys, start) + alpha * bump_dot(us, start))
+    the window dots of the buffer with the linear kernel weights (``lin``) and
+    of the held correction with the bump kernel weights (``bump``)."""
+    return -6.0 / tau**3 * (lin + alpha * bump)
 
 
 def ip_control(f_est, ref_rate, e, alpha, kp):
@@ -196,33 +215,44 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     """Fused inner loop for one episode of the config ``cfg``, and the one
     implementation of the controller and of the plant.
 
-    Per te step: measure, test the bandwidth estimate's window conditions,
-    replan the reference, at the chunk cadence pick the bitrate, then
-    Euler-step the true plant.  Returns, as arrays, what the loop alone
-    records: the buffer ``x``, the reference ``ref`` and the estimate's
-    validity flag ``valid`` per step, and the held bitrate ``R_k`` and iP
-    correction ``u_k`` per decision.  ``plant.run_episode`` derives the other
-    log columns from those: the bitrate and correction are held between
-    decisions, the regime and stall flag are functions of the clock and the
-    buffer, and ``c_est`` is the last positive estimate at a valid step
-    (``held_estimates``).
+    Returns, as arrays, what the loop alone records: the buffer ``x``, the
+    reference ``ref`` and the estimate's validity flag ``valid`` per step, and
+    the held bitrate ``R_k`` and iP correction ``u_k`` per decision.
+    ``plant.run_episode`` derives the other log columns from those: the bitrate
+    and correction are held between decisions, the regime and stall flag are
+    functions of the clock and the buffer, and ``c_est`` is the last positive
+    estimate at a valid step (``held_estimates``).
 
-    The clock is step indices.  Each test of the clock ``t = k * te`` against
-    a time (playback may start, a whole window into playback, the ramp ends)
-    holds from one step on, found once per episode (``clock_step``), and the
-    next decision is a running step; ``k * te`` is computed only where the
-    ramp and its slope are evaluated.
+    The loop runs one decision interval at a time, up to and including the
+    next decision step (or the episode's end), in three stages: the plant over
+    the interval's steps, then the controller over the same steps, then the
+    decision.  The order is exact, the same float operations in the same order
+    as step by step: with the bitrate held, the plant between decisions reads
+    neither the estimator nor the reference, and the controller reads only
+    the plant's samples up to its own step.
 
-    A step is valid once a whole window has passed since the last step that
-    was out of playback, had the measured buffer at or below the chunk
-    duration, or changed the bitrate.  The estimate itself is evaluated only
-    where the controller reads it: every step with replanning on, decision
-    steps only with it off.  A read takes the newest valid step with a
-    positive estimate, going back to the previous read; an estimate more than
-    one window old is stale, and the capacity measurement is read instead.
-    The read's window dot is ``window_dot``'s function of the linear weights,
-    and its estimate is ``bandwidth_from_window`` written in line, the same
-    operations in the same order, so bitwise the same value.
+    The plant is one explicit-Euler step of the client buffer per te step,
+    draining at the playback rate only while playing (from the startup on,
+    with the buffer at or above the chunk duration), clamped at empty.  Step
+    0 is reached from an empty buffer at zero capacity, which leaves it empty.
+    The plant's two increments (playing, filling) are computed once per run of
+    a held capacity: ``held_list`` gives each run one float object.  Each step
+    it records the measured buffer, the held correction and the estimate's
+    validity: a step is valid once a whole window has passed since the last
+    step that was out of playback, had the measured buffer at or below the
+    chunk duration, or changed the bitrate.
+
+    The controller reads the bandwidth estimate every step with replanning
+    on, at decision steps only with it off.  A read takes the newest valid
+    step with a positive estimate, going back to the previous read; an
+    estimate more than one window old is stale, and the window-averaged
+    capacity measurement is read instead.  The estimate is
+    ``bandwidth_from_window`` written in line.  Its window dots come from
+    ``window_dot``: with replanning on, one call per block of consecutive
+    steps (up to ``BLOCK_TERMS`` products, blocks spread evenly over an
+    interval, a block with no valid step and no decision skipped); with it
+    off, one call at the decision step.  The decision's drift estimate reuses
+    the dot at its step.
 
     The replanning slope divides the read by the rung below it on the way up,
     above it on the way down.  That rung is looked up (``ladder_below``/
@@ -230,14 +260,15 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     rungs around the last lookup's read (``rung_interval``), lands on a rung,
     or the direction flips; in between it is the same rung.
 
+    The clock is step indices.  Each test of the clock ``t = k * te`` against
+    a time (playback may start, a whole window into playback, the ramp ends)
+    holds from one step on, found once per episode (``clock_step``); ``k *
+    te`` is computed only where the ramp and its slope are evaluated.
+
     The flat inversion needs a reference slope above -1.  A decision whose
     combined (ramp plus replanning) slope is at most -1 makes an unbounded
     request, the inversion's limit as the slope falls to -1, and so gets the
     top rung.
-
-    The plant is one explicit-Euler step of the client buffer per te step,
-    draining at the playback rate only while playing (from the startup on,
-    with the buffer at or above the chunk duration), clamped at empty.
     """
     te, delta_startup, chunk_duration = cfg.te, cfg.delta_startup, cfg.chunk_duration
     t0, tf, x0, xf = cfg.t0, cfg.tf, cfg.x0, cfg.xf
@@ -246,6 +277,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     replan, replan_lower, replan_upper = cfg.replan, cfg.replan_lower, cfg.replan_upper
     n = len(c_true)
     win = len(w_lin)
+    pad = win - 1
     ratio = cfg.steps(cfg.decision_interval)
     gain = 6.0 / tau**3  # bandwidth_from_window's kernel gain
 
@@ -265,27 +297,41 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
 
     # convert once: the loop computes on Python floats and stores into lists,
     # converted back to arrays after it; a held capacity and zero buffer
-    # noise are one float object per run
-    c_true = held_list(c_true)
+    # noise are one float object per run.  The plant's input at step k is the
+    # capacity that Euler-steps the buffer from step k - 1 into step k: zero
+    # at step 0, which leaves the empty buffer empty
+    c_in = held_list(np.concatenate(([0.0], c_true[:-1])))
     noise = held_list(x_noise)
     ladder = [float(r) for r in cfg.ladder]
-    lin_dot = window_dot(tuple(w_lin.tolist()))
-    bump_dot = window_dot(tuple(w_bump.tolist()))
+    w_lin = tuple(w_lin.tolist())
+    # the reads' window dots come in blocks of b windows: with replanning on,
+    # the fewest blocks of at most BLOCK_TERMS products that cover an
+    # interval, evenly sized; with it off, the decision's one window
+    if replan:
+        blocks = -(-ratio // max(1, BLOCK_TERMS // win))  # rounded up
+        b = -(-ratio // blocks)
+    else:
+        b = 1
+    read_dot = window_dot(w_lin, b)
+    lin_dot = window_dot(w_lin, 1)
+    bump_dot = window_dot(tuple(w_bump.tolist()), 1)
     # measured buffer and held correction, zero-padded by win - 1 samples
-    # so the window ending at step k starts at index k
-    x_hist = [0.0] * (n + win - 1)
-    u_hist = [0.0] * (n + win - 1)
+    # so the window ending at step k starts at index k; the buffer has b - 1
+    # more at the end, read by a block that runs past the last step
+    x_hist = [0.0] * (n + pad + b - 1)
+    u_hist = [0.0] * (n + pad)
     valid = bytearray(n)
+    dots = [0.0] * (ratio + b)  # an interval's window dots, by step from its first
     x_a, ref_a, Rk, uk = [], [], [], []
 
     x = 0.0
+    playing = False
     cur_R = ladder[0]
     u_held = 0.0  # zero-order-held continuous correction, the estimator's input
     cest = 0.0
     last_bad = 0            # last step that spoiled the estimate's window (x = 0 at step 0)
     last_valid = -win - 1   # step of the held estimate; stale from the start
     last_read = -1
-    next_decision = 0
     replan_active = False
     dirn = 1  # replanning starts on the way up
     y_ad = 0.0
@@ -295,109 +341,133 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     coef_dirn = 0
     coef_lo = coef_hi = 0.0
 
-    for k, C, nz in zip(range(n), c_true, noise):
-        xm = x * (1.0 + nz)
-        if k < k_flat:
-            base = bezier_eval(k * te, t0, tf, x0, xf)
-        else:
-            base = xf
-        h = k + win - 1
-        x_hist[h] = xm
-        u_hist[h] = u_held
+    # e is the interval's decision step, n after the last decision
+    lo = 0
+    for e in chain(range(0, n, ratio), (n,)):
+        hi = e + 1 if e < n else n
 
-        # Bandwidth estimate: valid only late enough, in playback regime with
-        # x above the chunk duration and an unchanged bitrate over the window.
-        playing = k >= k_startup and x >= chunk_duration
-        if not (playing and xm > chunk_duration):
-            last_bad = k
-        elif k >= k_valid and k - last_bad >= win:
-            valid[k] = 1
+        # the plant, Euler-stepped into each step lo..hi-1 at the held bitrate
+        # and correction
+        u_hist[lo + pad:hi + pad] = [u_held] * (hi - lo)
+        C_run = None  # the capacity the increments are for; the bitrate may have changed
+        for k in range(lo, hi):
+            C = c_in[k]
+            if C is not C_run:
+                C_run = C
+                r = C / cur_R
+                inc_play, inc_fill = te * (r - 1.0), te * r
+            x += inc_play if playing else inc_fill
+            if x < 0.0:
+                x = 0.0
+            x_a.append(x)
+            xm = x * (1.0 + noise[k])
+            x_hist[k + pad] = xm
+            # the estimate's window conditions: late enough, in playback
+            # regime with x above the chunk duration and an unchanged bitrate
+            playing = k >= k_startup and x >= chunk_duration
+            if not (playing and xm > chunk_duration):
+                last_bad = k
+            elif k >= k_valid and k - last_bad >= win:
+                valid[k] = 1
 
-        decide = k == next_decision
-        if replan or decide:
-            # A non-positive value (measurement noise) is never acted on: the
-            # last positive estimate and its validity clock are kept instead.
-            # Every decision is a read, so every step back to the last read
-            # held cur_R before its decision.
-            j = k
-            while j > last_read:
-                if valid[j]:
-                    c_new = cur_R * (1.0 - gain * lin_dot(x_hist, j))
-                    if c_new > 0.0:
-                        cest = c_new
-                        last_valid = j
-                        break
-                j -= 1
-            last_read = k
-            # the held estimate goes stale one window after validity is lost;
-            # fall back to the window-averaged capacity measurement until it recovers
-            if k - last_valid <= win:
-                c_known = cest
+        # the reads: every step with replanning on, the decision's with it
+        # off.  The window dots of their steps, skipping a block with no valid
+        # step (no read takes its dot) unless it holds the decision step,
+        # whose dot the drift estimate takes
+        first = lo if replan else e
+        for s in range(first, hi, b):
+            if s + b > e or valid.find(1, s, s + b) >= 0:
+                dots[s - lo:s - lo + b] = read_dot(x_hist, s)
+
+        # the controller over the same steps
+        for k in range(lo, hi):
+            if k < k_flat:
+                base = bezier_eval(k * te, t0, tf, x0, xf)
             else:
-                c_known = cm_bar[k].item()
-
-        if replan and last_valid >= 0:
-            if not replan_active:
-                replan_active = True
-                # start the correction aligned with the measured buffer so the
-                # combined reference takes over without an error jump
-                y_ad = xm - base
-            if xm > replan_upper and dirn == 1:
-                dirn = -1
-            if xm < replan_lower and dirn == -1:
-                dirn = 1
-            if not (coef_lo < c_known < coef_hi and dirn == coef_dirn):
-                if dirn == 1:
-                    coef = ladder_below(c_known, ladder)
+                base = xf
+            if k >= first:
+                # A non-positive value (measurement noise) is never acted on:
+                # the last positive estimate and its validity clock are kept
+                # instead.  Every decision is a read, so every step back to the
+                # last read held cur_R before its decision; a step older than
+                # this read's own (a scan back with replanning off) has no dot
+                # yet.
+                j = k
+                while j > last_read:
+                    if valid[j]:
+                        dot = dots[j - lo] if j == k else lin_dot(x_hist, j)[0]
+                        c_new = cur_R * (1.0 - gain * dot)
+                        if c_new > 0.0:
+                            cest = c_new
+                            last_valid = j
+                            break
+                    j -= 1
+                last_read = k
+                # the held estimate goes stale one window after validity is
+                # lost; fall back to the window-averaged capacity measurement
+                # until it recovers
+                if k - last_valid <= win:
+                    c_known = cest
                 else:
-                    coef = ladder_above(c_known, ladder)
-                coef_dirn = dirn
-                coef_lo, coef_hi = rung_interval(c_known, ladder)
-            ad_rate = c_known / coef - 1.0
-            y_ad += ad_rate * te
-            # a capacity jump leaves the reference far from the buffer; restart
-            # the correction there instead of burning switches on the transient
-            if abs(xm - (base + y_ad)) > RESTART_GAP:
-                y_ad = xm - base
+                    c_known = cm_bar[k].item()
 
-        ref = base + y_ad
+            if replan and last_valid >= 0:
+                xm = x_hist[k + pad]
+                if not replan_active:
+                    replan_active = True
+                    # start the correction aligned with the measured buffer so
+                    # the combined reference takes over without an error jump
+                    y_ad = xm - base
+                if xm > replan_upper and dirn == 1:
+                    dirn = -1
+                if xm < replan_lower and dirn == -1:
+                    dirn = 1
+                if not (coef_lo < c_known < coef_hi and dirn == coef_dirn):
+                    if dirn == 1:
+                        coef = ladder_below(c_known, ladder)
+                    else:
+                        coef = ladder_above(c_known, ladder)
+                    coef_dirn = dirn
+                    coef_lo, coef_hi = rung_interval(c_known, ladder)
+                ad_rate = c_known / coef - 1.0
+                y_ad += ad_rate * te
+                # a capacity jump leaves the reference far from the buffer;
+                # restart the correction there instead of burning switches on
+                # the transient
+                if abs(xm - (base + y_ad)) > RESTART_GAP:
+                    y_ad = xm - base
 
-        if decide:
-            next_decision += ratio
-            ref_rate = bezier_derivative(k * te, t0, tf, x0, xf)
-            if replan_active:
-                ref_rate += ad_rate
-            if k >= win - 1:
-                f_est = f_from_window(lin_dot, bump_dot, x_hist, u_hist, k, alpha, tau)
-                u_cont = ip_control(f_est, ref_rate, xm - ref, alpha, kp)
-            else:
-                u_cont = 0.0  # estimator warm-up: pure feedforward
-            # flat inversion along the full (replanned) reference; a reference
-            # draining at least as fast as playback requests an unbounded rate,
-            # the inversion's limit as the slope falls to -1: the top rung
-            new_R = quantize(feedforward(c_known, ref_rate) + u_cont if ref_rate > -1.0
-                             else inf, ladder)
-            if new_R != cur_R:
-                last_bad = k  # a bitrate change spoils the window too
-                cur_R = new_R
-            u_held = u_cont
-            u_hist[h] = u_held
-            Rk.append(cur_R)
-            uk.append(u_held)
+            ref = base + y_ad
+            ref_a.append(ref)
 
-        x_a.append(x)
-        ref_a.append(ref)
+        if e == n:
+            break
 
-        # explicit Euler step of the true plant, clamped at empty
-        if playing:
-            x += te * (C / cur_R - 1.0)
+        # the decision
+        ref_rate = bezier_derivative(e * te, t0, tf, x0, xf)
+        if replan_active:
+            ref_rate += ad_rate
+        if e >= win - 1:
+            f_est = f_from_window(dots[e - lo], bump_dot(u_hist, e)[0], alpha, tau)
+            u_cont = ip_control(f_est, ref_rate, x_hist[e + pad] - ref, alpha, kp)
         else:
-            x += te * (C / cur_R)
-        if x < 0.0:
-            x = 0.0
+            u_cont = 0.0  # estimator warm-up: pure feedforward
+        # flat inversion along the full (replanned) reference; a reference
+        # draining at least as fast as playback requests an unbounded rate,
+        # the inversion's limit as the slope falls to -1: the top rung
+        new_R = quantize(feedforward(c_known, ref_rate) + u_cont if ref_rate > -1.0
+                         else inf, ladder)
+        if new_R != cur_R:
+            last_bad = e  # a bitrate change spoils the window too
+            cur_R = new_R
+        u_held = u_cont
+        u_hist[e + pad] = u_held
+        Rk.append(cur_R)
+        uk.append(u_held)
+        lo = hi
 
     # the histories and converted inputs must not outlive the loop
-    del x_hist, u_hist, cm_bar, c_true, noise
+    del x_hist, u_hist, dots, cm_bar, c_in, noise
     return (np.array(x_a, dtype=float), np.array(ref_a, dtype=float),
             np.frombuffer(valid, dtype=bool), np.array(Rk, dtype=float), np.array(uk, dtype=float))
 

@@ -17,8 +17,8 @@ from abrlab.kernels import (bandwidth_from_window, bezier_derivative, bezier_eva
 from abrlab.metrics import qoe_report
 
 TE = 0.1
-LIN_DOT = window_dot(tuple(linear_kernel_weights(1.0, 10).tolist()))
-BUMP_DOT = window_dot(tuple(bump_kernel_weights(1.0, 10).tolist()))
+LIN_DOT = window_dot(tuple(linear_kernel_weights(1.0, 10).tolist()), 1)
+BUMP_DOT = window_dot(tuple(bump_kernel_weights(1.0, 10).tolist()), 1)
 
 
 def _verdict(num, desc, ok):
@@ -98,7 +98,7 @@ def test_criterion_3_bandwidth_estimator_exact_on_affine():
         b = float(rng.uniform(-0.9, 2.0))
         R = float(rng.uniform(0.35, 5.0))
         xs = a + b * np.arange(11) * TE  # oldest first
-        est = bandwidth_from_window(R, LIN_DOT(xs, 0), 1.0)
+        est = bandwidth_from_window(R, LIN_DOT(xs, 0)[0], 1.0)
         worst = max(worst, abs(est - R * (1 + b)) / abs(R * (1 + b)))
     ok = worst <= 1e-9
     _verdict(3, f"affine windows: worst relative error {worst:.2e}", ok)
@@ -110,7 +110,7 @@ def test_criterion_4_drift_estimator_oracle():
     for F0, u0 in ((1.7, 0.1), (-0.8, 0.3), (2.4, -0.2), (0.05, 0.0)):
         ys = 0.5 + np.arange(11) * TE * (F0 + cfg.alpha * u0)  # oldest first
         us = np.full(11, u0)
-        f = f_from_window(LIN_DOT, BUMP_DOT, ys, us, 0, cfg.alpha, cfg.tau)
+        f = f_from_window(LIN_DOT(ys, 0)[0], BUMP_DOT(us, 0)[0], cfg.alpha, cfg.tau)
         worst = max(worst, abs(f - F0) - 0.01 * abs(F0))
     ok = worst <= 1e-9
     _verdict(4, f"constant (F0, u): worst excess error {worst:.2e}", ok)

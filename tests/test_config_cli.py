@@ -337,6 +337,26 @@ class TestMain:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "never").exists()
 
+    # estimator windows whose gain 6 / tau^3 is not a finite, nonzero float:
+    # tau^3 overflows in the first and underflows to 0 in the second, with
+    # every other field on the te grid and within its own rule
+    TAU_OUT_OF_RANGE = [
+        ["--te", "1e295", "--duration", "1e297", "--tau", "2e295",
+         "--decision-interval", "2e295", "--chunk-duration", "2e295",
+         "--s2-segment", "2e296", "--s3-segment", "2e296"],
+        ["--te", "1e-200", "--tau", "2e-200", "--decision-interval", "4e-200",
+         "--chunk-duration", "2e-200", "--duration", "1e-197", "--delta-startup", "0",
+         "--tf", "1e-198", "--s2-segment", "1e-198", "--s3-segment", "1e-198"]]
+
+    @pytest.mark.parametrize("flags", TAU_OUT_OF_RANGE, ids=["huge-tau", "tiny-tau"])
+    def test_tau_magnitude_exits_2(self, tmp_path, capsys, flags):
+        code = main(flags + ["--out", str(tmp_path / "never")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("abrlab: invalid configuration: tau: must ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "never").exists()
+
     @pytest.mark.parametrize("flags, name, column", OVERFLOWING, ids=OVERFLOWING_IDS)
     def test_run_episode_rejects_a_non_finite_column(self, flags, name, column):
         # the backstop behind validate: an unvalidated config of the same

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abrlab.cli import run_single
-from abrlab.config import RunConfig
+from abrlab.config import RunConfig, parse_config
 from abrlab.estimation import bump_kernel_weights, linear_kernel_weights
-from abrlab.kernels import bandwidth_from_window, f_from_window, window_dot
+from abrlab.kernels import BLOCK_TERMS, bandwidth_from_window, f_from_window, window_dot
 
 from config_strategies import run_configs
 
 TAU = 1.0
 TE = 0.1
 N_SEG = 10
-LIN_DOT = window_dot(tuple(linear_kernel_weights(TAU, N_SEG).tolist()))
-BUMP_DOT = window_dot(tuple(bump_kernel_weights(TAU, N_SEG).tolist()))
+LIN_DOT = window_dot(tuple(linear_kernel_weights(TAU, N_SEG).tolist()), 1)
+BUMP_DOT = window_dot(tuple(bump_kernel_weights(TAU, N_SEG).tolist()), 1)
 
 
 def affine(a, b):
@@ -25,11 +25,11 @@ def affine(a, b):
 
 
 def bandwidth(ys, R):
-    return bandwidth_from_window(R, LIN_DOT(ys, 0), TAU)
+    return bandwidth_from_window(R, LIN_DOT(ys, 0)[0], TAU)
 
 
 def drift(ys, us, alpha):
-    return f_from_window(LIN_DOT, BUMP_DOT, ys, us, 0, alpha, TAU)
+    return f_from_window(LIN_DOT(ys, 0)[0], BUMP_DOT(us, 0)[0], alpha, TAU)
 
 
 class TestWeights:
@@ -63,16 +63,18 @@ class TestRingWindow:
         # with win - 1 zeros, so the window ending at step k starts at index k
         win = N_SEG + 1
         xs = np.concatenate((np.zeros(win - 1), np.arange(15.0)))
-        first, last, ramp = (window_dot(tuple(w.tolist())) for w in
+        first, last, ramp = (window_dot(tuple(w.tolist()), 1) for w in
                              (np.eye(win)[0], np.eye(win)[-1], np.arange(win, dtype=float)))
         # mid-episode: the window ending at step 14 holds steps 4..14
-        assert first(xs, 14) == 4.0
-        assert last(xs, 14) == 14.0
-        assert ramp(xs, 14) == pytest.approx(np.arange(win) @ np.arange(4.0, 15.0))
+        assert first(xs, 14) == [4.0]
+        assert last(xs, 14) == [14.0]
+        assert ramp(xs, 14)[0] == pytest.approx(np.arange(win) @ np.arange(4.0, 15.0))
         # warm-up: the window ending at step 5 straddles five pad zeros
-        assert first(xs, 5) == 0.0
-        assert last(xs, 5) == 5.0
-        assert ramp(xs, 5) == pytest.approx(np.arange(5, win) @ np.arange(6.0))
+        assert first(xs, 5) == [0.0]
+        assert last(xs, 5) == [5.0]
+        assert ramp(xs, 5)[0] == pytest.approx(np.arange(5, win) @ np.arange(6.0))
+        # a block of three: the windows ending at steps 5, 6 and 7
+        assert window_dot(tuple(np.eye(win)[-1].tolist()), 3)(xs, 5) == [5.0, 6.0, 7.0]
 
     def test_invalid_params(self):
         for tau, te in ((0.0, TE), (TAU, 0.0), (0.15, 0.1)):
@@ -104,9 +106,17 @@ class TestWindowDot:
     @settings(max_examples=200, deadline=None)
     @given(w=st.lists(WEIGHTS, min_size=2, max_size=200), data=st.data())
     def test_matches_the_loop_bitwise(self, w, data):
-        xs = data.draw(st.lists(SAMPLES, min_size=len(w), max_size=len(w) + 20))
-        start = data.draw(st.integers(0, len(xs) - len(w)))
-        assert same_bits(window_dot(tuple(w))(xs, start), reference_dot(w, xs, start))
+        # a block of m consecutive windows, m from 1 to the most that fit in
+        # BLOCK_TERMS products: the i-th dot is the loop over the window
+        # that starts at start + i
+        m = data.draw(st.integers(1, max(1, BLOCK_TERMS // len(w))))
+        span = len(w) + m - 1
+        xs = data.draw(st.lists(SAMPLES, min_size=span, max_size=span + 20))
+        start = data.draw(st.integers(0, len(xs) - span))
+        dots = window_dot(tuple(w), m)(xs, start)
+        assert len(dots) == m
+        for i, dot in enumerate(dots):
+            assert same_bits(dot, reference_dot(w, xs, start + i)), i
 
     @settings(max_examples=50, deadline=None)
     @given(w=st.lists(WEIGHTS, min_size=2, max_size=50), data=st.data())
@@ -118,7 +128,7 @@ class TestWindowDot:
         xs = np.array(data.draw(st.lists(SAMPLES, min_size=rows * cols,
                                          max_size=rows * cols))).reshape(rows, cols)
         start = data.draw(st.integers(0, rows - len(w)))
-        got = window_dot(tuple(w))(xs, start)
+        (got,) = window_dot(tuple(w), 1)(xs, start)
         for c in range(cols):
             assert same_bits(got[c], reference_dot(w, xs[:, c].tolist(), start)), c
 
@@ -128,11 +138,11 @@ class TestWindowDot:
         rng = np.random.default_rng(3)
         w = rng.normal(size=5001).tolist()
         xs = rng.normal(size=5100).tolist()
-        dot = window_dot(tuple(w))
+        dot = window_dot(tuple(w), 1)
         for start in (0, 57, 99):
-            assert same_bits(dot(xs, start), reference_dot(w, xs, start))
+            assert same_bits(dot(xs, start)[0], reference_dot(w, xs, start))
         rows = np.array(xs).reshape(-1, 1)
-        assert same_bits(dot(rows, 7)[0], reference_dot(w, xs, 7))
+        assert same_bits(dot(rows, 7)[0][0], reference_dot(w, xs, 7))
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_weight_is_the_loop(self, bad):
@@ -141,13 +151,23 @@ class TestWindowDot:
             w = [0.5, -0.25, 1.0, 2.0]
             w[i] = bad
             for start in (0, 1):
-                got, ref = window_dot(tuple(w))(xs, start), reference_dot(w, xs, start)
+                got, ref = window_dot(tuple(w), 1)(xs, start)[0], reference_dot(w, xs, start)
                 assert got == ref or (math.isnan(got) and math.isnan(ref)), (i, start)
 
     def test_equal_weights_share_one_function(self):
         w = linear_kernel_weights(TAU, N_SEG)
-        assert window_dot(tuple(w.tolist())) is window_dot(tuple(w.tolist()))
-        assert window_dot(tuple(w.tolist())) is not window_dot(tuple((2.0 * w).tolist()))
+        assert window_dot(tuple(w.tolist()), 1) is window_dot(tuple(w.tolist()), 1)
+        assert window_dot(tuple(w.tolist()), 1) is not window_dot(tuple((2.0 * w).tolist()), 1)
+        assert window_dot(tuple(w.tolist()), 1) is not window_dot(tuple(w.tolist()), 2)
+
+    def test_long_window_compiles_one_function_per_weight_vector(self):
+        # at 4,001 taps a block of the replanning reads is one window, so the
+        # reads, the drift estimate and c_est share one function per weight
+        # vector: two compiled for the episode, the linear and the bump
+        window_dot.cache_clear()
+        run_single(parse_config(["--scenario", "2", "--replan", "--te", "0.01",
+                                 "--tau", "40", "--duration", "10"]), 0)
+        assert window_dot.cache_info().misses == 2
 
 
 class TestBandwidth:
@@ -205,14 +225,14 @@ class TestBandwidth:
         # held before that step's decision
         log = run_single(cfg, seed)
         n_seg = int(round(cfg.tau / cfg.te))
-        lin_dot = window_dot(tuple(linear_kernel_weights(cfg.tau, n_seg).tolist()))
+        lin_dot = window_dot(tuple(linear_kernel_weights(cfg.tau, n_seg).tolist()), 1)
         xs = np.concatenate((np.zeros(n_seg), log.x_meas))
         R_before = np.concatenate(([cfg.ladder[0]], log.R[:-1]))
         prev = np.concatenate(([np.nan], log.c_est[:-1]))
         same = (log.c_est == prev) | (np.isnan(log.c_est) & np.isnan(prev))
         for k in np.nonzero(~same)[0]:
             assert log.c_est[k] > 0.0, k
-            dot = lin_dot(xs, k)
+            (dot,) = lin_dot(xs, k)
             assert log.c_est[k] == bandwidth_from_window(R_before[k], dot, cfg.tau), k
 
     def test_dither_is_attenuated(self):

@@ -70,6 +70,21 @@ EPISODES["s1_replan_c0_0.6_band_3_5"] = ["--scenario", "1", "--replan", "--c0", 
 # A long window: 4,001 taps, with an estimate at 1,199 of its 6,000 steps.
 EPISODES["s2_replan_te_0.01_tau_40"] = ["--scenario", "2", "--replan", "--te", "0.01",
                                         "--tau", "40", "--duration", "60"]
+# The kernel runs one decision interval at a time: replanning with decisions
+# closer than a window, capacity segments that end inside an interval, a last
+# interval cut short by the duration, and a 201-tap window whose reads take
+# their dots from several blocks per interval.
+EPISODES["s3_replan_decision_0.5_tau_2"] = ["--scenario", "3", "--replan",
+                                            "--decision-interval", "0.5", "--tau", "2"]
+for _replan in (True, False):
+    EPISODES[f"{_call_key(2, _replan)}_s2_segment_3.3"] = ["--scenario", "2", _arm(_replan),
+                                                           "--s2-segment", "3.3"]
+    EPISODES[f"{_call_key(3, _replan)}_s3_segment_2.7"] = ["--scenario", "3", _arm(_replan),
+                                                           "--s3-segment", "2.7"]
+    EPISODES[f"{_call_key(2, _replan)}_duration_123.4"] = ["--scenario", "2", _arm(_replan),
+                                                           "--duration", "123.4"]
+EPISODES["s2_replan_te_0.01_tau_2"] = ["--scenario", "2", "--replan", "--te", "0.01",
+                                       "--tau", "2", "--duration", "60"]
 
 
 def output_digests(scenario: int, replan: bool, outdir: Path) -> dict:
