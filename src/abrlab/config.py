@@ -32,8 +32,15 @@ RATE_MIN, RATE_MAX = 1e-6, 1e6
 
 # Magnitude range of the estimator window tau, which keeps the estimators'
 # gain 6 / tau^3 a finite, nonzero float: tau = 2e295 overflows tau^3, and
-# tau = 2e-200 underflows it to 0.
-TAU_MIN, TAU_MAX = 1e-6, 1e6
+# tau = 2e-200 underflows it to 0.  TAU_MAX is the longest window of MAX_TAPS
+# steps at the default te of 0.1 s; a shorter te caps tau lower.
+TAU_MIN, TAU_MAX = 1e-6, 1e4
+
+# Every buffer level (x0, xf and the replanning bounds) lies below this many
+# seconds.  It bounds the tracking error e, and with it the correction
+# kp * e / |alpha| to about 1e18 per decision: xf = 1e300 with kp = 1e6 and
+# alpha = -1e-6 makes the correction overflow within a few decisions.
+BUFFER_MAX = 1e6
 
 # Largest |slope| of the unit ramp 280 T^3 (1-T)^4, reached at T = 3/7.
 RAMP_PEAK_SLOPE = 1935360 / 823543
@@ -89,14 +96,15 @@ class RunConfig:
     out: str = _param("run", "out", "output directory")
     emit: list[str] = _param("run", ["qoe", "table"], "comma list", choices=EMIT_CHOICES)
     # reference trajectory; the buffer levels are targets, never below empty
+    # and below BUFFER_MAX (replan_lower through replan_lower < replan_upper)
     t0: float = _param("trajectory", 0.0, ge=0.0)
     tf: float = _param("trajectory", 10.0)
-    x0: float = _param("trajectory", 0.0, ge=0.0)
-    xf: float = _param("trajectory", 4.0, ge=0.0)
+    x0: float = _param("trajectory", 0.0, ge=0.0, lt=BUFFER_MAX)
+    xf: float = _param("trajectory", 4.0, ge=0.0, lt=BUFFER_MAX)
     # a lower bound the measured buffer never falls below would leave
     # replanning that turned downward never turning back up
     replan_lower: float = _param("trajectory", 4.5, gt=0.0)
-    replan_upper: float = _param("trajectory", 12.0)
+    replan_upper: float = _param("trajectory", 12.0, lt=BUFFER_MAX)
     # controller: kp > 0 for closed-loop stability; alpha < 0, as the input
     # gain -C/R^2 is; rungs and |alpha| within RATE_MIN..RATE_MAX, kp at most
     # RATE_MAX; tau within TAU_MIN..TAU_MAX, bounded below by gt because
@@ -183,6 +191,9 @@ class RunConfig:
         if self.duration / self.te > MAX_STEPS:
             yield (f"duration: must span at most {MAX_STEPS} te steps,"
                    f" got {self.duration / self.te:.4g}")
+        # before any weight vector is built: one of 10^200 taps cannot be
+        if self.tau / self.te > MAX_TAPS:
+            yield f"tau: must span at most {MAX_TAPS} te steps, got {self.tau / self.te:.4g}"
         ratio = self.steps(self.decision_interval)
         if self.n_steps <= ratio:
             yield "duration: must span more than one decision interval (two decisions)"
@@ -214,6 +225,13 @@ MAX_SEEDS = 10**6
 # gives the loop's peak as 1.18 MB per 6,000 steps), so an episode at the
 # cap holds about 0.4 GB and runs for 1-10 s.
 MAX_STEPS = 10**6
+
+# The most te steps the estimator window tau may span; its weight vectors
+# have one tap more.  An episode costs about 63 us and 2.6 KB per tap, most of
+# it to generate and compile the window dots (scenario 2 with replanning at
+# te 0.01 for 600 s: 20,001 taps take 1.6 s and 85 MB peak RSS, 100,001 taps
+# 6.3 s and 262 MB), so a window at the cap costs about 6 s and 0.26 GB.
+MAX_TAPS = 10**5
 
 
 def parse_seeds(text: str) -> list:

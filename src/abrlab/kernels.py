@@ -215,13 +215,15 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     """Fused inner loop for one episode of the config ``cfg``, and the one
     implementation of the controller and of the plant.
 
-    Returns, as arrays, what the loop alone records: the buffer ``x``, the
-    reference ``ref`` and the estimate's validity flag ``valid`` per step, and
-    the held bitrate ``R_k`` and iP correction ``u_k`` per decision.
-    ``plant.run_episode`` derives the other log columns from those: the bitrate
-    and correction are held between decisions, the regime and stall flag are
-    functions of the clock and the buffer, and ``c_est`` is the last positive
-    estimate at a valid step (``held_estimates``).
+    Returns what the loop alone records: the buffer ``x`` and the reference
+    ``ref`` per step as the lists it appended them to, the estimate's validity
+    flag ``valid`` per step as an array, and the held bitrate ``R_k`` and iP
+    correction ``u_k`` per decision as arrays.  ``plant.EpisodeLog`` holds
+    those and derives each other log column on its first read: ``x`` and
+    ``ref`` as arrays, the bitrate and correction held between decisions, the
+    regime and stall flag as functions of the clock and the buffer, and
+    ``c_est`` as the last positive estimate at a valid step
+    (``held_estimates``).
 
     The loop runs one decision interval at a time, up to and including the
     next decision step (or the episode's end), in three stages: the plant over
@@ -296,10 +298,11 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         cm_bar = np.cumsum(c_meas - c_out) / np.minimum(np.arange(1, n + 1), win)
 
     # convert once: the loop computes on Python floats and stores into lists,
-    # converted back to arrays after it; a held capacity and zero buffer
-    # noise are one float object per run.  The plant's input at step k is the
-    # capacity that Euler-steps the buffer from step k - 1 into step k: zero
-    # at step 0, which leaves the empty buffer empty
+    # returned as they are (the log converts them when read); a held
+    # capacity and zero buffer noise are one float object per run.  The
+    # plant's input at step k is the capacity that Euler-steps the buffer
+    # from step k - 1 into step k: zero at step 0, which leaves the empty
+    # buffer empty
     c_in = held_list(np.concatenate(([0.0], c_true[:-1])))
     noise = held_list(x_noise)
     ladder = [float(r) for r in cfg.ladder]
@@ -468,8 +471,8 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
 
     # the histories and converted inputs must not outlive the loop
     del x_hist, u_hist, dots, cm_bar, c_in, noise
-    return (np.array(x_a, dtype=float), np.array(ref_a, dtype=float),
-            np.frombuffer(valid, dtype=bool), np.array(Rk, dtype=float), np.array(uk, dtype=float))
+    return (x_a, ref_a, np.frombuffer(valid, dtype=bool), np.array(Rk, dtype=float),
+            np.array(uk, dtype=float))
 
 
 # perfbench traces ``episode_loop`` and profiles ``_episode_loop`` by its code name

@@ -80,24 +80,30 @@ def build_scenario(cfg: RunConfig, seed: int) -> ChannelTrace:
 
 @dataclass
 class EpisodeLog:
-    """Per-step and per-chunk records of one simulated episode."""
-    t: np.ndarray
-    x: np.ndarray
-    x_meas: np.ndarray
-    R: np.ndarray
-    c_true: np.ndarray
-    c_est: np.ndarray
-    u: np.ndarray
-    ref: np.ndarray
-    regime: np.ndarray      # int8, 0 filling / 1 playing
-    stalled: np.ndarray     # int8
-    t_k: np.ndarray
+    """Per-step and per-chunk records of one simulated episode.
+
+    The log holds what the episode kernel records and the kernel's inputs
+    that the other columns are derived from.  Each of the 13 array columns
+    (``LOG_COLUMNS`` and the per-decision ``t_k``, ``R_k`` and ``x_k``) that
+    is not one of these is derived on its first read (``DERIVED``) and kept:
+    a batch that reads only the QoE columns derives no per-step column."""
+    lists: dict             # the kernel's "x" and "ref" lists, each until converted
+    valid: np.ndarray       # bool per step: the estimate's window conditions hold
     R_k: np.ndarray
-    x_k: np.ndarray
-    te: float               # sampling period: t is arange(len(t)) * te
+    u_k: np.ndarray
+    c_true: np.ndarray
+    x_noise: np.ndarray
+    w_lin: np.ndarray       # the bandwidth estimate's window weights
+    cfg: RunConfig
 
     # text of the formatted columns, shared by every file written from the log
     _text: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getattr__(self, name):  # only for an attribute not yet set
+        if name not in DERIVED:
+            raise AttributeError(f"'EpisodeLog' object has no attribute {name!r}")
+        setattr(self, name, DERIVED[name](self, self.cfg.steps(self.cfg.decision_interval)))
+        return self.__dict__[name]
 
     def text(self, name: str) -> list:
         """The column ``name`` as text, formatted on first use only, one
@@ -105,7 +111,7 @@ class EpisodeLog:
         text = self._text.get(name)
         if text is None:
             if name == "t":
-                text = clock_text(len(self.t), self.te)
+                text = clock_text(len(self.c_true), self.cfg.te)
             elif name == "x_meas" and np.array_equal(self.x_meas.view(np.int64),
                                                      self.x.view(np.int64)):
                 text = self.text("x")  # no buffer-measurement noise
@@ -118,6 +124,30 @@ class EpisodeLog:
 
     def to_csv(self, path) -> None:
         write_columns(path, LOG_COLUMNS, [self.text(name) for name in LOG_COLUMNS])
+
+
+# Each derived log column from the log's records and the decision interval's
+# te steps r.  A list is dropped once its array exists; regime and stalled
+# hold from the startup on; each estimate used the bitrate held before its
+# step's decision.
+DERIVED = {
+    "x": lambda log, r: np.array(log.lists.pop("x"), dtype=float),
+    "ref": lambda log, r: np.array(log.lists.pop("ref"), dtype=float),
+    "t": lambda log, r: np.arange(len(log.c_true)) * log.cfg.te,
+    "x_meas": lambda log, r: log.x * (1.0 + log.x_noise),
+    "R": lambda log, r: np.repeat(log.R_k, r)[:len(log.c_true)],
+    "u": lambda log, r: np.repeat(log.u_k, r)[:len(log.c_true)],
+    "c_est": lambda log, r: kernels.held_estimates(
+        log.x_meas, log.valid, np.concatenate(([log.cfg.ladder[0]], log.R[:-1])), log.w_lin,
+        log.cfg.tau),
+    "regime": lambda log, r: ((log.t >= log.cfg.delta_startup)
+                              & (log.x >= log.cfg.chunk_duration)).astype(np.int8),
+    "stalled": lambda log, r: ((log.t >= log.cfg.delta_startup)
+                               & (log.x < log.cfg.chunk_duration)).astype(np.int8),
+    "t_k": lambda log, r: np.arange(0, len(log.c_true), r) * log.cfg.te,
+    "x_k": lambda log, r: np.array(log.lists["x"][::r] if "x" in log.lists else log.x[::r],
+                                   dtype=float),
+}
 
 
 @lru_cache(maxsize=1)
@@ -146,7 +176,8 @@ def write_columns(path, header, columns) -> None:
 def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
     """Run one full Te-stepped episode of the config on the trace's random
     inputs (``build_scenario`` draws all of them for a seed) through the fused
-    kernel and derive the log columns that the kernel does not record.
+    kernel.  The log it returns holds the kernel's records and derives every
+    other column on its first read.
 
     The kernel's numeric preconditions are checked here: capacities finite
     and positive at every step, and the estimator window and the decision
@@ -173,21 +204,12 @@ def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
     x, ref, valid, R_k, u_k = kernels.episode_loop(
         c_true, c_meas, x_noise, w_lin, w_bump, cfg)
     ratio = cfg.steps(cfg.decision_interval)
-    for name, column, steps_per_value in (("x", x, 1), ("ref", ref, 1), ("u", u_k, ratio)):
-        finite = np.isfinite(column)
-        if not finite.all():
-            raise ValueError(f"{name} is not finite, first at step"
-                             f" {finite.argmin() * steps_per_value}")
-    t = np.arange(n) * cfg.te
-    x_meas = x * (1.0 + x_noise)
-    R = np.repeat(R_k, ratio)[:n]
-    # each estimate used the bitrate held before its step's decision
-    R_before = np.concatenate(([cfg.ladder[0]], R[:-1]))
-    started = t >= cfg.delta_startup
-    return EpisodeLog(
-        t=t, x=x, x_meas=x_meas, R=R, c_true=c_true,
-        c_est=kernels.held_estimates(x_meas, valid, R_before, w_lin, cfg.tau),
-        u=np.repeat(u_k, ratio)[:n], ref=ref,
-        regime=(started & (x >= cfg.chunk_duration)).astype(np.int8),
-        stalled=(started & (x < cfg.chunk_duration)).astype(np.int8),
-        t_k=t[::ratio], R_k=R_k, x_k=x[::ratio], te=cfg.te)
+    for name, column, steps_per_value in (("x", x, 1), ("ref", ref, 1),
+                                          ("u", u_k.tolist(), ratio)):
+        # one pass in C: an inf or a NaN makes the sum non-finite, and so may
+        # finite values whose sum overflows, which the search then clears
+        if not math.isfinite(sum(column)):
+            bad = np.flatnonzero(~np.isfinite(column))
+            if len(bad):
+                raise ValueError(f"{name} is not finite, first at step {bad[0] * steps_per_value}")
+    return EpisodeLog({"x": x, "ref": ref}, valid, R_k, u_k, c_true, x_noise, w_lin, cfg)

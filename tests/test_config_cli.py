@@ -22,7 +22,7 @@ from abrlab import config, kernels
 from abrlab.cli import main, run_single
 from abrlab.config import (ConfigError, RunConfig, build_arg_parser, emit_config,
                            parse_config, parse_seeds, read_config_file)
-from abrlab.plant import build_scenario, run_episode
+from abrlab.plant import LOG_COLUMNS, build_scenario, run_episode
 
 from config_strategies import run_configs, seed_batches
 
@@ -52,6 +52,13 @@ def kernel_calls(argv) -> int:
     with mock.patch.object(kernels, "episode_loop", wraps=kernels.episode_loop) as loop:
         run_quiet(argv)
     return loop.call_count
+
+
+def estimate_calls(argv) -> int:
+    """Run the CLI quietly and count its derivations of the ``c_est`` column."""
+    with mock.patch.object(kernels, "held_estimates", wraps=kernels.held_estimates) as held:
+        run_quiet(argv)
+    return held.call_count
 
 
 def assert_batch_matches_singles(args, seeds, tmp) -> int:
@@ -357,6 +364,31 @@ class TestMain:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "never").exists()
 
+    # a window of 10^200 taps, which no weight vector can hold, and buffer
+    # levels whose tracking error makes the correction overflow (the first)
+    # or reach about -3.6e299 (the second)
+    UNBOUNDED = [(["--te", "1e-200", "--tau", "1", "--decision-interval", "1e-200",
+                   "--duration", "1e-199", "--delta-startup", "0"], "tau"),
+                 (["--xf", "1e300", "--alpha", "-1e-6", "--kp", "1e6", "--duration", "120"],
+                  "xf"),
+                 (["--xf", "1e300"], "xf")]
+
+    @pytest.mark.parametrize("flags, name", UNBOUNDED,
+                             ids=["10^200-taps", "huge-xf-huge-gain", "huge-xf"])
+    def test_unbounded_window_or_buffer_level_exits_2(self, tmp_path, capsys, flags, name):
+        code = main(flags + ["--out", str(tmp_path / "never")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"abrlab: invalid configuration: {name}: must ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "never").exists()
+
+    def test_max_taps_is_inclusive(self):
+        with mock.patch.object(config, "MAX_TAPS", 20):
+            RunConfig(tau=2.0).validate()  # 20 steps of 0.1 s
+            with pytest.raises(ConfigError, match="^tau: must span at most 20 te steps"):
+                RunConfig(tau=2.1).validate()
+
     @pytest.mark.parametrize("flags, name, column", OVERFLOWING, ids=OVERFLOWING_IDS)
     def test_run_episode_rejects_a_non_finite_column(self, flags, name, column):
         # the backstop behind validate: an unvalidated config of the same
@@ -370,6 +402,20 @@ class TestMain:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{column} is not finite, first at step "):
                 run_episode(build_scenario(cfg, 0), cfg)
+
+    def test_finite_columns_whose_sum_overflows_pass_the_backstop(self):
+        # the backstop sums each column in one pass; finite values whose sum
+        # overflows make it search the column for a bad step, and it finds none
+        cfg = RunConfig(duration=20.0)
+        n, decisions = cfg.n_steps, len(range(0, cfg.n_steps, cfg.steps(cfg.decision_interval)))
+        assert sum([1e308, 1e308]) == math.inf
+        records = ([1e308] * n, [-1e308] * n, np.zeros(n, dtype=bool),
+                   np.full(decisions, cfg.ladder[0]), np.full(decisions, 1e308))
+        with mock.patch.object(kernels, "episode_loop", return_value=records), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = run_episode(build_scenario(cfg, 0), cfg)
+        assert (log.x == 1e308).all() and (log.ref == -1e308).all() and (log.u == 1e308).all()
 
     def test_overflow_prints_one_stderr_line(self, tmp_path, capfd):
         # in a fresh process, with every warning shown: the config is
@@ -430,6 +476,18 @@ class TestMain:
             assert assert_batch_matches_singles(flags + ["--duration", "60"], [0, 1, 2, 3, 4],
                                                 tmp_path / str(i)) == calls
 
+    @pytest.mark.parametrize("emit, per_episode", [("qoe,table", 0), ("log", 1), ("plotdata", 1),
+                                                   ("qoe,table,log,plotdata", 1)])
+    def test_estimates_are_derived_only_for_per_step_outputs(self, tmp_path, emit,
+                                                              per_episode):
+        # the QoE report reads only per-decision columns, so a QoE-only batch
+        # derives no c_est; a per-step output derives it once per episode,
+        # which scenario 1 at zero buffer noise shares between its seeds
+        for i, (scenario, episodes) in enumerate((("2", 3), ("1", 1))):
+            argv = ["--scenario", scenario, "--duration", "60", "--seeds", "0..2",
+                    "--emit", emit, "--out", str(tmp_path / str(i))]
+            assert estimate_calls(argv) == per_episode * episodes
+
     def test_hundred_scenario1_seeds_run_one_episode(self, tmp_path):
         assert kernel_calls(["--scenario", "1", "--seeds", "0..99", "--out", str(tmp_path)]) == 1
         rows = (tmp_path / "qoe.csv").read_text().splitlines()
@@ -486,9 +544,9 @@ def test_every_valid_config_runs(cfg, seed):
             code = main(["--config", str(path), "--seeds", str(seed), "--out", tmp])
         assert code == 0, stderr.getvalue()
     log = run_single(cfg, seed)
-    for name, value in vars(log).items():
-        if isinstance(value, np.ndarray) and name != "c_est":
-            assert np.isfinite(value).all(), name
+    for name in LOG_COLUMNS + ("t_k", "R_k", "x_k"):
+        if name != "c_est":
+            assert np.isfinite(getattr(log, name)).all(), name
     assert (np.isnan(log.c_est) | (log.c_est > 0.0)).all()
     assert (log.x >= 0.0).all()
     assert np.isin(log.R_k, cfg.ladder).all()
