@@ -59,6 +59,11 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad command line is an invalid configuration
+        raise ConfigError(message)
+
+
 def _rule_text(grid, rules) -> str:
     """A field's declared rule in words, '' when it declares none: the te
     grid, then the choices or the bounds."""
@@ -175,11 +180,11 @@ class RunConfig:
             yield (f"out: a config file cannot hold {self.out!r}: no '#', no line break,"
                    " no whitespace at either end")
         if not self.replan_lower < self.replan_upper:
-            yield "replan_lower must be below replan_upper"
+            yield "replan_lower: must be below replan_upper"
         if not self.t0 < self.tf:
-            yield f"trajectory: require t0 < tf, got t0={self.t0}, tf={self.tf}"
+            yield f"tf: must be above t0, got t0={self.t0}, tf={self.tf}"
         if RAMP_PEAK_SLOPE * (self.x0 - self.xf) >= self.tf - self.t0:
-            yield ("trajectory: the reference must fall slower than playback drains the"
+            yield ("x0: the reference must fall slower than playback drains the"
                    f" buffer: require x0 - xf < {1 / RAMP_PEAK_SLOPE:.4f} * (tf - t0)")
         if not self.ladder:
             yield "ladder: must be non-empty"
@@ -204,7 +209,7 @@ class RunConfig:
             yield f"delta_startup: must be at most the last decision time, {last_decision:g} s"
         for sid in (2, 3):
             if not getattr(self, f"s{sid}_level_lo") <= getattr(self, f"s{sid}_level_hi"):
-                yield f"s{sid}_level_lo/hi: require level_lo <= level_hi"
+                yield f"s{sid}_level_lo: must be at most s{sid}_level_hi"
 
 
 GRID_FIELDS = tuple(f.name for f in fields(RunConfig) if f.metadata["grid"])
@@ -318,7 +323,7 @@ def emit_config(cfg: RunConfig, path) -> None:
 def build_arg_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: ``parse_args`` keeps
     no state between calls, so every ``parse_config`` shares it."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="abrlab",
         description="Adaptive-bitrate buffer-control scenario runner",
         epilog="Every number must be finite.")

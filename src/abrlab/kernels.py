@@ -316,7 +316,6 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     else:
         b = 1
     read_dot = window_dot(w_lin, b)
-    lin_dot = window_dot(w_lin, 1)
     bump_dot = window_dot(tuple(w_bump.tolist()), 1)
     # measured buffer and held correction, zero-padded by win - 1 samples
     # so the window ending at step k starts at index k; the buffer has b - 1
@@ -393,12 +392,12 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
                 # the last positive estimate and its validity clock are kept
                 # instead.  Every decision is a read, so every step back to the
                 # last read held cur_R before its decision; a step older than
-                # this read's own (a scan back with replanning off) has no dot
-                # yet.
+                # this read's own (a scan back, only with replanning off, whose
+                # blocks are one window) has no dot yet.
                 j = k
                 while j > last_read:
                     if valid[j]:
-                        dot = dots[j - lo] if j == k else lin_dot(x_hist, j)[0]
+                        dot = dots[j - lo] if j == k else read_dot(x_hist, j)[0]
                         c_new = cur_R * (1.0 - gain * dot)
                         if c_new > 0.0:
                             cest = c_new

@@ -1,5 +1,6 @@
 """Hypothesis strategies over configurations that ``RunConfig.validate``
-accepts, alone and with a batch of seeds.
+accepts, alone and with a batch of seeds, and the table of configurations
+the command line refuses (``REFUSED``).
 
 A float field is drawn from its declared bounds (``_param`` metadata) cut to
 a finite box, inside the declared magnitude ranges of the rates and gains.
@@ -90,3 +91,108 @@ def seed_batches(draw):
         cfg = replace(cfg, x_noise=0.0)
     gaps = draw(st.lists(st.integers(1, 100), min_size=1, max_size=2))
     return cfg, draw(st.permutations(list(accumulate([draw(st.integers(0, 1000)), *gaps]))))
+
+
+# Every configuration the command line refuses, as (flags, field): run as
+# ``abrlab --out never <flags>`` in an empty directory, each exits 2 with one
+# stderr line, ``abrlab: invalid configuration: <field>: ...``, and writes
+# nothing (``check_refused``).  A row's own ``--out`` comes later and wins.
+# The flags are split at single spaces only, so "runs\nb" stays one value.
+REFUSED = [(flags.split(" "), field) for flags, field in [
+    # the command line itself
+    ("--bogus", "unrecognized arguments"),
+    ("--kp", "argument --kp"),
+    ("--replan --no-replan", "argument --no-replan"),
+    # seeds: a range or a list of distinct, non-negative integers, at most
+    # MAX_SEEDS of them, measured before a list is built
+    ("--seeds 3..1", "seeds"), ("--seeds a,b", "seeds"), ("--seeds=", "seeds"),
+    ("--duration 60 --seeds=-1", "seeds"), ("--duration 60 --seeds=-3..-1", "seeds"),
+    ("--duration 60 --seeds=2,-1", "seeds"),
+    ("--duration 60 --seeds=1,1", "seeds"), ("--duration 60 --seeds=0,1,0", "seeds"),
+    ("--seeds 0..100000000000", "seeds"),
+    # an output directory a config file would read back otherwise
+    ("--duration 60 --out runs#1", "out"), ("--duration 60 --out runs\nb", "out"),
+    ("--duration 60 --out runs\rb", "out"),
+    # text that is no value of its field, or outside its choices
+    ("--kp abc", "kp"), ("--ladder 0.5,x", "ladder"), ("--scenario 1.5", "scenario"),
+    ("--seeds 1..", "seeds"), ("--emit bogus", "emit"), ("--scenario 4", "scenario"),
+    # the reference: t0 < tf, buffer targets never below empty, and a ramp
+    # that falls slower than playback drains the buffer
+    ("--tf 0", "tf"), ("--t0 5 --tf 5", "tf"), ("--xf -3", "xf"), ("--x0 -2", "x0"),
+    ("--x0 10 --xf 0 --tf 5", "x0"), ("--x0 4.26 --xf 0 --tf 10", "x0"),
+    ("--replan-upper 1e6", "replan_upper"),
+    # a lower bound the measured buffer never falls below: replanning that
+    # turned downward never turns back up
+    ("--replan-lower 9 --replan-upper 8", "replan_lower"),
+    ("--replan-lower 8 --replan-upper 8", "replan_lower"),
+    ("--replan-lower -5 --replan-upper -1", "replan_lower"),
+    ("--replan-lower 0 --replan-upper 1", "replan_lower"),
+    # the controller: positive kp, negative alpha, a non-empty, strictly
+    # increasing ladder of positive rates
+    ("--kp -1", "kp"), ("--kp 0", "kp"), ("--alpha 5", "alpha"), ("--alpha 0", "alpha"),
+    ("--ladder=", "ladder"), ("--ladder 0.5,0.5", "ladder"), ("--ladder 1.0,0.5", "ladder"),
+    ("--ladder=-1.0,0.5", "ladder"),
+    # buffer or capacity noise that can read a value as zero or below, and
+    # scenario levels that are not positive and ordered, or (scenario 3) do
+    # not dip below 0.35
+    ("--x-noise 1", "x_noise"), ("--x-noise 5", "x_noise"),
+    ("--s2-noise 1.5", "s2_noise"), ("--s3-noise 1", "s3_noise"), ("--s3-noise -0.1", "s3_noise"),
+    ("--s2-level-lo -1", "s2_level_lo"), ("--s3-level-lo 0", "s3_level_lo"),
+    ("--s2-level-lo 3 --s2-level-hi 2", "s2_level_lo"),
+    ("--s3-level-lo 0.3 --s3-level-hi 0.2", "s3_level_lo"),
+    ("--s3-level-lo 0.34", "s3_level_lo"),
+    # te positive, and decision instants, estimator windows, chunks and
+    # capacity segments on its grid; a window of at least two te steps
+    ("--te 0", "te"), ("--tau 0", "tau"), ("--tau 0.15", "tau"), ("--tau 0.1 --te 0.1", "tau"),
+    ("--decision-interval 0", "decision_interval"), ("--chunk-duration 2.05", "chunk_duration"),
+    ("--chunk-duration 2 --te 0.3", "tau"),  # tau is the first field off the grid
+    ("--duration 60 --decision-interval 0.04", "decision_interval"),
+    ("--duration 60 --decision-interval 0.15", "decision_interval"),
+    ("--duration 60 --tau 1.05", "tau"),
+    ("--duration 60 --scenario 2 --s2-segment 0.05", "s2_segment"),
+    ("--duration 60 --scenario 3 --s3-segment 20.05", "s3_segment"),
+    # a startup after the last decision leaves no chunk to count rebuffering
+    # over; an episode needs two decisions at least
+    ("--delta-startup -1", "delta_startup"),
+    ("--delta-startup 59 --duration 60", "delta_startup"),
+    ("--delta-startup 58.1 --duration 60", "delta_startup"),
+    ("--scenario 3 --duration 0", "duration"), ("--scenario 3 --duration 1", "duration"),
+    ("--scenario 3 --duration 2", "duration"),
+    # non-finite numbers, which would crash a check or run a nonsense episode
+    ("--te nan", "te"), ("--tau nan", "tau"), ("--duration nan", "duration"),
+    ("--chunk-duration nan", "chunk_duration"), ("--c0 nan", "c0"), ("--kp nan", "kp"),
+    ("--x-noise nan", "x_noise"), ("--xf nan", "xf"), ("--delta-startup nan", "delta_startup"),
+    ("--duration inf", "duration"), ("--alpha=-inf", "alpha"), ("--ladder 0.35,nan", "ladder"),
+    ("--ladder 0.35,inf", "ladder"), ("--duration 60 --te nan", "te"),
+    ("--duration 60 --c0 nan", "c0"),
+    # magnitudes whose products overflow: the buffer fills at 1e600 s per s,
+    # the correction is inf, the capacity average overflows
+    ("--duration 120 --ladder 1e-300 --c0 1e300", "ladder"),
+    ("--duration 120 --kp 1e300 --alpha -1e-300", "alpha"),
+    ("--duration 120 --scenario 3 --replan --s3-level-hi 1e308", "s3_level_hi"),
+    # estimator windows whose gain 6 / tau^3 is not a finite, nonzero float:
+    # tau^3 overflows in the first and underflows to 0 in the second, with
+    # every other field on the te grid and within its own rule
+    ("--te 1e295 --duration 1e297 --tau 2e295 --decision-interval 2e295"
+     " --chunk-duration 2e295 --s2-segment 2e296 --s3-segment 2e296", "tau"),
+    ("--te 1e-200 --tau 2e-200 --decision-interval 4e-200 --chunk-duration 2e-200"
+     " --duration 1e-197 --delta-startup 0 --tf 1e-198 --s2-segment 1e-198"
+     " --s3-segment 1e-198", "tau"),
+    # more te steps than MAX_STEPS (duration / te is inf in the first) or a
+    # window of more than MAX_TAPS, which no weight vector could hold
+    ("--te 1e-300 --duration 1e300", "duration"), ("--duration 1e12", "duration"),
+    ("--te 1e-200 --tau 1 --decision-interval 1e-200 --duration 1e-199"
+     " --delta-startup 0", "tau"),
+    # buffer levels whose tracking error makes the correction overflow (the
+    # first) or reach about -3.6e299 (the second)
+    ("--xf 1e300 --alpha -1e-6 --kp 1e6 --duration 120", "xf"), ("--xf 1e300", "xf"),
+]]
+
+
+def check_refused(flags, field, code, err, left):
+    """Assert the refusal contract for a ``REFUSED`` row, given the exit code,
+    the stderr text and what the run left in its working directory."""
+    what = f"{' '.join(flags)!r}: exit {code}, stderr {err!r}, left {left}"
+    assert code == 2 and err.count("\n") == 1 and err.endswith("\n"), what
+    assert err.startswith(f"abrlab: invalid configuration: {field}: "), what
+    assert "Traceback" not in err and not left, what

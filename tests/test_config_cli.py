@@ -24,7 +24,7 @@ from abrlab.config import (ConfigError, RunConfig, build_arg_parser, emit_config
                            parse_config, parse_seeds, read_config_file)
 from abrlab.plant import LOG_COLUMNS, build_scenario, run_episode
 
-from config_strategies import run_configs, seed_batches
+from config_strategies import REFUSED, check_refused, run_configs, seed_batches
 
 # A valid value different from the default for every RunConfig field.
 NON_DEFAULT = {
@@ -52,6 +52,14 @@ def kernel_calls(argv) -> int:
     with mock.patch.object(kernels, "episode_loop", wraps=kernels.episode_loop) as loop:
         run_quiet(argv)
     return loop.call_count
+
+
+def assert_refused(flags, field, cwd, monkeypatch, capsys) -> None:
+    """Run ``main`` on ``--out never`` and ``flags`` in the empty directory
+    ``cwd``: it refuses them, naming ``field`` first (``check_refused``)."""
+    monkeypatch.chdir(cwd)
+    code = main(["--out", "never", *flags])
+    check_refused(flags, field, code, capsys.readouterr().err, os.listdir(cwd))
 
 
 def estimate_calls(argv) -> int:
@@ -138,65 +146,15 @@ class TestParsing:
         assert b == RunConfig(kp=0.5)
         assert a.seeds is not b.seeds and a.ladder is not b.ladder
 
-    def test_validation_failures(self):
-        with pytest.raises(ConfigError):
-            parse_config(["--kp", "-1"])
-        with pytest.raises(ConfigError):
-            parse_config(["--tf", "0"])
-        with pytest.raises(ConfigError):
-            parse_config(["--emit", "bogus"])
-        with pytest.raises(ConfigError):
-            parse_config(["--tau", "0.1", "--te", "0.1"])
-        with pytest.raises(ConfigError):
-            parse_config(["--replan-lower", "9", "--replan-upper", "8"])
-        # a lower bound the measured buffer never falls below: replanning that
-        # turned downward never turns back up
-        for flags in (["--replan-lower", "-5", "--replan-upper", "-1"],
-                      ["--replan-lower", "0", "--replan-upper", "1"]):
-            with pytest.raises(ConfigError, match="replan_lower: must be positive"):
-                parse_config(flags)
-        # buffer noise that can read the buffer as zero or negative
-        for flags in (["--x-noise", "1"], ["--x-noise", "5"]):
-            with pytest.raises(ConfigError, match="x_noise: must lie in"):
-                parse_config(flags)
-        with pytest.raises(ConfigError):
-            parse_config(["--alpha", "5"])
-        # a reference falling as fast as playback drains the buffer somewhere
-        with pytest.raises(ConfigError):
-            parse_config(["--x0", "10", "--xf", "0", "--tf", "5"])
-        # a buffer target below empty
-        for flags in (["--xf", "-3"], ["--x0", "-2"]):
-            with pytest.raises(ConfigError, match=flags[0][2:] + ":"):
-                parse_config(flags)
-        # a startup delay after the last decision, which leaves no chunk to
-        # count rebuffering over
-        with pytest.raises(ConfigError, match="delta_startup:"):
-            parse_config(["--delta-startup", "59", "--duration", "60"])
-        # fewer than two decisions
-        for duration in ("0", "1", "2"):
-            with pytest.raises(ConfigError):
-                parse_config(["--scenario", "3", "--duration", duration])
-        # scenario generators: positive ordered levels, noise below 100%
-        for flags in (["--s2-level-lo", "-1"], ["--s3-level-lo", "0"],
-                      ["--s2-level-lo", "3", "--s2-level-hi", "2"],
-                      ["--s2-noise", "1.5"], ["--s3-noise", "1"], ["--s3-noise", "-0.1"],
-                      ["--s3-level-lo", "0.34"]):  # scenario 3 dips below 0.35
-            with pytest.raises(ConfigError):
-                parse_config(flags)
-        # non-finite numbers, which would crash a check or run a nonsense episode
-        for flags in (["--te", "nan"], ["--tau", "nan"], ["--duration", "nan"],
-                      ["--chunk-duration", "nan"], ["--c0", "nan"], ["--kp", "nan"],
-                      ["--x-noise", "nan"], ["--xf", "nan"], ["--delta-startup", "nan"],
-                      ["--duration", "inf"], ["--alpha=-inf"], ["--ladder", "0.35,nan"],
-                      ["--ladder", "0.35,inf"]):
-            with pytest.raises(ConfigError):
-                parse_config(flags)
+    def test_out_a_config_file_cannot_hold(self):
         # an output directory a config file would read back otherwise (flag
         # text is stripped, so edge whitespace reaches validate only directly)
         for out in ("runs#1", "runs\n", "a\rb", " runs", "runs\t"):
             with pytest.raises(ConfigError, match="out:"):
                 RunConfig(out=out).validate()
-        # just inside the bounds
+
+    def test_just_inside_the_bounds(self):
+        # each accepted just short of a rule that a REFUSED row breaks
         parse_config(["--x0", "4", "--xf", "0", "--tf", "10"])
         parse_config(["--scenario", "3", "--duration", "2.1", "--delta-startup", "2"])
         parse_config(["--x0", "0", "--xf", "0"])
@@ -277,117 +235,31 @@ class TestMain:
         assert (out / "capacity_s1_noreplan_0.csv").exists()
         assert (out / "buffer_s1_noreplan_0.csv").exists()
 
-    def test_invalid_config_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "never"
-        code = main(["--kp", "-1", "--out", str(out)])
-        assert code == 2
-        assert not out.exists()
-        assert "invalid configuration" in capsys.readouterr().err
-
     @pytest.mark.parametrize("make", [lambda d: d / "missing.cfg",
                                       lambda d: d,
                                       lambda d: d / "latin1.cfg"],
                              ids=["missing", "directory", "not-utf8"])
-    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, make):
+    def test_unreadable_config_file_exits_2(self, tmp_path, monkeypatch, capsys, make):
         # not UTF-8; were it read as Latin-1, the value would not parse
         (tmp_path / "latin1.cfg").write_bytes(b"controller.kp = 0.4\xe9\n")
         path = make(tmp_path)
-        code = main(["--config", str(path), "--out", str(tmp_path / "never")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("abrlab: invalid configuration:") and str(path) in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "never").exists()
-
-    @pytest.mark.parametrize("flags", [["--decision-interval", "0.04"],
-                                       ["--decision-interval", "0.15"],
-                                       ["--tau", "1.05"],
-                                       ["--scenario", "2", "--s2-segment", "0.05"],
-                                       ["--scenario", "3", "--s3-segment", "20.05"],
-                                       ["--te", "nan"],
-                                       ["--c0", "nan"]])
-    def test_off_grid_interval_exits_2(self, tmp_path, capsys, flags):
-        # decision instants, estimator windows and capacity segments must lie
-        # on the te grid, which a non-finite number is on nowhere
-        code = main(self.ARGS + flags + ["--out", str(tmp_path / "never")])
-        assert code == 2
-        assert "invalid configuration" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("name", ["runs#1", "runs\nb", "runs\rb"])
-    def test_out_a_config_file_cannot_hold_exits_2(self, tmp_path, capsys, name):
-        # emit_config would write it as a comment or a broken line
-        code = main(self.ARGS + ["--out", str(tmp_path / name)])
-        assert code == 2
-        assert "invalid configuration: out:" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("seeds", ["--seeds=-1", "--seeds=-3..-1", "--seeds=2,-1"])
-    def test_negative_seed_exits_2(self, tmp_path, capsys, seeds):
-        code = main(self.ARGS + [seeds, "--out", str(tmp_path / "never")])
-        assert code == 2
-        assert "seeds: must be non-negative" in capsys.readouterr().err
-        assert not (tmp_path / "never").exists()
-
-    # magnitudes whose products overflow: the buffer fills at 1e600 s per s,
-    # the correction is inf, the capacity average overflows
-    OVERFLOWING = [(["--ladder", "1e-300", "--c0", "1e300"], "ladder", "x"),
-                   (["--kp", "1e300", "--alpha", "-1e-300"], "alpha", "u"),
-                   (["--scenario", "3", "--replan", "--s3-level-hi", "1e308"], "s3_level_hi", "x")]
-    OVERFLOWING_IDS = ["tiny-rung", "huge-kp", "huge-s3-level"]
-
-    @pytest.mark.parametrize("flags, name, column", OVERFLOWING, ids=OVERFLOWING_IDS)
-    def test_overflowing_magnitude_exits_2(self, tmp_path, capsys, flags, name, column):
-        code = main(["--duration", "120", "--out", str(tmp_path / "never")] + flags)
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith(f"abrlab: invalid configuration: {name}: must ")
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert not (tmp_path / "never").exists()
-
-    # estimator windows whose gain 6 / tau^3 is not a finite, nonzero float:
-    # tau^3 overflows in the first and underflows to 0 in the second, with
-    # every other field on the te grid and within its own rule
-    TAU_OUT_OF_RANGE = [
-        ["--te", "1e295", "--duration", "1e297", "--tau", "2e295",
-         "--decision-interval", "2e295", "--chunk-duration", "2e295",
-         "--s2-segment", "2e296", "--s3-segment", "2e296"],
-        ["--te", "1e-200", "--tau", "2e-200", "--decision-interval", "4e-200",
-         "--chunk-duration", "2e-200", "--duration", "1e-197", "--delta-startup", "0",
-         "--tf", "1e-198", "--s2-segment", "1e-198", "--s3-segment", "1e-198"]]
-
-    @pytest.mark.parametrize("flags", TAU_OUT_OF_RANGE, ids=["huge-tau", "tiny-tau"])
-    def test_tau_magnitude_exits_2(self, tmp_path, capsys, flags):
-        code = main(flags + ["--out", str(tmp_path / "never")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("abrlab: invalid configuration: tau: must ")
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert not (tmp_path / "never").exists()
-
-    # a window of 10^200 taps, which no weight vector can hold, and buffer
-    # levels whose tracking error makes the correction overflow (the first)
-    # or reach about -3.6e299 (the second)
-    UNBOUNDED = [(["--te", "1e-200", "--tau", "1", "--decision-interval", "1e-200",
-                   "--duration", "1e-199", "--delta-startup", "0"], "tau"),
-                 (["--xf", "1e300", "--alpha", "-1e-6", "--kp", "1e6", "--duration", "120"],
-                  "xf"),
-                 (["--xf", "1e300"], "xf")]
-
-    @pytest.mark.parametrize("flags, name", UNBOUNDED,
-                             ids=["10^200-taps", "huge-xf-huge-gain", "huge-xf"])
-    def test_unbounded_window_or_buffer_level_exits_2(self, tmp_path, capsys, flags, name):
-        code = main(flags + ["--out", str(tmp_path / "never")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith(f"abrlab: invalid configuration: {name}: must ")
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert not (tmp_path / "never").exists()
+        (tmp_path / "cwd").mkdir()
+        assert_refused(["--config", str(path)], f"cannot read {path}", tmp_path / "cwd",
+                       monkeypatch, capsys)
 
     def test_max_taps_is_inclusive(self):
         with mock.patch.object(config, "MAX_TAPS", 20):
             RunConfig(tau=2.0).validate()  # 20 steps of 0.1 s
             with pytest.raises(ConfigError, match="^tau: must span at most 20 te steps"):
                 RunConfig(tau=2.1).validate()
+
+    # REFUSED rows whose magnitudes overflow, with the column each overflows:
+    # the buffer fills at 1e600 s per s, the correction is inf, the capacity
+    # average overflows
+    OVERFLOWING = [(["--ladder", "1e-300", "--c0", "1e300"], "ladder", "x"),
+                   (["--kp", "1e300", "--alpha", "-1e-300"], "alpha", "u"),
+                   (["--scenario", "3", "--replan", "--s3-level-hi", "1e308"], "s3_level_hi", "x")]
+    OVERFLOWING_IDS = ["tiny-rung", "huge-kp", "huge-s3-level"]
 
     @pytest.mark.parametrize("flags, name, column", OVERFLOWING, ids=OVERFLOWING_IDS)
     def test_run_episode_rejects_a_non_finite_column(self, flags, name, column):
@@ -434,31 +306,11 @@ class TestMain:
         assert "Warning" not in err
         assert not (tmp_path / "never").exists()
 
-    @pytest.mark.parametrize("flags", [["--te", "1e-300", "--duration", "1e300"],
-                                       ["--duration", "1e12"]],
-                             ids=["steps-overflow-int", "steps-past-cap"])
-    def test_more_than_max_steps_exits_2(self, tmp_path, capsys, flags):
-        # duration / te is inf in the first, which no step count rounds to;
-        # the second would allocate its 10^13-step trace
-        code = main(flags + ["--out", str(tmp_path / "never")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("abrlab: invalid configuration: duration: must span at most")
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert not (tmp_path / "never").exists()
-
     def test_max_steps_is_inclusive(self):
         with mock.patch.object(config, "MAX_STEPS", 200):
             RunConfig(duration=20.0).validate()  # 200 steps of 0.1 s
             with pytest.raises(ConfigError, match="^duration: must span at most 200 te steps"):
                 RunConfig(duration=20.1).validate()
-
-    @pytest.mark.parametrize("seeds", ["--seeds=1,1", "--seeds=0,1,0"])
-    def test_repeated_seed_exits_2(self, tmp_path, capsys, seeds):
-        code = main(self.ARGS + [seeds, "--out", str(tmp_path / "never")])
-        assert code == 2
-        assert "seeds: must be distinct" in capsys.readouterr().err
-        assert not (tmp_path / "never").exists()
 
     def test_unwritable_out_exits_1(self, tmp_path):
         target = tmp_path / "file"
@@ -528,6 +380,13 @@ def test_declared_rule(f):
         check(bound, op in ("ge", "le"))
     helps = {action.dest: action.help for action in build_arg_parser()._actions}
     assert helps[f.name].endswith(f.metadata["rule"])
+
+
+@pytest.mark.parametrize("flags, field", REFUSED, ids=[" ".join(flags) for flags, _ in REFUSED])
+def test_refused(flags, field, tmp_path, monkeypatch, capsys):
+    """Every refused configuration exits 2 with one stderr line that names
+    its field, and writes nothing."""
+    assert_refused(flags, field, tmp_path, monkeypatch, capsys)
 
 
 @settings(max_examples=40, deadline=None)
