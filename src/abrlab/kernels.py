@@ -4,15 +4,18 @@ The callees take arrays or lists alike: the episode loop hands them Python
 floats, which are much cheaper to compute with than NumPy scalars and give
 the same IEEE results.  The fused ``episode_loop`` is the one implementation
 of the controller and of the plant.  It runs one decision interval at a
-time: the plant over the interval's steps, then the controller over the same
-steps, then the decision.  That order is exact because the bitrate is held
-between decisions, so the plant there reads neither the bandwidth estimate
-nor the reference, and it lets the replanning reads take their window dots
-from one generated call per block of steps (``window_dot``).  The loop's
-docstring states what it computes and returns, and how its per-step bodies
-keep to arithmetic: clock tests on step indices, the estimate and the Euler
-step written in line, the Euler step's increments computed once per run of a
-held capacity.
+time: the plant over the interval's steps, then the controller's stage at
+the steps its arm reads, then the decision.  That order is exact because the
+bitrate is held between decisions, so the plant there reads neither the
+bandwidth estimate nor the reference.  With replanning the controller runs
+at every step, a read being that step's own estimate, and its reads take
+their window dots from one generated call per block of steps
+(``window_dot``); without it the controller runs at the decision step
+alone, and the reference, which is then the ramp, is written once before
+the loop.  The loop's docstring states what it computes and returns, and
+how its per-step bodies keep to arithmetic: clock tests on step indices, one
+validity threshold step, the estimate and the Euler step written in line,
+the Euler step's increments computed once per run of a held capacity.
 """
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
@@ -227,11 +230,11 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
 
     The loop runs one decision interval at a time, up to and including the
     next decision step (or the episode's end), in three stages: the plant over
-    the interval's steps, then the controller over the same steps, then the
-    decision.  The order is exact, the same float operations in the same order
-    as step by step: with the bitrate held, the plant between decisions reads
-    neither the estimator nor the reference, and the controller reads only
-    the plant's samples up to its own step.
+    the interval's steps, then the controller's stage at the steps its arm
+    reads, then the decision.  The order is exact, the same float operations
+    in the same order as step by step: with the bitrate held, the plant
+    between decisions reads neither the estimator nor the reference, and the
+    controller reads only the plant's samples up to its own step.
 
     The plant is one explicit-Euler step of the client buffer per te step,
     draining at the playback rate only while playing (from the startup on,
@@ -240,21 +243,26 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     The plant's two increments (playing, filling) are computed once per run of
     a held capacity: ``held_list`` gives each run one float object.  Each step
     it records the measured buffer, the held correction and the estimate's
-    validity: a step is valid once a whole window has passed since the last
-    step that was out of playback, had the measured buffer at or below the
-    chunk duration, or changed the bitrate.
+    validity.  A step is valid from one threshold step on, ``valid_from``: a
+    whole window after the last step that spoiled the window (out of
+    playback, the measured buffer at or below the chunk duration, or a
+    bitrate change), and not before the clock is a whole window into
+    playback.  The threshold is reset wherever the window is spoiled.
 
-    The controller reads the bandwidth estimate every step with replanning
-    on, at decision steps only with it off.  A read takes the newest valid
-    step with a positive estimate, going back to the previous read; an
-    estimate more than one window old is stale, and the window-averaged
-    capacity measurement is read instead.  The estimate is
-    ``bandwidth_from_window`` written in line.  Its window dots come from
-    ``window_dot``: with replanning on, one call per block of consecutive
-    steps (up to ``BLOCK_TERMS`` products, blocks spread evenly over an
-    interval, a block with no valid step and no decision skipped); with it
-    off, one call at the decision step.  The decision's drift estimate reuses
-    the dot at its step.
+    With replanning on, the controller's stage runs at every step: every step
+    is a read, so a read is that step's own estimate, taken if the step is
+    valid and the estimate positive.  Its window dots come from
+    ``window_dot``, one call per block of consecutive steps (up to
+    ``BLOCK_TERMS`` products, blocks spread evenly over an interval, a block
+    with no valid step and no decision skipped).  With replanning off, the
+    stage is the decision step alone: its read scans back over the interval
+    for the newest valid step with a positive estimate, one window dot per
+    step it tries.  In both arms an estimate more than one window old is
+    stale, and the window-averaged capacity measurement is read instead.  The
+    estimate is ``bandwidth_from_window`` written in line, and the decision's
+    drift estimate reuses the dot at its step.  Without replanning the
+    reference is the ramp, ``bezier_eval(k * te) + 0.0`` (so a ``-0.0``
+    level is recorded as ``+0.0``), and it is written once, before the loop.
 
     The replanning slope divides the read by the rung below it on the way up,
     above it on the way down.  That rung is looked up (``ladder_below``/
@@ -299,22 +307,27 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
 
     # convert once: the loop computes on Python floats and stores into lists,
     # returned as they are (the log converts them when read); a held
-    # capacity and zero buffer noise are one float object per run.  The
+    # capacity and a noise-free buffer are one float object per run.  The
     # plant's input at step k is the capacity that Euler-steps the buffer
     # from step k - 1 into step k: zero at step 0, which leaves the empty
     # buffer empty
     c_in = held_list(np.concatenate(([0.0], c_true[:-1])))
-    noise = held_list(x_noise)
+    x_gain = held_list(1.0 + x_noise)  # measured buffer per unit of buffer
     ladder = [float(r) for r in cfg.ladder]
     w_lin = tuple(w_lin.tolist())
-    # the reads' window dots come in blocks of b windows: with replanning on,
+    # with replanning on, the reads' window dots come in blocks of b windows:
     # the fewest blocks of at most BLOCK_TERMS products that cover an
-    # interval, evenly sized; with it off, the decision's one window
+    # interval, evenly sized; with it off, the decision's one window, and
+    # the reference is the ramp, which reads nothing the loop computes
     if replan:
         blocks = -(-ratio // max(1, BLOCK_TERMS // win))  # rounded up
         b = -(-ratio // blocks)
+        dots = [0.0] * (ratio + b)  # an interval's window dots, by step from its first
+        ref_a = []
     else:
         b = 1
+        ref_a = [bezier_eval(k * te, t0, tf, x0, xf) + 0.0 for k in range(k_flat)]
+        ref_a += [xf + 0.0] * (n - k_flat)
     read_dot = window_dot(w_lin, b)
     bump_dot = window_dot(tuple(w_bump.tolist()), 1)
     # measured buffer and held correction, zero-padded by win - 1 samples
@@ -323,17 +336,15 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     x_hist = [0.0] * (n + pad + b - 1)
     u_hist = [0.0] * (n + pad)
     valid = bytearray(n)
-    dots = [0.0] * (ratio + b)  # an interval's window dots, by step from its first
-    x_a, ref_a, Rk, uk = [], [], [], []
+    x_a, Rk, uk = [], [], []
 
     x = 0.0
     playing = False
     cur_R = ladder[0]
     u_held = 0.0  # zero-order-held continuous correction, the estimator's input
     cest = 0.0
-    last_bad = 0            # last step that spoiled the estimate's window (x = 0 at step 0)
+    valid_from = max(win, k_valid)  # first step that may be valid (x = 0 at step 0)
     last_valid = -win - 1   # step of the held estimate; stale from the start
-    last_read = -1
     replan_active = False
     dirn = 1  # replanning starts on the way up
     y_ad = 0.0
@@ -362,96 +373,97 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
             if x < 0.0:
                 x = 0.0
             x_a.append(x)
-            xm = x * (1.0 + noise[k])
+            xm = x * x_gain[k]
             x_hist[k + pad] = xm
             # the estimate's window conditions: late enough, in playback
             # regime with x above the chunk duration and an unchanged bitrate
             playing = k >= k_startup and x >= chunk_duration
             if not (playing and xm > chunk_duration):
-                last_bad = k
-            elif k >= k_valid and k - last_bad >= win:
+                valid_from = max(k + win, k_valid)
+            elif k >= valid_from:
                 valid[k] = 1
 
-        # the reads: every step with replanning on, the decision's with it
-        # off.  The window dots of their steps, skipping a block with no valid
-        # step (no read takes its dot) unless it holds the decision step,
-        # whose dot the drift estimate takes
-        first = lo if replan else e
-        for s in range(first, hi, b):
-            if s + b > e or valid.find(1, s, s + b) >= 0:
-                dots[s - lo:s - lo + b] = read_dot(x_hist, s)
-
-        # the controller over the same steps
-        for k in range(lo, hi):
-            if k < k_flat:
-                base = bezier_eval(k * te, t0, tf, x0, xf)
-            else:
-                base = xf
-            if k >= first:
-                # A non-positive value (measurement noise) is never acted on:
-                # the last positive estimate and its validity clock are kept
-                # instead.  Every decision is a read, so every step back to the
-                # last read held cur_R before its decision; a step older than
-                # this read's own (a scan back, only with replanning off, whose
-                # blocks are one window) has no dot yet.
-                j = k
-                while j > last_read:
-                    if valid[j]:
-                        dot = dots[j - lo] if j == k else read_dot(x_hist, j)[0]
-                        c_new = cur_R * (1.0 - gain * dot)
-                        if c_new > 0.0:
-                            cest = c_new
-                            last_valid = j
-                            break
-                    j -= 1
-                last_read = k
+        if replan:
+            # the window dots of the interval's steps, skipping a block with
+            # no valid step (no read takes its dot) unless it holds the
+            # decision step, whose dot the drift estimate takes
+            for s in range(lo, hi, b):
+                if s + b > e or valid.find(1, s, s + b) >= 0:
+                    dots[s - lo:s - lo + b] = read_dot(x_hist, s)
+            # the controller over the same steps: every step is a read, so a
+            # read is its own step's estimate.  A non-positive value
+            # (measurement noise) is never acted on: the last positive
+            # estimate and its validity clock are kept instead
+            for k in range(lo, hi):
+                if k < k_flat:
+                    base = bezier_eval(k * te, t0, tf, x0, xf)
+                else:
+                    base = xf
+                if valid[k]:
+                    c_new = cur_R * (1.0 - gain * dots[k - lo])
+                    if c_new > 0.0:
+                        cest = c_new
+                        last_valid = k
                 # the held estimate goes stale one window after validity is
                 # lost; fall back to the window-averaged capacity measurement
                 # until it recovers
-                if k - last_valid <= win:
-                    c_known = cest
+                c_known = cest if k - last_valid <= win else cm_bar[k].item()
+                if last_valid >= 0:
+                    xm = x_hist[k + pad]
+                    if not replan_active:
+                        replan_active = True
+                        # start the correction aligned with the measured buffer
+                        # so the combined reference takes over without an
+                        # error jump
+                        y_ad = xm - base
+                    if xm > replan_upper and dirn == 1:
+                        dirn = -1
+                    if xm < replan_lower and dirn == -1:
+                        dirn = 1
+                    if not (coef_lo < c_known < coef_hi and dirn == coef_dirn):
+                        if dirn == 1:
+                            coef = ladder_below(c_known, ladder)
+                        else:
+                            coef = ladder_above(c_known, ladder)
+                        coef_dirn = dirn
+                        coef_lo, coef_hi = rung_interval(c_known, ladder)
+                    ad_rate = c_known / coef - 1.0
+                    y_ad += ad_rate * te
+                    ref = base + y_ad
+                    # a capacity jump leaves the reference far from the
+                    # buffer; restart the correction there instead of burning
+                    # switches on the transient
+                    if abs(xm - ref) > RESTART_GAP:
+                        y_ad = xm - base
+                        ref = base + y_ad
                 else:
-                    c_known = cm_bar[k].item()
-
-            if replan and last_valid >= 0:
-                xm = x_hist[k + pad]
-                if not replan_active:
-                    replan_active = True
-                    # start the correction aligned with the measured buffer so
-                    # the combined reference takes over without an error jump
-                    y_ad = xm - base
-                if xm > replan_upper and dirn == 1:
-                    dirn = -1
-                if xm < replan_lower and dirn == -1:
-                    dirn = 1
-                if not (coef_lo < c_known < coef_hi and dirn == coef_dirn):
-                    if dirn == 1:
-                        coef = ladder_below(c_known, ladder)
-                    else:
-                        coef = ladder_above(c_known, ladder)
-                    coef_dirn = dirn
-                    coef_lo, coef_hi = rung_interval(c_known, ladder)
-                ad_rate = c_known / coef - 1.0
-                y_ad += ad_rate * te
-                # a capacity jump leaves the reference far from the buffer;
-                # restart the correction there instead of burning switches on
-                # the transient
-                if abs(xm - (base + y_ad)) > RESTART_GAP:
-                    y_ad = xm - base
-
-            ref = base + y_ad
-            ref_a.append(ref)
-
+                    ref = base + y_ad
+                ref_a.append(ref)
+            dot = dots[e - lo]
+        elif e < n:
+            # the decision's read: the newest valid step of the interval with
+            # a positive estimate; every step of the interval held cur_R
+            dot = read_dot(x_hist, e)[0]
+            j = valid.rfind(1, lo, hi)
+            while j >= 0:
+                c_new = cur_R * (1.0 - gain * (dot if j == e else read_dot(x_hist, j)[0]))
+                if c_new > 0.0:
+                    cest = c_new
+                    last_valid = j
+                    break
+                j = valid.rfind(1, lo, j)
+            # the same staleness fallback as with replanning
+            c_known = cest if e - last_valid <= win else cm_bar[e].item()
         if e == n:
             break
 
         # the decision
-        ref_rate = bezier_derivative(e * te, t0, tf, x0, xf)
+        ref_rate = bezier_derivative(e * te, t0, tf, x0, xf) if e < k_flat else 0.0
         if replan_active:
             ref_rate += ad_rate
         if e >= win - 1:
-            f_est = f_from_window(dots[e - lo], bump_dot(u_hist, e)[0], alpha, tau)
-            u_cont = ip_control(f_est, ref_rate, x_hist[e + pad] - ref, alpha, kp)
+            f_est = f_from_window(dot, bump_dot(u_hist, e)[0], alpha, tau)
+            u_cont = ip_control(f_est, ref_rate, x_hist[e + pad] - ref_a[e], alpha, kp)
         else:
             u_cont = 0.0  # estimator warm-up: pure feedforward
         # flat inversion along the full (replanned) reference; a reference
@@ -460,7 +472,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         new_R = quantize(feedforward(c_known, ref_rate) + u_cont if ref_rate > -1.0
                          else inf, ladder)
         if new_R != cur_R:
-            last_bad = e  # a bitrate change spoils the window too
+            valid_from = max(e + win, k_valid)  # a bitrate change spoils the window too
             cur_R = new_R
         u_held = u_cont
         u_hist[e + pad] = u_held
@@ -469,7 +481,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         lo = hi
 
     # the histories and converted inputs must not outlive the loop
-    del x_hist, u_hist, dots, cm_bar, c_in, noise
+    del x_hist, u_hist, cm_bar, c_in, x_gain
     return (x_a, ref_a, np.frombuffer(valid, dtype=bool), np.array(Rk, dtype=float),
             np.array(uk, dtype=float))
 

@@ -56,7 +56,9 @@ def build_scenario(cfg: RunConfig, seed: int) -> ChannelTrace:
     """Deterministic capacity trace and buffer-measurement noise for the
     config's scenario and one seed.  Every scenario is piecewise-constant
     capacity measured with relative noise; scenario 1 is one segment at c0,
-    measured exactly.  Zero noise draws +0.0: uniform(-0.0, 0.0) is +0.0."""
+    measured exactly.  A zero noise width (0.0 or -0.0) draws nothing and
+    gives +0.0, as uniform(-0.0, 0.0) would; each noise draw is its
+    generator's last, so skipping one moves no other draw."""
     n = episode_steps(cfg)
     sid = cfg.scenario
     if sid == 1:
@@ -73,7 +75,9 @@ def build_scenario(cfg: RunConfig, seed: int) -> ChannelTrace:
     if sid == 3 and lv.min() >= S3_FORCE_BELOW:
         lv[rng.integers(n_seg)] = rng.uniform(lo, S3_DIP_MAX)
     true = np.repeat(lv, seg_steps)[:n]
-    meas = true * (1.0 + rng.uniform(-noise, noise, n))
+    meas = true * (1.0 + rng.uniform(-noise, noise, n)) if noise else true.copy()
+    if not cfg.x_noise:
+        return ChannelTrace(true, meas, np.zeros(n))
     rng = np.random.default_rng([X_NOISE_STREAM, sid, seed])
     return ChannelTrace(true, meas, rng.uniform(-cfg.x_noise, cfg.x_noise, n))
 

@@ -195,6 +195,16 @@ class TestScenarios:
         if cfg.x_noise == 0.0:
             assert np.all(tr.x_noise.view(np.int64) == 0)  # +0.0, bitwise
 
+    @pytest.mark.parametrize("sid", (1, 2, 3))
+    def test_signed_zero_noise(self, sid):
+        # a noise width of -0.0 is valid and, like 0.0, measures exactly
+        zero = build_scenario(scenario(sid, x_noise=0.0, s2_noise=0.0, s3_noise=0.0), 7)
+        signed = build_scenario(scenario(sid, x_noise=-0.0, s2_noise=-0.0, s3_noise=-0.0), 7)
+        assert signed.bitwise_equal(zero)
+        np.testing.assert_array_equal(zero.measured_capacity.view(np.int64),
+                                      zero.true_capacity.view(np.int64))
+        assert np.all(zero.x_noise.view(np.int64) == 0)  # +0.0, bitwise
+
 
 class TestEpisode:
     def test_shapes_and_grids(self):

@@ -1,14 +1,17 @@
 """Reference trajectory: ramp profile and replanned correction."""
+from dataclasses import replace
 from math import inf
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from abrlab.cli import run_single
 from abrlab.config import RunConfig
 from abrlab.kernels import (bezier_derivative, bezier_eval, ladder_above, ladder_below,
                             rung_interval)
+
+from config_strategies import run_configs
 
 PROFILE = (0.0, 10.0, 0.0, 4.0)   # t0, tf, x0, xf
 LADDER = np.array(RunConfig().ladder)
@@ -155,6 +158,20 @@ class TestReferenceAt:
         log = run_single(RunConfig(duration=30.0), 0)
         assert log.ref[50] == pytest.approx(2.546875, abs=1e-12)
         np.testing.assert_array_equal(log.ref, [ev(t) for t in log.t])
+
+    # 41 examples of at most 1,200 steps each, about 0.4 s in all
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=run_configs(), seed=st.integers(0, 1000))
+    @example(cfg=RunConfig(scenario=2, x0=-0.0, xf=-0.0, t0=3.0, tf=7.3, duration=20.0), seed=0)
+    def test_replan_off_is_the_ramp(self, cfg, seed):
+        # without replanning the reference at step k is the ramp at k * te
+        # plus 0.0, bitwise, so a -0.0 level is recorded as +0.0: the episode
+        # loop writes it before it runs
+        cfg = replace(cfg, replan=False)
+        ramp = [bezier_eval(k * cfg.te, cfg.t0, cfg.tf, cfg.x0, cfg.xf) + 0.0
+                for k in range(cfg.n_steps)]
+        np.testing.assert_array_equal(run_single(cfg, seed).ref.view(np.uint64),
+                                      np.array(ramp).view(np.uint64))
 
     def test_replan_on_adds_correction(self):
         log, d = replan_episode()
