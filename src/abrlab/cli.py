@@ -1,5 +1,6 @@
 """Command-line scenario runner and report generator."""
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import metrics
@@ -26,18 +27,23 @@ def _write_plotdata(log: EpisodeLog, cfg: RunConfig, outdir: Path, tag: str) -> 
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute all seeds, write the requested outputs, print the table."""
+    """Execute all seeds, write the requested outputs, print the table.  An
+    invalid config is a ``ConfigError``, raised before anything is written."""
+    cfg.validate()
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     reports = []
     log = last = None
+    # the entry points validate the config they are given, seeds included; a
+    # copy with one seed keeps that cost the same at any batch size
+    episode_cfg = replace(cfg, seeds=cfg.seeds[:1])
     for seed in cfg.seeds:
-        trace = build_scenario(cfg, seed)
+        trace = build_scenario(episode_cfg, seed)
         # a seed that draws the previous seed's inputs bitwise (scenario 1 at
         # zero buffer noise draws the same for every seed) is the same episode
         if last is None or not trace.bitwise_equal(last):
             log = last = None  # free the last episode before the next one runs
-            log = run_episode(trace, cfg)
+            log = run_episode(trace, episode_cfg)
         last = trace
         reports.append(metrics.qoe_report(log, cfg, seed))
         tag = _episode_tag(cfg, seed)

@@ -7,7 +7,9 @@ command-line flag (``--name`` with ``_`` as ``-``; booleans get a
 field's name and type.  The field's rules (its bounds, choices or te grid,
 and finiteness for every float) are checked by ``validate`` in one loop
 over the fields and printed in the flag's ``--help`` text; ``_problems``
-writes out only the rules across fields.
+writes out only the rules across fields.  ``validate`` is the one statement
+of the rules: ``parse_config`` and the episode entry points
+(``plant.build_scenario``, ``plant.run_episode``) call it.
 """
 import argparse
 import math
@@ -147,15 +149,8 @@ class RunConfig:
     def n_steps(self) -> int:
         return self.steps(self.duration)
 
-    def off_grid(self, *names):
-        """Yield a problem for each named duration that is not a positive whole
-        number of te steps (to within 1e-9 of a step)."""
-        for name in names:
-            ratio = getattr(self, name) / self.te
-            if not math.isfinite(ratio) or round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
-                yield f"{name}: {GRID_RULE}"
-
     def validate(self) -> None:
+        """Raise ``ConfigError`` naming the field of the first problem."""
         for problem in self._problems():
             raise ConfigError(problem)
 
@@ -171,7 +166,11 @@ class RunConfig:
                 for test in tests:
                     if not test(v):
                         yield f"{name}: {rule}, got {v!r}"
-        yield from self.off_grid(*GRID_FIELDS)
+        # a positive whole number of te steps, to within 1e-9 of a step
+        for name in GRID_FIELDS:
+            ratio = getattr(self, name) / self.te
+            if not math.isfinite(ratio) or round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
+                yield f"{name}: {GRID_RULE}"
         if not self.seeds:
             yield "seeds: at least one seed required"
         if len(set(self.seeds)) < len(self.seeds):
@@ -291,7 +290,8 @@ _FIELDS_BY_KEY = {_file_key(f): f for f in fields(RunConfig)}
 
 
 def read_config_file(path) -> dict:
-    """Flat 'section.key = value' file; '#' starts a comment."""
+    """Flat 'section.key = value' file; '#' starts a comment.  A key may
+    appear once."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -308,6 +308,8 @@ def read_config_file(path) -> dict:
         if key not in _FIELDS_BY_KEY:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         f = _FIELDS_BY_KEY[key]
+        if f.name in values:
+            raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
         values[f.name] = _parse_value(f, text)
     return values
 

@@ -11,8 +11,8 @@ bandwidth estimate nor the reference.  With replanning the controller runs
 at every step, a read being that step's own estimate, and its reads take
 their window dots from one generated call per block of steps
 (``window_dot``); without it the controller runs at the decision step
-alone, and the reference, which is then the ramp, is written once before
-the loop.  The loop's docstring states what it computes and returns, and
+alone, and the reference is the ramp, which both arms write once before the
+loop.  The loop's docstring states what it computes and returns, and
 how its per-step bodies keep to arithmetic: clock tests on step indices, one
 validity threshold step, the estimate and the Euler step written in line,
 the Euler step's increments computed once per run of a held capacity.
@@ -260,9 +260,11 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     step it tries.  In both arms an estimate more than one window old is
     stale, and the window-averaged capacity measurement is read instead.  The
     estimate is ``bandwidth_from_window`` written in line, and the decision's
-    drift estimate reuses the dot at its step.  Without replanning the
-    reference is the ramp, ``bezier_eval(k * te) + 0.0`` (so a ``-0.0``
-    level is recorded as ``+0.0``), and it is written once, before the loop.
+    drift estimate reuses the dot at its step.  The reference ramp,
+    ``bezier_eval(k * te) + 0.0`` per step (so a ``-0.0`` level is recorded
+    as ``+0.0``), is written once, before the loop, for both arms: without
+    replanning it is the reference, and with replanning each step's reference
+    adds the replanning correction to it.
 
     The replanning slope divides the read by the rung below it on the way up,
     above it on the way down.  That rung is looked up (``ladder_below``/
@@ -315,10 +317,14 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     x_gain = held_list(1.0 + x_noise)  # measured buffer per unit of buffer
     ladder = [float(r) for r in cfg.ladder]
     w_lin = tuple(w_lin.tolist())
+    # the reference ramp per step, which reads nothing the loop computes; one
+    # float object from k_flat on
+    ramp = [bezier_eval(k * te, t0, tf, x0, xf) + 0.0 for k in range(k_flat)]
+    ramp += [xf + 0.0] * (n - k_flat)
     # with replanning on, the reads' window dots come in blocks of b windows:
     # the fewest blocks of at most BLOCK_TERMS products that cover an
     # interval, evenly sized; with it off, the decision's one window, and
-    # the reference is the ramp, which reads nothing the loop computes
+    # the reference is the ramp
     if replan:
         blocks = -(-ratio // max(1, BLOCK_TERMS // win))  # rounded up
         b = -(-ratio // blocks)
@@ -326,8 +332,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         ref_a = []
     else:
         b = 1
-        ref_a = [bezier_eval(k * te, t0, tf, x0, xf) + 0.0 for k in range(k_flat)]
-        ref_a += [xf + 0.0] * (n - k_flat)
+        ref_a = ramp
     read_dot = window_dot(w_lin, b)
     bump_dot = window_dot(tuple(w_bump.tolist()), 1)
     # measured buffer and held correction, zero-padded by win - 1 samples
@@ -395,10 +400,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
             # (measurement noise) is never acted on: the last positive
             # estimate and its validity clock are kept instead
             for k in range(lo, hi):
-                if k < k_flat:
-                    base = bezier_eval(k * te, t0, tf, x0, xf)
-                else:
-                    base = xf
+                base = ramp[k]
                 if valid[k]:
                     c_new = cur_R * (1.0 - gain * dots[k - lo])
                     if c_new > 0.0:
@@ -481,7 +483,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         lo = hi
 
     # the histories and converted inputs must not outlive the loop
-    del x_hist, u_hist, cm_bar, c_in, x_gain
+    del x_hist, u_hist, cm_bar, c_in, x_gain, ramp
     return (x_a, ref_a, np.frombuffer(valid, dtype=bool), np.array(Rk, dtype=float),
             np.array(uk, dtype=float))
 

@@ -39,36 +39,25 @@ class ChannelTrace:
                                 (self.x_noise, other.x_noise)))
 
 
-def episode_steps(cfg: RunConfig) -> int:
-    """The config's number of te steps; a te that is not finite and positive,
-    or a duration that gives no step, is an error."""
-    if not 0.0 < cfg.te < math.inf:  # NaN fails both
-        raise ValueError(f"te must be finite and positive, got {cfg.te:g} s")
-    if not math.isfinite(cfg.duration):
-        raise ValueError(f"duration must be finite, got {cfg.duration:g} s")
-    n = cfg.n_steps
-    if n < 1:
-        raise ValueError(f"duration {cfg.duration:g} s spans no step of te = {cfg.te:g} s")
-    return n
-
-
 def build_scenario(cfg: RunConfig, seed: int) -> ChannelTrace:
     """Deterministic capacity trace and buffer-measurement noise for the
     config's scenario and one seed.  Every scenario is piecewise-constant
     capacity measured with relative noise; scenario 1 is one segment at c0,
     measured exactly.  A zero noise width (0.0 or -0.0) draws nothing and
     gives +0.0, as uniform(-0.0, 0.0) would; each noise draw is its
-    generator's last, so skipping one moves no other draw."""
-    n = episode_steps(cfg)
+    generator's last, so skipping one moves no other draw.
+
+    The config is validated first: an invalid one is a ``ConfigError`` that
+    names its field."""
+    cfg.validate()
+    n = cfg.n_steps
     sid = cfg.scenario
     if sid == 1:
         seg_steps, lo, hi, noise = n, cfg.c0, cfg.c0, 0.0
-    elif sid in (2, 3):
+    else:
         seg_len, lo, hi, noise = (getattr(cfg, f"s{sid}_{name}")
                                   for name in ("segment", "level_lo", "level_hi", "noise"))
         seg_steps = cfg.steps(seg_len)
-    else:
-        raise ValueError(f"unknown scenario id {sid}")
     rng = np.random.default_rng([sid, seed])
     n_seg = (n + seg_steps - 1) // seg_steps
     lv = rng.uniform(lo, hi, n_seg)
@@ -183,20 +172,18 @@ def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
     kernel.  The log it returns holds the kernel's records and derives every
     other column on its first read.
 
-    The kernel's numeric preconditions are checked here: capacities finite
-    and positive at every step, and the estimator window and the decision
-    interval whole numbers of te steps; anything else is a ``ValueError``.
-    So is a buffer ``x``, reference ``ref`` or correction ``u`` that comes out
-    of the kernel not finite at some step (a config whose magnitudes
-    overflow); ``c_est`` is NaN before the first estimate by design."""
-    n = episode_steps(cfg)
+    The config is validated first: an invalid one is a ``ConfigError`` that
+    names its field.  Then the trace is checked, which no config rule covers:
+    a trace shorter than the episode, or a capacity that is not finite and
+    positive at some step, is a ``ValueError``.  So is a buffer ``x``,
+    reference ``ref`` or correction ``u`` that comes out of the kernel not
+    finite at some step (a config whose magnitudes overflow); ``c_est`` is
+    NaN before the first estimate by design."""
+    cfg.validate()
+    n = cfg.n_steps
     if len(trace.true_capacity) < n:
         raise ValueError("trace shorter than episode duration")
-    for problem in cfg.off_grid("tau", "decision_interval"):
-        raise ValueError(problem)
     n_seg = cfg.steps(cfg.tau)
-    if n_seg < 2:
-        raise ValueError("tau must span at least two sampling periods")
     c_true = trace.true_capacity[:n]
     c_meas = trace.measured_capacity[:n]
     for name, c in (("true", c_true), ("measured", c_meas)):

@@ -1,14 +1,14 @@
 """Hypothesis strategies over configurations that ``RunConfig.validate``
 accepts, alone and with a batch of seeds, and the table of configurations
-the command line refuses (``REFUSED``).
+the command line and the episode entry points refuse (``REFUSED``).
 
 A float field is drawn from its declared bounds (``_param`` metadata) cut to
 a finite box, inside the declared magnitude ranges of the rates and gains.
 The boxes bound the magnitudes, and with them an example's cost, for two
 reasons: tier-1 time, and that ``validate`` does not yet bound products of
 fields (such as duration x capacity / rung), so some configs it accepts far
-out of the boxes do not run (ROADMAP item 1).  te takes three values and the
-grid fields whole multiples of it."""
+out of the boxes do not run (ROADMAP item 3, fuzz by exponent).  te takes
+three values and the grid fields whole multiples of it."""
 from dataclasses import fields, replace
 from itertools import accumulate
 
@@ -96,7 +96,9 @@ def seed_batches(draw):
 # Every configuration the command line refuses, as (flags, field): run as
 # ``abrlab --out never <flags>`` in an empty directory, each exits 2 with one
 # stderr line, ``abrlab: invalid configuration: <field>: ...``, and writes
-# nothing (``check_refused``).  A row's own ``--out`` comes later and wins.
+# nothing (``check_refused``).  A row whose flags parse gives a config that
+# ``build_scenario`` and ``run_episode`` refuse too, naming the same field.
+# A row's own ``--out`` comes later and wins.
 # The flags are split at single spaces only, so "runs\nb" stays one value.
 REFUSED = [(flags.split(" "), field) for flags, field in [
     # the command line itself
@@ -118,7 +120,8 @@ REFUSED = [(flags.split(" "), field) for flags, field in [
     ("--seeds 1..", "seeds"), ("--emit bogus", "emit"), ("--scenario 4", "scenario"),
     # the reference: t0 < tf, buffer targets never below empty, and a ramp
     # that falls slower than playback drains the buffer
-    ("--tf 0", "tf"), ("--t0 5 --tf 5", "tf"), ("--xf -3", "xf"), ("--x0 -2", "x0"),
+    ("--tf 0", "tf"), ("--t0 5 --tf 5", "tf"), ("--t0 5 --tf 2", "tf"), ("--t0 -1", "t0"),
+    ("--xf -3", "xf"), ("--x0 -2", "x0"),
     ("--x0 10 --xf 0 --tf 5", "x0"), ("--x0 4.26 --xf 0 --tf 10", "x0"),
     ("--replan-upper 1e6", "replan_upper"),
     # a lower bound the measured buffer never falls below: replanning that

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 import abrlab
 from abrlab import config, kernels
-from abrlab.cli import main, run_single
+from abrlab.cli import main, run, run_single
 from abrlab.config import (ConfigError, RunConfig, build_arg_parser, emit_config,
                            parse_config, parse_seeds, read_config_file)
 from abrlab.plant import LOG_COLUMNS, build_scenario, run_episode
@@ -205,6 +206,19 @@ class TestParsing:
         with pytest.raises(ConfigError):
             read_config_file(path)
 
+    def test_repeated_key_rejected(self, tmp_path, monkeypatch, capsys):
+        # the file's first value is not silently replaced by a later one
+        path = tmp_path / "twice.cfg"
+        path.write_text("controller.kp = 0.3\n# again\ncontroller.kp = 0.5\n")
+        with pytest.raises(ConfigError, match="twice.cfg:3: repeated key 'controller.kp'"):
+            read_config_file(path)
+        (tmp_path / "cwd").mkdir()
+        assert_refused(["--config", str(path)], f"{path}:3", tmp_path / "cwd", monkeypatch,
+                       capsys)
+        # a flag still overrides a key the file holds once
+        path.write_text("controller.kp = 0.3\n")
+        assert parse_config(["--config", str(path), "--kp", "0.5"]).kp == 0.5
+
     def test_comments_and_blanks(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\n\ncontroller.kp = 0.4  # inline\n")
@@ -265,12 +279,13 @@ class TestMain:
     def test_run_episode_rejects_a_non_finite_column(self, flags, name, column):
         # the backstop behind validate: an unvalidated config of the same
         # magnitudes stops after the kernel with the column and the step, and
-        # without a NumPy overflow warning
+        # without a NumPy overflow warning; the entry points validate, so
+        # validate is patched out around them
         with mock.patch.object(RunConfig, "validate"):
             cfg = parse_config(["--duration", "120"] + flags)
         with pytest.raises(ConfigError, match=f"^{name}: "):
             cfg.validate()
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), mock.patch.object(RunConfig, "validate"):
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{column} is not finite, first at step "):
                 run_episode(build_scenario(cfg, 0), cfg)
@@ -346,6 +361,30 @@ class TestMain:
         assert [row.split(",")[2] for row in rows[1:]] == [str(s) for s in range(100)]
         assert len(set(row.split(",", 3)[3] for row in rows[1:])) == 1
 
+    def test_validation_walks_each_seed_a_fixed_number_of_times(self, tmp_path):
+        # the entry points validate their config once per seed; were it the
+        # batch's, a batch of S seeds would walk S^2 seeds
+        walked = []
+        validate = RunConfig.validate
+
+        def counting(cfg):
+            walked.append(len(cfg.seeds))
+            validate(cfg)
+
+        with mock.patch.object(RunConfig, "validate", counting):
+            run_quiet(["--scenario", "1", "--seeds", "0..199", "--duration", "10",
+                       "--out", str(tmp_path)])
+        # parse_config and run each walk the batch once, then each seed's
+        # entry-point calls (at most two) walk one seed each
+        assert walked[:2] == [200, 200] and set(walked[2:]) == {1}
+        assert len(walked) <= 2 + 2 * 200
+
+    def test_run_refuses_an_invalid_batch(self, tmp_path):
+        # its entry points see one seed, so run checks the batch's seeds
+        with pytest.raises(ConfigError, match="^seeds: must be distinct"):
+            run(RunConfig(seeds=[0, 0], out=str(tmp_path / "out")))
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("f", [f for f in fields(RunConfig) if f.metadata["rule"]],
                          ids=lambda f: f.name)
@@ -387,6 +426,33 @@ def test_refused(flags, field, tmp_path, monkeypatch, capsys):
     """Every refused configuration exits 2 with one stderr line that names
     its field, and writes nothing."""
     assert_refused(flags, field, tmp_path, monkeypatch, capsys)
+
+
+def unvalidated_config(flags):
+    """The config of a ``REFUSED`` row's flags, parsed with ``validate``
+    patched out, or None when the flags are refused while parsing."""
+    with mock.patch.object(RunConfig, "validate"):
+        try:
+            return parse_config(["--out", "never", *flags])
+        except ConfigError:
+            return None
+
+
+# the REFUSED rows whose flags parse, as (flags, config, field), and a trace
+# any of them could run on
+PARSED = [(flags, cfg, field) for flags, field in REFUSED
+          if (cfg := unvalidated_config(flags)) is not None]
+DEFAULT_TRACE = build_scenario(RunConfig(), 0)
+
+
+@pytest.mark.parametrize("cfg, field", [(cfg, field) for _, cfg, field in PARSED],
+                         ids=[" ".join(flags) for flags, _, _ in PARSED])
+def test_entry_points_refuse(cfg, field):
+    """``build_scenario`` and ``run_episode`` each refuse every refused
+    configuration that parses, naming its field, before any other work."""
+    for entry, args in ((build_scenario, (cfg, 0)), (run_episode, (DEFAULT_TRACE, cfg))):
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}: "):
+            entry(*args)
 
 
 @settings(max_examples=40, deadline=None)

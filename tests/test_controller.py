@@ -15,22 +15,10 @@ LADDER = np.array(CFG.ladder)
 ALPHA, KP = CFG.alpha, CFG.kp
 
 
-def _rejected(**overrides):
-    cfg = RunConfig(**overrides)
-    with pytest.raises(ValueError):
-        cfg.validate()
-
-
 class TestLadder:
     def test_defaults(self):
         assert CFG.ladder == [0.35, 0.6, 1.0, 2.0, 3.0, 5.0]
         assert np.diff(LADDER).max() == 2.0
-
-    def test_validation(self):
-        _rejected(ladder=[])
-        _rejected(ladder=[0.5, 0.5])
-        _rejected(ladder=[1.0, 0.5])
-        _rejected(ladder=[-1.0, 0.5])
 
     def test_single_rate(self):
         cfg = RunConfig(ladder=[1.0], duration=20.0)
@@ -42,12 +30,6 @@ class TestConfig:
     def test_defaults(self):
         assert CFG.alpha == -10.0 and CFG.kp == 0.25
         assert CFG.decision_interval == 2.0 and CFG.tau == 1.0
-
-    def test_validation(self):
-        _rejected(kp=0.0)
-        _rejected(kp=-1.0)
-        _rejected(alpha=0.0)
-        _rejected(decision_interval=0.0)
 
 
 class TestFeedforward:
@@ -199,10 +181,11 @@ class TestDecide:
         assert len(log.R_k) == 120
 
     def test_huge_gain_reaches_top_rung(self):
-        # at kp 1e14 every request after the warm-up lies far outside the
-        # ladder, below or above it: each gets the bottom or the top rung
-        log = run_single(RunConfig(kp=1e14, duration=120.0), 0)
-        assert 5.0 in log.R_k
+        # at kp 1e6, the largest valid gain, almost every request after the
+        # warm-up lies far outside the ladder, below or above it: each gets
+        # the bottom or the top rung
+        log = run_single(RunConfig(kp=1e6, duration=120.0), 0)
+        assert 5.0 in log.R_k and 0.35 in log.R_k
 
     def test_warm_up_is_pure_feedforward(self):
         log = run_single(RunConfig(), 0)

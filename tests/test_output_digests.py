@@ -87,12 +87,13 @@ for _replan in (True, False):
                                                            "--duration", "123.4"]
 EPISODES["s2_replan_te_0.01_tau_2"] = ["--scenario", "2", "--replan", "--te", "0.01",
                                        "--tau", "2", "--duration", "60"]
-# Without replanning the reference between decisions is the ramp: a ramp from
-# and to -0.0, which the reference records as +0.0, and a ramp that ends at
-# step 73, inside a decision interval.
-EPISODES["s2_noreplan_x0_-0_xf_-0_t0_3_tf_7.3"] = ["--scenario", "2", "--no-replan",
-                                                   "--x0", "-0.0", "--xf", "-0.0",
-                                                   "--t0", "3", "--tf", "7.3"]
+# The reference ramp, written once per episode: a ramp from and to -0.0,
+# which each arm records as +0.0, and a ramp that ends at step 73, inside a
+# decision interval.
+for _replan in (True, False):
+    EPISODES[f"{_call_key(2, _replan)}_x0_-0_xf_-0_t0_3_tf_7.3"] = [
+        "--scenario", "2", _arm(_replan), "--x0", "-0.0", "--xf", "-0.0", "--t0", "3",
+        "--tf", "7.3"]
 EPISODES["s2_noreplan_x0_6_xf_4_tf_7.3"] = ["--scenario", "2", "--no-replan", "--x0", "6",
                                             "--xf", "4", "--tf", "7.3"]
 
