@@ -59,7 +59,7 @@ def quantize(r, ladder):
     rate; a rate past either end gets that end's rung, and NaN the lowest.
 
     The candidates are the two rungs around r (``bisect_left``, as in
-    ``rung_interval``).  Ties are resolved with a small relative tolerance so
+    ``replan_rung``).  Ties are resolved with a small relative tolerance so
     that midpoints which are not exactly representable (e.g. 0.8 between 0.6
     and 1.0) still round down.
     """
@@ -72,27 +72,22 @@ def quantize(r, ladder):
     return hi if hi - r < r - lo - 1e-12 * (1.0 + abs(r)) else lo
 
 
-def ladder_below(c, ladder):
-    """Largest element of the increasing ladder strictly below c (clamped to
-    the smallest)."""
-    return ladder[max(bisect_left(ladder, c) - 1, 0)]
+def replan_rung(c, dirn, ladder):
+    """The replanning slope's rung for the rate c and the direction dirn, and
+    the open interval (lo, hi) of rates that share it.
 
-
-def ladder_above(c, ladder):
-    """Smallest element of the increasing ladder strictly above c (clamped to
-    the largest)."""
-    return ladder[min(bisect_right(ladder, c), len(ladder) - 1)]
-
-
-def rung_interval(c, ladder):
-    """The rungs around c: the open interval (lo, hi) between adjacent ladder
-    elements with lo < c <= hi, unbounded past either end.
-
-    ``ladder_below`` and ``ladder_above`` are constant for every c strictly
-    inside it; a c on a rung is its interval's hi, so outside it.
+    Going up (dirn 1) the rung is the largest strictly below c, going down
+    the smallest strictly above it, clamped to the ladder's ends.  (lo, hi)
+    are the adjacent rungs with lo < c <= hi, unbounded past either end:
+    every rate strictly inside gets the same rung, and a c on a rung is its
+    interval's hi, so outside it.
     """
     i = bisect_left(ladder, c)
-    return (ladder[i - 1] if i > 0 else -inf), (ladder[i] if i < len(ladder) else inf)
+    if dirn == 1:
+        coef = ladder[max(i - 1, 0)]
+    else:
+        coef = ladder[min(bisect_right(ladder, c, i), len(ladder) - 1)]
+    return coef, (ladder[i - 1] if i > 0 else -inf), (ladder[i] if i < len(ladder) else inf)
 
 
 @lru_cache(maxsize=64)
@@ -266,11 +261,14 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     replanning it is the reference, and with replanning each step's reference
     adds the replanning correction to it.
 
-    The replanning slope divides the read by the rung below it on the way up,
-    above it on the way down.  That rung is looked up (``ladder_below``/
-    ``ladder_above``) only when the read leaves the open interval between the
-    rungs around the last lookup's read (``rung_interval``), lands on a rung,
-    or the direction flips; in between it is the same rung.
+    Replanning starts at the first positive estimate at a valid step, with
+    its correction aligned with the measured buffer.  The replanning slope
+    divides the read by the rung below it on the way up, above it on the way
+    down.  That rung and the open interval between the rungs around the read
+    are looked up together (``replan_rung``), and again only when the read
+    leaves that interval or lands on a rung; in between it is the same rung.
+    A flip of the direction empties the interval, so the next read looks up
+    the new direction's rung.
 
     The clock is step indices.  Each test of the clock ``t = k * te`` against
     a time (playback may start, a whole window into playback, the ramp ends)
@@ -350,13 +348,11 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     cest = 0.0
     valid_from = max(win, k_valid)  # first step that may be valid (x = 0 at step 0)
     last_valid = -win - 1   # step of the held estimate; stale from the start
-    replan_active = False
     dirn = 1  # replanning starts on the way up
     y_ad = 0.0
     c_known = 0.0
-    # the replanning rung coef, looked up for direction coef_dirn, holds for
-    # c_known in (coef_lo, coef_hi); none yet
-    coef_dirn = 0
+    # the replanning rung coef holds for c_known in (coef_lo, coef_hi),
+    # emptied by a flip of dirn; none yet
     coef_lo = coef_hi = 0.0
 
     # e is the interval's decision step, n after the last decision
@@ -404,6 +400,11 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
                 if valid[k]:
                     c_new = cur_R * (1.0 - gain * dots[k - lo])
                     if c_new > 0.0:
+                        if last_valid < 0:
+                            # replanning starts here, its correction aligned
+                            # with the measured buffer so the combined
+                            # reference takes over without an error jump
+                            y_ad = x_hist[k + pad] - base
                         cest = c_new
                         last_valid = k
                 # the held estimate goes stale one window after validity is
@@ -412,23 +413,13 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
                 c_known = cest if k - last_valid <= win else cm_bar[k].item()
                 if last_valid >= 0:
                     xm = x_hist[k + pad]
-                    if not replan_active:
-                        replan_active = True
-                        # start the correction aligned with the measured buffer
-                        # so the combined reference takes over without an
-                        # error jump
-                        y_ad = xm - base
-                    if xm > replan_upper and dirn == 1:
-                        dirn = -1
-                    if xm < replan_lower and dirn == -1:
-                        dirn = 1
-                    if not (coef_lo < c_known < coef_hi and dirn == coef_dirn):
-                        if dirn == 1:
-                            coef = ladder_below(c_known, ladder)
-                        else:
-                            coef = ladder_above(c_known, ladder)
-                        coef_dirn = dirn
-                        coef_lo, coef_hi = rung_interval(c_known, ladder)
+                    # past the bound ahead, the direction flips and the
+                    # emptied rung interval makes this read look up its rung
+                    if (xm > replan_upper) if dirn == 1 else (xm < replan_lower):
+                        dirn = -dirn
+                        coef_lo = coef_hi
+                    if not coef_lo < c_known < coef_hi:
+                        coef, coef_lo, coef_hi = replan_rung(c_known, dirn, ladder)
                     ad_rate = c_known / coef - 1.0
                     y_ad += ad_rate * te
                     ref = base + y_ad
@@ -461,7 +452,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
 
         # the decision
         ref_rate = bezier_derivative(e * te, t0, tf, x0, xf) if e < k_flat else 0.0
-        if replan_active:
+        if replan and last_valid >= 0:
             ref_rate += ad_rate
         if e >= win - 1:
             f_est = f_from_window(dot, bump_dot(u_hist, e)[0], alpha, tau)

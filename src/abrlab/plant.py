@@ -57,7 +57,7 @@ def build_scenario(cfg: RunConfig, seed: int) -> ChannelTrace:
     else:
         seg_len, lo, hi, noise = (getattr(cfg, f"s{sid}_{name}")
                                   for name in ("segment", "level_lo", "level_hi", "noise"))
-        seg_steps = cfg.steps(seg_len)
+        seg_steps = min(cfg.steps(seg_len), n)  # one segment covers the episode
     rng = np.random.default_rng([sid, seed])
     n_seg = (n + seg_steps - 1) // seg_steps
     lv = rng.uniform(lo, hi, n_seg)

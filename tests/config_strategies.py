@@ -147,6 +147,7 @@ REFUSED = [(flags.split(" "), field) for flags, field in [
     # te positive, and decision instants, estimator windows, chunks and
     # capacity segments on its grid; a window of at least two te steps
     ("--te 0", "te"), ("--tau 0", "tau"), ("--tau 0.15", "tau"), ("--tau 0.1 --te 0.1", "tau"),
+    ("--te 0.2 --tau 0.9", "tau"), ("--duration 20 --decision-interval 0.25", "decision_interval"),
     ("--decision-interval 0", "decision_interval"), ("--chunk-duration 2.05", "chunk_duration"),
     ("--chunk-duration 2 --te 0.3", "tau"),  # tau is the first field off the grid
     ("--duration 60 --decision-interval 0.04", "decision_interval"),
@@ -159,13 +160,14 @@ REFUSED = [(flags.split(" "), field) for flags, field in [
     ("--delta-startup -1", "delta_startup"),
     ("--delta-startup 59 --duration 60", "delta_startup"),
     ("--delta-startup 58.1 --duration 60", "delta_startup"),
-    ("--scenario 3 --duration 0", "duration"), ("--scenario 3 --duration 1", "duration"),
-    ("--scenario 3 --duration 2", "duration"),
+    ("--duration 0", "duration"), ("--scenario 3 --duration 0", "duration"),
+    ("--scenario 3 --duration 1", "duration"), ("--scenario 3 --duration 2", "duration"),
     # non-finite numbers, which would crash a check or run a nonsense episode
     ("--te nan", "te"), ("--tau nan", "tau"), ("--duration nan", "duration"),
     ("--chunk-duration nan", "chunk_duration"), ("--c0 nan", "c0"), ("--kp nan", "kp"),
     ("--x-noise nan", "x_noise"), ("--xf nan", "xf"), ("--delta-startup nan", "delta_startup"),
     ("--duration inf", "duration"), ("--alpha=-inf", "alpha"), ("--ladder 0.35,nan", "ladder"),
+    ("--tau inf", "tau"), ("--decision-interval nan", "decision_interval"),
     ("--ladder 0.35,inf", "ladder"), ("--duration 60 --te nan", "te"),
     ("--duration 60 --c0 nan", "c0"),
     # magnitudes whose products overflow: the buffer fills at 1e600 s per s,

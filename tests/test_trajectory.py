@@ -8,8 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from abrlab.cli import run_single
 from abrlab.config import RunConfig
-from abrlab.kernels import (bezier_derivative, bezier_eval, ladder_above, ladder_below,
-                            rung_interval)
+from abrlab.kernels import bezier_derivative, bezier_eval, replan_rung
 
 from config_strategies import run_configs
 
@@ -82,16 +81,20 @@ class TestProfile:
                 assert fd == pytest.approx(exact, abs=5.0 * h * h)
 
 
+def rung(c, dirn, ladder=LADDER):
+    return replan_rung(c, dirn, ladder)[0]
+
+
 class TestReplan:
     def test_increment_above_coef(self):
-        assert ladder_below(0.7, LADDER) == 0.6
+        assert rung(0.7, 1) == 0.6
 
     def test_increment_zero_at_ladder_floor(self):
         # estimate at the smallest rate: coef clamps there, no accumulation
-        assert ladder_below(0.35, LADDER) == 0.35
+        assert rung(0.35, 1) == 0.35
 
     def test_direction_flips(self):
-        assert ladder_above(0.7, LADDER) == 1.0  # smallest element above the estimate
+        assert rung(0.7, -1) == 1.0  # smallest element above the estimate
         # the episode runs both directions: rising below the band's top,
         # falling after it was crossed
         _, d = replan_episode()
@@ -112,23 +115,29 @@ class TestReplan:
         assert np.all(log.x_meas[up] < cfg.replan_lower)
 
     def test_coef_clamps_at_extremes(self):
-        assert ladder_below(0.2, LADDER) == 0.35
-        assert ladder_above(9.0, LADDER) == 5.0
+        assert rung(0.2, 1) == 0.35
+        assert rung(9.0, -1) == 5.0
 
     @given(ladder=st.lists(st.floats(0.1, 6.0), min_size=1, max_size=6, unique=True),
-           data=st.data())
-    def test_rung_interval(self, ladder, data):
+           dirn=st.sampled_from((1, -1)), data=st.data())
+    def test_rung_interval(self, ladder, dirn, data):
         ladder = sorted(ladder)
         c = data.draw(st.floats(0.0, 8.0) | st.sampled_from(ladder))
-        lo, hi = rung_interval(c, ladder)
+        coef, lo, hi = replan_rung(c, dirn, ladder)
+        # going up the largest rung strictly below c, else the bottom one;
+        # going down the smallest strictly above, else the top one
+        if dirn == 1:
+            assert coef == max((r for r in ladder if r < c), default=ladder[0])
+        else:
+            assert coef == min((r for r in ladder if r > c), default=ladder[-1])
         # the adjacent rungs around c, unbounded past either end; on a rung, c is hi
         assert lo < c <= hi
         assert {lo, hi} <= {*ladder, -inf, inf}
         assert not any(lo < r < hi for r in ladder)
         # the episode loop keeps its rung while the read stays strictly inside
-        inside = [float(p) for p in (np.nextafter(lo, hi), np.nextafter(hi, lo), (lo + hi) / 2)
+        inside = [float(p) for p in (c, np.nextafter(lo, hi), np.nextafter(hi, lo), (lo + hi) / 2)
                   if lo < p < hi]
-        assert len({(ladder_below(p, ladder), ladder_above(p, ladder)) for p in inside}) <= 1
+        assert len({replan_rung(p, dirn, ladder)[0] for p in inside}) <= 1
 
     def test_accumulation_telescopes(self):
         # after the ramp, each step moves the correction by Te (c/coef - 1)
