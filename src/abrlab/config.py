@@ -5,11 +5,12 @@ metadata (``_param``).  The dotted file key (``section.name``), the
 command-line flag (``--name`` with ``_`` as ``-``; booleans get a
 ``--no-name`` twin) and the text parse and format all derive from the
 field's name and type.  The field's rules (its bounds, choices or te grid,
-and finiteness for every float) are checked by ``validate`` in one loop
-over the fields and printed in the flag's ``--help`` text; ``_problems``
-writes out only the rules across fields.  ``validate`` is the one statement
-of the rules: ``parse_config`` and the episode entry points
-(``plant.build_scenario``, ``plant.run_episode``) call it.
+and finiteness for every float) are checked in one loop over the fields and
+printed in the flag's ``--help`` text; ``_problems`` writes out only the
+rules across fields.  A ``RunConfig`` is valid by construction: it is frozen,
+and making one (directly or by ``dataclasses.replace``) checks every rule and
+raises ``ConfigError`` naming the field of the first problem, so no entry
+point checks it again.
 """
 import argparse
 import math
@@ -95,7 +96,7 @@ def _param(section: str, default, help: str | None = None, *, grid=False, **rule
     return field(default=default, metadata=meta)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     scenario: int = _param("run", 1, choices=(1, 2, 3))
     replan: bool = _param("run", False)
@@ -149,8 +150,9 @@ class RunConfig:
     def n_steps(self) -> int:
         return self.steps(self.duration)
 
-    def validate(self) -> None:
-        """Raise ``ConfigError`` naming the field of the first problem."""
+    def __post_init__(self) -> None:
+        """Refuse an invalid config when it is made: raise ``ConfigError``
+        naming the field of the first problem."""
         for problem in self._problems():
             raise ConfigError(problem)
 
@@ -347,15 +349,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv) -> RunConfig:
-    """CLI arguments (optionally over a config file) to a validated RunConfig."""
+    """CLI arguments, optionally over a config file, to a RunConfig: the
+    flags override the file's values, and only the merged config is checked."""
     args = build_arg_parser().parse_args(argv)
-    cfg = RunConfig()
-    if args.config:
-        for name, value in read_config_file(args.config).items():
-            setattr(cfg, name, value)
+    values = read_config_file(args.config) if args.config else {}
     for f in fields(RunConfig):
-        text = getattr(args, f.name)
-        if text is not None:
-            setattr(cfg, f.name, _parse_value(f, text))
-    cfg.validate()
-    return cfg
+        if (text := getattr(args, f.name)) is not None:
+            values[f.name] = _parse_value(f, text)
+    return RunConfig(**values)

@@ -45,11 +45,8 @@ def build_scenario(cfg: RunConfig, seed: int) -> ChannelTrace:
     capacity measured with relative noise; scenario 1 is one segment at c0,
     measured exactly.  A zero noise width (0.0 or -0.0) draws nothing and
     gives +0.0, as uniform(-0.0, 0.0) would; each noise draw is its
-    generator's last, so skipping one moves no other draw.
-
-    The config is validated first: an invalid one is a ``ConfigError`` that
-    names its field."""
-    cfg.validate()
+    generator's last, so skipping one moves no other draw.  The config needs
+    no check here: a ``RunConfig`` is valid by construction."""
     n = cfg.n_steps
     sid = cfg.scenario
     if sid == 1:
@@ -172,14 +169,13 @@ def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
     kernel.  The log it returns holds the kernel's records and derives every
     other column on its first read.
 
-    The config is validated first: an invalid one is a ``ConfigError`` that
-    names its field.  Then the trace is checked, which no config rule covers:
-    a trace shorter than the episode, or a capacity that is not finite and
-    positive at some step, is a ``ValueError``.  So is a buffer ``x``,
-    reference ``ref`` or correction ``u`` that comes out of the kernel not
-    finite at some step (a config whose magnitudes overflow); ``c_est`` is
-    NaN before the first estimate by design."""
-    cfg.validate()
+    The config needs no check (a ``RunConfig`` is valid by construction);
+    the trace does, as no config rule covers it: a trace shorter than the
+    episode, or a capacity that is not finite and positive at some step, is
+    a ``ValueError``.  So is a buffer ``x``, reference ``ref`` or correction
+    ``u`` that comes out of the kernel not finite at some step (a config
+    whose magnitudes overflow); ``c_est`` is NaN before the first estimate by
+    design."""
     n = cfg.n_steps
     if len(trace.true_capacity) < n:
         raise ValueError("trace shorter than episode duration")

@@ -1,13 +1,13 @@
-"""Hypothesis strategies over configurations that ``RunConfig.validate``
-accepts, alone and with a batch of seeds, and the table of configurations
-the command line and the episode entry points refuse (``REFUSED``).
+"""Hypothesis strategies over valid configurations (a ``RunConfig`` checks
+its rules when it is made), alone and with a batch of seeds, and the table
+of configurations that are refused (``REFUSED``).
 
 A float field is drawn from its declared bounds (``_param`` metadata) cut to
 a finite box, inside the declared magnitude ranges of the rates and gains.
 The boxes bound the magnitudes, and with them an example's cost, for two
-reasons: tier-1 time, and that ``validate`` does not yet bound products of
-fields (such as duration x capacity / rung), so some configs it accepts far
-out of the boxes do not run (ROADMAP item 3, fuzz by exponent).  te takes
+reasons: tier-1 time, and that the rules do not yet bound products of
+fields (such as duration x capacity / rung), so some configs they accept far
+out of the boxes do not run (ROADMAP item 7, fuzz by exponent).  te takes
 three values and the grid fields whole multiples of it."""
 from dataclasses import fields, replace
 from itertools import accumulate
@@ -64,7 +64,7 @@ def run_configs(draw):
     # the startup delay comes at or before the last decision
     ratio = round(decision_interval / te)
     last_decision = (round(duration / te) - 1) // ratio * ratio * te
-    cfg = RunConfig(
+    return RunConfig(
         scenario=scenario, replan=draw(st.booleans()), te=te,
         tau=te * draw(st.integers(2, 30)), decision_interval=decision_interval,
         replan_lower=lower, replan_upper=lower + draw(st.floats(0.1, 10.0)),
@@ -77,8 +77,6 @@ def run_configs(draw):
         delta_startup=draw(_floats("delta_startup", 0.0, min(20.0, last_decision))),
         chunk_duration=te * draw(st.integers(1, 60)),
         **_scenario(draw, 2, te), **_scenario(draw, 3, te))
-    cfg.validate()
-    return cfg
 
 
 @st.composite
@@ -96,8 +94,9 @@ def seed_batches(draw):
 # Every configuration the command line refuses, as (flags, field): run as
 # ``abrlab --out never <flags>`` in an empty directory, each exits 2 with one
 # stderr line, ``abrlab: invalid configuration: <field>: ...``, and writes
-# nothing (``check_refused``).  A row whose flags parse gives a config that
-# ``build_scenario`` and ``run_episode`` refuse too, naming the same field.
+# nothing (``check_refused``).  A row whose flags parse gives field values
+# that ``RunConfig`` itself refuses too, naming the same field, whether it is
+# made from them directly or by ``dataclasses.replace``.
 # A row's own ``--out`` comes later and wins.
 # The flags are split at single spaces only, so "runs\nb" stays one value.
 REFUSED = [(flags.split(" "), field) for flags, field in [

@@ -29,17 +29,13 @@ def _verdict(num, desc, ok):
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
     # pay first-call costs outside the timed sections
-    cfg = RunConfig()
-    cfg.duration = 20.0
-    run_single(cfg, 0)
+    run_single(RunConfig(duration=20.0), 0)
 
 
 def _batch(scenario, replan, seeds):
     reports = []
     for seed in seeds:
-        cfg = RunConfig()
-        cfg.scenario = scenario
-        cfg.replan = replan
+        cfg = RunConfig(scenario=scenario, replan=replan)
         reports.append(qoe_report(run_single(cfg, seed), cfg, seed))
     return reports
 
@@ -145,10 +141,7 @@ def test_criterion_6_quantized_bibo():
     for scenario in (1, 2, 3):
         for replan in (False, True):
             for seed in range(10):
-                cfg = RunConfig()
-                cfg.scenario = scenario
-                cfg.replan = replan
-                log = run_single(cfg, seed)
+                log = run_single(RunConfig(scenario=scenario, replan=replan), seed)
                 worst = max(worst, float(np.max(np.abs(log.x_meas - log.ref))))
     ok = worst < bound
     _verdict(6, f"60 episodes: max tracking error {worst:.2f} < bound {bound:.1f}", ok)
@@ -180,9 +173,7 @@ def test_criterion_7_trajectory_suite():
 def test_criterion_8_plant_euler_convergence():
     finals = {}
     for te in (0.1, 0.05):
-        cfg = RunConfig()
-        cfg.te = te
-        finals[te] = run_single(cfg, 0).x[-1]
+        finals[te] = run_single(RunConfig(te=te), 0).x[-1]
     diff = abs(finals[0.1] - finals[0.05])
     # one coarse step at the steepest admissible slope, doubled
     slope = RunConfig().c0 / min(RunConfig().ladder)

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 from typing import get_origin
 from unittest import mock
@@ -20,7 +20,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 import abrlab
 from abrlab import config, kernels
-from abrlab.cli import main, run, run_single
+from abrlab.cli import main, run_single
 from abrlab.config import (ConfigError, RunConfig, build_arg_parser, emit_config,
                            parse_config, parse_seeds, read_config_file)
 from abrlab.plant import LOG_COLUMNS, build_scenario, run_episode
@@ -127,6 +127,13 @@ class TestParsing:
         cfg = parse_config([])
         assert cfg == RunConfig()
 
+    def test_fields_cannot_be_reassigned(self):
+        # a config is checked when it is made, and cannot change after it
+        cfg = RunConfig()
+        for f in fields(RunConfig):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
+
     def test_flags(self):
         cfg = parse_config(["--scenario", "2", "--replan", "--seeds", "0..9",
                             "--kp", "0.5", "--ladder", "0.5,1,2"])
@@ -149,10 +156,10 @@ class TestParsing:
 
     def test_out_a_config_file_cannot_hold(self):
         # an output directory a config file would read back otherwise (flag
-        # text is stripped, so edge whitespace reaches validate only directly)
+        # text is stripped, so edge whitespace reaches the check only directly)
         for out in ("runs#1", "runs\n", "a\rb", " runs", "runs\t"):
             with pytest.raises(ConfigError, match="out:"):
-                RunConfig(out=out).validate()
+                RunConfig(out=out)
 
     def test_just_inside_the_bounds(self):
         # each accepted just short of a rule that a REFUSED row breaks
@@ -166,7 +173,6 @@ class TestParsing:
         cfg = RunConfig(**NON_DEFAULT)
         for name, value in NON_DEFAULT.items():
             assert value != getattr(RunConfig(), name), name
-        cfg.validate()
         path = tmp_path / "run.cfg"
         emit_config(cfg, path)
         assert parse_config(["--config", str(path)]) == cfg
@@ -193,6 +199,14 @@ class TestParsing:
         emit_config(RunConfig(), path)
         cfg = parse_config(["--config", str(path), "--scenario", "2"])
         assert cfg.scenario == 2
+
+    def test_only_the_merged_config_is_checked(self, tmp_path):
+        # a file value that a flag overrides is never checked on its own
+        path = tmp_path / "run.cfg"
+        path.write_text("controller.kp = -1\n")
+        with pytest.raises(ConfigError, match="^kp: "):
+            parse_config(["--config", str(path)])
+        assert parse_config(["--config", str(path), "--kp", "0.5"]).kp == 0.5
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -263,9 +277,9 @@ class TestMain:
 
     def test_max_taps_is_inclusive(self):
         with mock.patch.object(config, "MAX_TAPS", 20):
-            RunConfig(tau=2.0).validate()  # 20 steps of 0.1 s
+            RunConfig(tau=2.0)  # 20 steps of 0.1 s
             with pytest.raises(ConfigError, match="^tau: must span at most 20 te steps"):
-                RunConfig(tau=2.1).validate()
+                RunConfig(tau=2.1)
 
     # REFUSED rows whose magnitudes overflow, with the column each overflows:
     # the buffer fills at 1e600 s per s, the correction is inf, the capacity
@@ -277,15 +291,15 @@ class TestMain:
 
     @pytest.mark.parametrize("flags, name, column", OVERFLOWING, ids=OVERFLOWING_IDS)
     def test_run_episode_rejects_a_non_finite_column(self, flags, name, column):
-        # the backstop behind validate: an unvalidated config of the same
-        # magnitudes stops after the kernel with the column and the step, and
-        # without a NumPy overflow warning; the entry points validate, so
-        # validate is patched out around them
-        with mock.patch.object(RunConfig, "validate"):
+        # the backstop behind the config's rules: an unchecked config of the
+        # same magnitudes stops after the kernel with the column and the
+        # step, and without a NumPy overflow warning; the check is patched
+        # out to make it
+        with mock.patch.object(RunConfig, "__post_init__"):
             cfg = parse_config(["--duration", "120"] + flags)
         with pytest.raises(ConfigError, match=f"^{name}: "):
-            cfg.validate()
-        with warnings.catch_warnings(), mock.patch.object(RunConfig, "validate"):
+            replace(cfg)
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{column} is not finite, first at step "):
                 run_episode(build_scenario(cfg, 0), cfg)
@@ -323,9 +337,9 @@ class TestMain:
 
     def test_max_steps_is_inclusive(self):
         with mock.patch.object(config, "MAX_STEPS", 200):
-            RunConfig(duration=20.0).validate()  # 200 steps of 0.1 s
+            RunConfig(duration=20.0)  # 200 steps of 0.1 s
             with pytest.raises(ConfigError, match="^duration: must span at most 200 te steps"):
-                RunConfig(duration=20.1).validate()
+                RunConfig(duration=20.1)
 
     def test_unwritable_out_exits_1(self, tmp_path):
         target = tmp_path / "file"
@@ -362,27 +376,24 @@ class TestMain:
         assert len(set(row.split(",", 3)[3] for row in rows[1:])) == 1
 
     def test_validation_walks_each_seed_a_fixed_number_of_times(self, tmp_path):
-        # the entry points validate their config once per seed; were it the
-        # batch's, a batch of S seeds would walk S^2 seeds
+        # the config is checked once, when parse_config makes it; were it
+        # checked again per seed, a batch of S seeds would walk S^2 seeds
         walked = []
-        validate = RunConfig.validate
+        problems = RunConfig._problems
 
         def counting(cfg):
             walked.append(len(cfg.seeds))
-            validate(cfg)
+            return problems(cfg)
 
-        with mock.patch.object(RunConfig, "validate", counting):
+        with mock.patch.object(RunConfig, "_problems", counting):
             run_quiet(["--scenario", "1", "--seeds", "0..199", "--duration", "10",
                        "--out", str(tmp_path)])
-        # parse_config and run each walk the batch once, then each seed's
-        # entry-point calls (at most two) walk one seed each
-        assert walked[:2] == [200, 200] and set(walked[2:]) == {1}
-        assert len(walked) <= 2 + 2 * 200
+        assert walked == [200]
 
     def test_run_refuses_an_invalid_batch(self, tmp_path):
-        # its entry points see one seed, so run checks the batch's seeds
+        # the batch is refused when it is made, so there is nothing to run
         with pytest.raises(ConfigError, match="^seeds: must be distinct"):
-            run(RunConfig(seeds=[0, 0], out=str(tmp_path / "out")))
+            RunConfig(seeds=[0, 0], out=str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
 
@@ -394,12 +405,12 @@ def test_declared_rule(f):
     with the field's name; a closed bound and each choice are accepted; the
     rule is in the flag's help."""
     def check(value, valid):
-        cfg = replace(RunConfig(), **{f.name: [value] if get_origin(f.type) is list else value})
+        changes = {f.name: [value] if get_origin(f.type) is list else value}
         if valid:
-            cfg.validate()
+            replace(RunConfig(), **changes)
         else:
             with pytest.raises(ConfigError, match=f"^{f.name}: "):
-                cfg.validate()
+                replace(RunConfig(), **changes)
 
     te, floats = RunConfig().te, f.type in (float, list[float])
     for value in (math.nan, math.inf, -math.inf) if floats else ():
@@ -428,31 +439,31 @@ def test_refused(flags, field, tmp_path, monkeypatch, capsys):
     assert_refused(flags, field, tmp_path, monkeypatch, capsys)
 
 
-def unvalidated_config(flags):
-    """The config of a ``REFUSED`` row's flags, parsed with ``validate``
-    patched out, or None when the flags are refused while parsing."""
-    with mock.patch.object(RunConfig, "validate"):
+def unchecked_values(flags):
+    """The field values of a ``REFUSED`` row's flags, parsed with the
+    config's check patched out, or None when the flags are refused while
+    parsing."""
+    with mock.patch.object(RunConfig, "__post_init__"):
         try:
-            return parse_config(["--out", "never", *flags])
+            return vars(parse_config(["--out", "never", *flags]))
         except ConfigError:
             return None
 
 
-# the REFUSED rows whose flags parse, as (flags, config, field), and a trace
-# any of them could run on
-PARSED = [(flags, cfg, field) for flags, field in REFUSED
-          if (cfg := unvalidated_config(flags)) is not None]
-DEFAULT_TRACE = build_scenario(RunConfig(), 0)
+# the REFUSED rows whose flags parse, as (flags, field values, field)
+PARSED = [(flags, values, field) for flags, field in REFUSED
+          if (values := unchecked_values(flags)) is not None]
 
 
-@pytest.mark.parametrize("cfg, field", [(cfg, field) for _, cfg, field in PARSED],
+@pytest.mark.parametrize("values, field", [(values, field) for _, values, field in PARSED],
                          ids=[" ".join(flags) for flags, _, _ in PARSED])
-def test_entry_points_refuse(cfg, field):
-    """``build_scenario`` and ``run_episode`` each refuse every refused
-    configuration that parses, naming its field, before any other work."""
-    for entry, args in ((build_scenario, (cfg, 0)), (run_episode, (DEFAULT_TRACE, cfg))):
+def test_entry_points_refuse(values, field):
+    """A ``RunConfig`` with the field values of a refused configuration that
+    parses cannot be made, directly or by ``replace``: it refuses them,
+    naming the field, so no entry point ever sees them."""
+    for make in (lambda: RunConfig(**values), lambda: replace(RunConfig(), **values)):
         with pytest.raises(ConfigError, match=f"^{re.escape(field)}: "):
-            entry(*args)
+            make()
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,7 +22,6 @@ class TestLadder:
 
     def test_single_rate(self):
         cfg = RunConfig(ladder=[1.0], duration=20.0)
-        cfg.validate()
         assert np.all(run_single(cfg, 0).R == 1.0)
 
 
@@ -44,12 +43,11 @@ class TestFeedforward:
 
     @pytest.mark.parametrize("scenario,seed", ((2, 4), (3, 1), (3, 2)))
     def test_reference_draining_as_fast_as_playback(self, scenario, seed, monkeypatch):
-        # the ramp falls slower than playback drains, as validate requires,
+        # the ramp falls slower than playback drains, as RunConfig requires,
         # but the replanning term drains further: at some decisions the
         # combined slope is <= -1, where the inversion's limit is the top rung
         cfg = RunConfig(scenario=scenario, replan=True, x0=30.0, xf=0.0, tf=75.0,
                         delta_startup=0.0)
-        cfg.validate()
         slopes, inverted = [], []
 
         def spy_ip(f_est, ref_rate, e, alpha, kp):

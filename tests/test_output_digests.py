@@ -10,7 +10,9 @@ also pins the dtype and the SHA-256 of the raw bytes of every ``EpisodeLog``
 array for the same six cells at seed 0 and for non-default settings
 (buffer-measurement noise, other decision intervals and windows, clock
 thresholds at te 0.01, capacities that put the replanning read exactly on a
-rung, and a window of 4,001 taps).
+rung, and a window of 4,001 taps).  For the paper's table it pins, per
+(scenario, arm) cell, one SHA-256 over every array of the 100 seeds'
+``EpisodeLog`` and the cell's ``table.csv``.
 
 Record the digests again only when the outputs change on purpose:
 
@@ -22,10 +24,11 @@ import io
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from abrlab import cli
+from abrlab import cli, metrics
 from abrlab.config import parse_config
 from abrlab.plant import LOG_COLUMNS
 
@@ -35,6 +38,7 @@ DIGESTS = Path(__file__).with_name("output_digests.json")
 ARRAY_COLUMNS = LOG_COLUMNS + ("t_k", "R_k", "x_k")
 CALLS = [(scenario, replan) for scenario in (1, 2, 3) for replan in (False, True)]
 ARRAYS_KEY = "episode_arrays"
+TABLE_KEY = "paper_table"
 
 
 def _call_key(scenario: int, replan: bool) -> str:
@@ -118,6 +122,29 @@ def array_digests(flags) -> dict:
             for name, value in ((name, getattr(log, name)) for name in ARRAY_COLUMNS)}
 
 
+def table_digest(scenario: int, replan: bool, outdir: Path) -> str:
+    """Run one cell of the paper's table (seeds 0..99, default settings)
+    through the CLI; one SHA-256 over each seed's ``EpisodeLog`` arrays (name,
+    dtype and bytes, in seed and ``ARRAY_COLUMNS`` order) and ``table.csv``."""
+    digest = hashlib.sha256()
+    qoe_report = metrics.qoe_report
+
+    def hashing_report(log, cfg, seed):  # cli.run reports every seed's log
+        for name in ARRAY_COLUMNS:
+            value = getattr(log, name)
+            digest.update(f"{name}:{value.dtype.str}:".encode())
+            digest.update(value.tobytes())
+        return qoe_report(log, cfg, seed)
+
+    argv = ["--scenario", str(scenario), _arm(replan), "--seeds", "0..99",
+            "--emit", "table", "--out", str(outdir)]
+    with mock.patch.object(metrics, "qoe_report", hashing_report), \
+            contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    digest.update((outdir / "table.csv").read_bytes())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("scenario,replan", CALLS,
                          ids=[_call_key(s, r) for s, r in CALLS])
 def test_outputs_match_recorded_digests(scenario, replan, tmp_path):
@@ -133,6 +160,13 @@ def test_episode_arrays_match_recorded_digests(key):
     assert digests == expected
 
 
+@pytest.mark.parametrize("scenario,replan", CALLS,
+                         ids=[_call_key(s, r) for s, r in CALLS])
+def test_paper_table_matches_recorded_digest(scenario, replan, tmp_path):
+    expected = json.loads(DIGESTS.read_text())[TABLE_KEY][_call_key(scenario, replan)]
+    assert table_digest(scenario, replan, tmp_path) == expected
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -141,6 +175,11 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             recorded[_call_key(scenario, replan)] = output_digests(scenario, replan, Path(tmp))
     recorded[ARRAYS_KEY] = {key: array_digests(flags) for key, flags in EPISODES.items()}
+    recorded[TABLE_KEY] = {}
+    for scenario, replan in CALLS:
+        with tempfile.TemporaryDirectory() as tmp:
+            recorded[TABLE_KEY][_call_key(scenario, replan)] = table_digest(
+                scenario, replan, Path(tmp))
     DIGESTS.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
-    print(f"wrote the digests of {len(CALLS)} CLI calls and {len(EPISODES)} episodes"
-          f" to {DIGESTS}", file=sys.stderr)
+    print(f"wrote the digests of {len(CALLS)} CLI calls, {len(EPISODES)} episodes"
+          f" and {len(CALLS)} table cells to {DIGESTS}", file=sys.stderr)
