@@ -246,8 +246,9 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
 
     With replanning on, the controller's stage runs at every step: every step
     is a read, so a read is that step's own estimate, taken if the step is
-    valid and the estimate positive.  Its window dots come from
-    ``window_dot``, one call per block of consecutive steps (up to
+    valid and the estimate positive; otherwise the step reads the held
+    estimate, or the fallback below once that is stale.  Its window dots
+    come from ``window_dot``, one call per block of consecutive steps (up to
     ``BLOCK_TERMS`` products, blocks spread evenly over an interval, a block
     with no valid step and no decision skipped).  With replanning off, the
     stage is the decision step alone: its read scans back over the interval
@@ -350,7 +351,6 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     last_valid = -win - 1   # step of the held estimate; stale from the start
     dirn = 1  # replanning starts on the way up
     y_ad = 0.0
-    c_known = 0.0
     # the replanning rung coef holds for c_known in (coef_lo, coef_hi),
     # emptied by a flip of dirn; none yet
     coef_lo = coef_hi = 0.0
@@ -397,20 +397,19 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
             # estimate and its validity clock are kept instead
             for k in range(lo, hi):
                 base = ramp[k]
-                if valid[k]:
-                    c_new = cur_R * (1.0 - gain * dots[k - lo])
-                    if c_new > 0.0:
-                        if last_valid < 0:
-                            # replanning starts here, its correction aligned
-                            # with the measured buffer so the combined
-                            # reference takes over without an error jump
-                            y_ad = x_hist[k + pad] - base
-                        cest = c_new
-                        last_valid = k
-                # the held estimate goes stale one window after validity is
-                # lost; fall back to the window-averaged capacity measurement
-                # until it recovers
-                c_known = cest if k - last_valid <= win else cm_bar[k].item()
+                if valid[k] and (c_new := cur_R * (1.0 - gain * dots[k - lo])) > 0.0:
+                    if last_valid < 0:
+                        # replanning starts here, its correction aligned with
+                        # the measured buffer so the combined reference takes
+                        # over without an error jump
+                        y_ad = x_hist[k + pad] - base
+                    c_known = cest = c_new
+                    last_valid = k
+                else:
+                    # the held estimate goes stale one window after validity
+                    # is lost; fall back to the window-averaged capacity
+                    # measurement until it recovers
+                    c_known = cest if k - last_valid <= win else cm_bar[k].item()
                 if last_valid >= 0:
                     xm = x_hist[k + pad]
                     # past the bound ahead, the direction flips and the
@@ -422,16 +421,12 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
                         coef, coef_lo, coef_hi = replan_rung(c_known, dirn, ladder)
                     ad_rate = c_known / coef - 1.0
                     y_ad += ad_rate * te
-                    ref = base + y_ad
                     # a capacity jump leaves the reference far from the
                     # buffer; restart the correction there instead of burning
                     # switches on the transient
-                    if abs(xm - ref) > RESTART_GAP:
+                    if abs(xm - (base + y_ad)) > RESTART_GAP:
                         y_ad = xm - base
-                        ref = base + y_ad
-                else:
-                    ref = base + y_ad
-                ref_a.append(ref)
+                ref_a.append(base + y_ad)
             dot = dots[e - lo]
         elif e < n:
             # the decision's read: the newest valid step of the interval with
@@ -473,8 +468,6 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         uk.append(u_held)
         lo = hi
 
-    # the histories and converted inputs must not outlive the loop
-    del x_hist, u_hist, cm_bar, c_in, x_gain, ramp
     return (x_a, ref_a, np.frombuffer(valid, dtype=bool), np.array(Rk, dtype=float),
             np.array(uk, dtype=float))
 

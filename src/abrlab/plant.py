@@ -117,9 +117,9 @@ class EpisodeLog:
 
 
 # Each derived log column from the log's records and the decision interval's
-# te steps r.  A list is dropped once its array exists; regime and stalled
-# hold from the startup on; each estimate used the bitrate held before its
-# step's decision.
+# te steps r.  A list is dropped once its array exists; regime holds from
+# the startup on, and stalled is the rest of that time (in playback and not
+# playing); each estimate used the bitrate held before its step's decision.
 DERIVED = {
     "x": lambda log, r: np.array(log.lists.pop("x"), dtype=float),
     "ref": lambda log, r: np.array(log.lists.pop("ref"), dtype=float),
@@ -132,8 +132,7 @@ DERIVED = {
         log.cfg.tau),
     "regime": lambda log, r: ((log.t >= log.cfg.delta_startup)
                               & (log.x >= log.cfg.chunk_duration)).astype(np.int8),
-    "stalled": lambda log, r: ((log.t >= log.cfg.delta_startup)
-                               & (log.x < log.cfg.chunk_duration)).astype(np.int8),
+    "stalled": lambda log, r: (log.t >= log.cfg.delta_startup) - log.regime,
     "t_k": lambda log, r: np.arange(0, len(log.c_true), r) * log.cfg.te,
     "x_k": lambda log, r: np.array(log.lists["x"][::r] if "x" in log.lists else log.x[::r],
                                    dtype=float),

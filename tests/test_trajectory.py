@@ -1,14 +1,14 @@
 """Reference trajectory: ramp profile and replanned correction."""
 from dataclasses import replace
-from math import inf
+from math import inf, ulp
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from abrlab.cli import run_single
-from abrlab.config import RunConfig
-from abrlab.kernels import bezier_derivative, bezier_eval, replan_rung
+from abrlab.config import RAMP_PEAK_SLOPE, RunConfig
+from abrlab.kernels import bezier_derivative, bezier_eval, feedforward, replan_rung
 
 from config_strategies import run_configs
 
@@ -16,6 +16,9 @@ PROFILE = (0.0, 10.0, 0.0, 4.0)   # t0, tf, x0, xf
 LADDER = np.array(RunConfig().ladder)
 TE = 0.1
 RISE, FALL = 0.7 / 0.6 - 1.0, 0.7 / 1.0 - 1.0   # replan rates at c = 0.7
+# largest |p''| of the unit ramp p, |280 T^2 (1 - T)^3 (3 - 7 T)|, 9.40326 at
+# T = 0.2265, rounded up
+P2 = 9.4033
 
 
 def ev(t, profile=PROFILE):
@@ -31,6 +34,21 @@ def replan_episode(seed=0):
     log = run_single(RunConfig(replan=True), seed)
     base = np.array([ev(t) for t in log.t])
     return log, np.diff(log.ref - base)
+
+
+@st.composite
+def playing_ramps(draw):
+    """A config ``RunConfig`` accepts with playback from t = 0 and a ramp that
+    stays at least one second above the chunk duration, run past its end."""
+    te = draw(st.sampled_from((0.1, 0.05, 0.01)))
+    t0 = draw(st.floats(0.0, 20.0))
+    tf = t0 + draw(st.floats(0.5, 40.0))
+    floor = RunConfig().chunk_duration + 1.0
+    xf = draw(st.floats(floor, 60.0))
+    # a falling ramp falls less than its span over RAMP_PEAK_SLOPE
+    x0 = draw(st.floats(floor, min(60.0, xf + 0.99 * (tf - t0) / RAMP_PEAK_SLOPE)))
+    return RunConfig(te=te, t0=t0, tf=tf, x0=x0, xf=xf, delta_startup=0.0,
+                     duration=tf + draw(st.floats(2.5, 10.0)))
 
 
 class TestProfile:
@@ -79,6 +97,25 @@ class TestProfile:
             for h in (1e-3, 1e-4):
                 fd = (ev(t + h) - ev(t - h)) / (2 * h)
                 assert fd == pytest.approx(exact, abs=5.0 * h * h)
+
+    # 100 examples of at most 7,000 steps each, about 0.3 s in all
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=playing_ramps(), c=st.floats(0.1, 10.0))
+    def test_flat_open_loop_follows_the_ramp(self, cfg, c):
+        # the paper's flat open loop: at the unquantized rate the inversion
+        # asks for, the Euler plant at capacity c plays throughout and tracks
+        # the ramp p to first order in te.  The plant steps x' = p'(t), so its
+        # error is at most te * max|p''| * (tf - t0) / 2, plus one rounding of
+        # x per step
+        te, ramp = cfg.te, (cfg.t0, cfg.tf, cfg.x0, cfg.xf)
+        bound = te * abs(cfg.xf - cfg.x0) / (cfg.tf - cfg.t0) * P2 / 2
+        rounding = ulp(2.0 * max(cfg.x0, cfg.xf))
+        x = cfg.x0
+        for k in range(cfg.n_steps):
+            t = k * te
+            assert abs(x - bezier_eval(t, *ramp)) <= bound + k * rounding
+            assert t >= cfg.delta_startup and x >= cfg.chunk_duration  # playing
+            x += te * (c / feedforward(c, bezier_derivative(t, *ramp)) - 1.0)
 
 
 def rung(c, dirn, ladder=LADDER):
