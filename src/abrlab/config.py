@@ -150,6 +150,10 @@ class RunConfig:
     def n_steps(self) -> int:
         return self.steps(self.duration)
 
+    @property
+    def decision_steps(self) -> int:
+        return self.steps(self.decision_interval)
+
     def __post_init__(self) -> None:
         """Refuse an invalid config when it is made: raise ``ConfigError``
         naming the field of the first problem."""
@@ -200,7 +204,7 @@ class RunConfig:
         # before any weight vector is built: one of 10^200 taps cannot be
         if self.tau / self.te > MAX_TAPS:
             yield f"tau: must span at most {MAX_TAPS} te steps, got {self.tau / self.te:.4g}"
-        ratio = self.steps(self.decision_interval)
+        ratio = self.decision_steps
         if self.n_steps <= ratio:
             yield "duration: must span more than one decision interval (two decisions)"
         # the QoE report counts rebuffering over the decisions from the startup

@@ -289,7 +289,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     n = len(c_true)
     win = len(w_lin)
     pad = win - 1
-    ratio = cfg.steps(cfg.decision_interval)
+    ratio = cfg.decision_steps
     gain = 6.0 / tau**3  # bandwidth_from_window's kernel gain
 
     # the first step of each clock test: t >= delta_startup, t > valid_after

@@ -1,7 +1,7 @@
 """Channel scenarios, episode execution and the per-step episode log."""
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 
 import numpy as np
@@ -14,9 +14,6 @@ FMT = "%.10g"  # stable float formatting for byte-identical reruns
 REGIME_LABELS = np.array(("filling", "playing"), dtype=object)
 WRITE_ROWS = 1000  # CSV rows joined per write
 LOG_COLUMNS = ("t", "x", "x_meas", "R", "c_true", "c_est", "u", "ref", "regime", "stalled")
-# template of a log column's values, FMT unless named here; the regime is a
-# lookup of its labels
-LOG_FORMATS = {"stalled": "%d"}
 
 # First entropy word of the buffer-measurement noise stream, which keeps it
 # apart from the capacity stream of the same scenario and seed.
@@ -75,8 +72,9 @@ class EpisodeLog:
     The log holds what the episode kernel records and the kernel's inputs
     that the other columns are derived from.  Each of the 13 array columns
     (``LOG_COLUMNS`` and the per-decision ``t_k``, ``R_k`` and ``x_k``) that
-    is not one of these is derived on its first read (``DERIVED``) and kept:
-    a batch that reads only the QoE columns derives no per-step column."""
+    is not one of these is a ``cached_property``, derived on its first read
+    and kept: a batch that reads only the QoE columns derives no per-step
+    column."""
     lists: dict             # the kernel's "x" and "ref" lists, each until converted
     valid: np.ndarray       # bool per step: the estimate's window conditions hold
     R_k: np.ndarray
@@ -89,11 +87,26 @@ class EpisodeLog:
     # text of the formatted columns, shared by every file written from the log
     _text: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __getattr__(self, name):  # only for an attribute not yet set
-        if name not in DERIVED:
-            raise AttributeError(f"'EpisodeLog' object has no attribute {name!r}")
-        setattr(self, name, DERIVED[name](self, self.cfg.steps(self.cfg.decision_interval)))
-        return self.__dict__[name]
+    # The derived columns.  A list is dropped once its array exists; regime
+    # holds from the startup on, and stalled is the rest of that time (in
+    # playback and not playing); each estimate used the bitrate held before
+    # its step's decision.
+    x = cached_property(lambda log: np.array(log.lists.pop("x"), dtype=float))
+    ref = cached_property(lambda log: np.array(log.lists.pop("ref"), dtype=float))
+    t = cached_property(lambda log: np.arange(len(log.c_true)) * log.cfg.te)
+    x_meas = cached_property(lambda log: log.x * (1.0 + log.x_noise))
+    R = cached_property(lambda log: np.repeat(log.R_k, log.cfg.decision_steps)[:len(log.c_true)])
+    u = cached_property(lambda log: np.repeat(log.u_k, log.cfg.decision_steps)[:len(log.c_true)])
+    c_est = cached_property(lambda log: kernels.held_estimates(
+        log.x_meas, log.valid, np.concatenate(([log.cfg.ladder[0]], log.R[:-1])), log.w_lin,
+        log.cfg.tau))
+    regime = cached_property(lambda log: ((log.t >= log.cfg.delta_startup)
+                                          & (log.x >= log.cfg.chunk_duration)).astype(np.int8))
+    stalled = cached_property(lambda log: (log.t >= log.cfg.delta_startup) - log.regime)
+    t_k = cached_property(lambda log: np.arange(0, len(log.c_true), log.cfg.decision_steps)
+                          * log.cfg.te)
+    x_k = cached_property(lambda log: np.array(
+        (log.lists["x"] if "x" in log.lists else log.x)[::log.cfg.decision_steps], dtype=float))
 
     def text(self, name: str) -> list:
         """The column ``name`` as text, formatted on first use only, one
@@ -108,35 +121,12 @@ class EpisodeLog:
             elif name == "regime":
                 text = REGIME_LABELS[self.regime].tolist()
             else:
-                text = kernels.held_list(getattr(self, name), LOG_FORMATS.get(name, FMT))
+                text = kernels.held_list(getattr(self, name), FMT)
             self._text[name] = text
         return text
 
     def to_csv(self, path) -> None:
         write_columns(path, LOG_COLUMNS, [self.text(name) for name in LOG_COLUMNS])
-
-
-# Each derived log column from the log's records and the decision interval's
-# te steps r.  A list is dropped once its array exists; regime holds from
-# the startup on, and stalled is the rest of that time (in playback and not
-# playing); each estimate used the bitrate held before its step's decision.
-DERIVED = {
-    "x": lambda log, r: np.array(log.lists.pop("x"), dtype=float),
-    "ref": lambda log, r: np.array(log.lists.pop("ref"), dtype=float),
-    "t": lambda log, r: np.arange(len(log.c_true)) * log.cfg.te,
-    "x_meas": lambda log, r: log.x * (1.0 + log.x_noise),
-    "R": lambda log, r: np.repeat(log.R_k, r)[:len(log.c_true)],
-    "u": lambda log, r: np.repeat(log.u_k, r)[:len(log.c_true)],
-    "c_est": lambda log, r: kernels.held_estimates(
-        log.x_meas, log.valid, np.concatenate(([log.cfg.ladder[0]], log.R[:-1])), log.w_lin,
-        log.cfg.tau),
-    "regime": lambda log, r: ((log.t >= log.cfg.delta_startup)
-                              & (log.x >= log.cfg.chunk_duration)).astype(np.int8),
-    "stalled": lambda log, r: (log.t >= log.cfg.delta_startup) - log.regime,
-    "t_k": lambda log, r: np.arange(0, len(log.c_true), r) * log.cfg.te,
-    "x_k": lambda log, r: np.array(log.lists["x"][::r] if "x" in log.lists else log.x[::r],
-                                   dtype=float),
-}
 
 
 @lru_cache(maxsize=1)
@@ -169,29 +159,33 @@ def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
     other column on its first read.
 
     The config needs no check (a ``RunConfig`` is valid by construction);
-    the trace does, as no config rule covers it: a trace shorter than the
-    episode, or a capacity that is not finite and positive at some step, is
-    a ``ValueError``.  So is a buffer ``x``, reference ``ref`` or correction
-    ``u`` that comes out of the kernel not finite at some step (a config
-    whose magnitudes overflow); ``c_est`` is NaN before the first estimate by
-    design."""
+    the trace does, as no config rule covers it: a trace array shorter than
+    the episode, a capacity that is not finite and positive at some step, or
+    a buffer-measurement noise that is not finite with magnitude below 1 at
+    some step (the bound the config's ``x_noise`` rule promises) is a
+    ``ValueError`` that names it.  So is a buffer ``x``, reference ``ref`` or
+    correction ``u`` that comes out of the kernel not finite at some step (a
+    config whose magnitudes overflow); ``c_est`` is NaN before the first
+    estimate by design."""
     n = cfg.n_steps
-    if len(trace.true_capacity) < n:
-        raise ValueError("trace shorter than episode duration")
+    for name, column in vars(trace).items():
+        if len(column) < n:
+            raise ValueError(f"trace {name} has {len(column)} steps, fewer than the episode's {n}")
     n_seg = cfg.steps(cfg.tau)
     c_true = trace.true_capacity[:n]
     c_meas = trace.measured_capacity[:n]
+    x_noise = trace.x_noise[:n]
     for name, c in (("true", c_true), ("measured", c_meas)):
         if not ((0.0 < c) & (c < np.inf)).all():  # NaN fails both
             raise ValueError(f"{name} capacity must be finite and positive at every step")
+    if not (np.abs(x_noise) < 1.0).all():  # NaN fails it
+        raise ValueError("x_noise must be finite with magnitude below 1 at every step")
     w_lin = estimation.linear_kernel_weights(cfg.tau, n_seg)
     w_bump = estimation.bump_kernel_weights(cfg.tau, n_seg)
-    x_noise = trace.x_noise[:n]
     x, ref, valid, R_k, u_k = kernels.episode_loop(
         c_true, c_meas, x_noise, w_lin, w_bump, cfg)
-    ratio = cfg.steps(cfg.decision_interval)
     for name, column, steps_per_value in (("x", x, 1), ("ref", ref, 1),
-                                          ("u", u_k.tolist(), ratio)):
+                                          ("u", u_k.tolist(), cfg.decision_steps)):
         # one pass in C: an inf or a NaN makes the sum non-finite, and so may
         # finite values whose sum overflows, which the search then clears
         if not math.isfinite(sum(column)):

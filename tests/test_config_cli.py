@@ -308,7 +308,7 @@ class TestMain:
         # the backstop sums each column in one pass; finite values whose sum
         # overflows make it search the column for a bad step, and it finds none
         cfg = RunConfig(duration=20.0)
-        n, decisions = cfg.n_steps, len(range(0, cfg.n_steps, cfg.steps(cfg.decision_interval)))
+        n, decisions = cfg.n_steps, len(range(0, cfg.n_steps, cfg.decision_steps))
         assert sum([1e308, 1e308]) == math.inf
         records = ([1e308] * n, [-1e308] * n, np.zeros(n, dtype=bool),
                    np.full(decisions, cfg.ladder[0]), np.full(decisions, 1e308))

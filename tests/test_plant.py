@@ -13,7 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 from abrlab.cli import _write_plotdata, run_single
 from abrlab.config import S3_DIP_MAX, ConfigError, RunConfig
 from abrlab.kernels import clock_step, held_list
-from abrlab.plant import FMT, S3_FORCE_BELOW, ChannelTrace, build_scenario, run_episode
+from abrlab.metrics import qoe_report
+from abrlab.plant import (FMT, LOG_COLUMNS, S3_FORCE_BELOW, ChannelTrace, build_scenario,
+                          run_episode)
 
 from config_strategies import run_configs
 
@@ -271,6 +273,28 @@ class TestEpisode:
         with pytest.raises(ValueError):
             run_episode(tr, CFG)
 
+    @pytest.mark.parametrize("field", ("true_capacity", "measured_capacity", "x_noise"))
+    def test_short_trace_array_rejected(self, field):
+        cfg = scenario(2, duration=60.0)
+        tr = build_scenario(cfg, 0)
+        tr = replace(tr, **{field: getattr(tr, field)[:-5]})
+        with pytest.raises(ValueError, match=f"^trace {field} has 595 steps, fewer than the"
+                                             " episode's 600$"):
+            run_episode(tr, cfg)
+
+    @pytest.mark.parametrize("bad", (1.0, -1.0, np.nan, np.inf, "all nan"))
+    def test_buffer_noise_not_below_one_rejected(self, bad):
+        # the config rule x_noise < 1 bounds every step's noise below 1 in
+        # magnitude, so a measured buffer is never zero or below
+        cfg = scenario(2, duration=60.0, x_noise=0.2)
+        tr = build_scenario(cfg, 0)
+        if bad == "all nan":
+            tr.x_noise[:] = np.nan
+        else:
+            tr.x_noise[57] = bad
+        with pytest.raises(ValueError, match="^x_noise must be finite with magnitude below 1"):
+            run_episode(tr, cfg)
+
     @pytest.mark.parametrize("field", ("true_capacity", "measured_capacity"))
     @pytest.mark.parametrize("bad", (0.0, -0.5, np.nan, np.inf))
     def test_capacity_not_finite_and_positive_rejected(self, field, bad):
@@ -287,6 +311,16 @@ class TestEpisode:
         # the config is refused when it is made, so no entry point sees it
         with pytest.raises(ConfigError, match="^te: must be (finite|positive)"):
             scenario(sid, duration=20.0, te=te)
+
+    def test_qoe_report_derives_only_the_decision_clock_and_buffer(self):
+        # all that a qoe,table batch reads: it converts neither kernel list
+        # and derives no per-step column
+        cfg = scenario(2, replan=True, duration=60.0)
+        log = run_single(cfg, 0)
+        qoe_report(log, cfg, 0)
+        derived = {*LOG_COLUMNS, "t_k", "x_k"} - {"c_true"}
+        assert derived & set(vars(log)) == {"t_k", "x_k"}
+        assert set(log.lists) == {"x", "ref"}
 
     def test_clock_text_shared(self):
         cfg = RunConfig(duration=20.0, te=0.05)
