@@ -22,7 +22,7 @@ def _write_plotdata(log: EpisodeLog, cfg: RunConfig, outdir: Path, tag: str) -> 
     # the stall threshold is constant: formatted once
     write_columns(outdir / f"buffer_{tag}.csv", ("t", "x", "ref", "stall_threshold"),
                   [log.text("t"), log.text("x"), log.text("ref"),
-                   [FMT % cfg.chunk_duration] * len(log.t)])
+                   [FMT % cfg.chunk_duration] * cfg.n_steps])
 
 
 def run(cfg: RunConfig) -> int:

@@ -15,11 +15,12 @@ alone, and the reference is the ramp, which both arms write once before the
 loop.  The loop's docstring states what it computes and returns, and
 how its per-step bodies keep to arithmetic: clock tests on step indices, one
 validity threshold step, the estimate and the Euler step written in line,
-the Euler step's increments computed once per run of a held capacity.
+the Euler step's increments computed where a run of held capacity starts
+(the run starts found once per episode) or an interval does.
 """
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from math import inf, nan
 
 import numpy as np
@@ -177,28 +178,20 @@ def clock_step(n, passes):
     return bisect_left(range(n), True, key=passes)
 
 
-def held_list(column, fmt=None) -> list:
-    """The values of a 1-D array as a list of Python values, or as text, each
-    value formatted by the ``%`` template ``fmt`` (``"%.10g"``, ``"%d"``).
-    Bitwise, ``-0.0`` and ``0.0`` stay apart and NaNs of one payload are
-    equal.
+def column_text(column, fmt) -> list:
+    """The values of a 1-D array as text, each value formatted by the ``%``
+    template ``fmt`` (``"%.10g"``, ``"%d"``).  Bitwise, ``-0.0`` and ``0.0``
+    stay apart and NaNs of one payload are equal.
 
-    Each run of equal neighbours shares one value: a held column costs one
-    object per run.  Text is shared further, one ``str`` per distinct value
-    wherever it recurs (``c_est`` returns to earlier estimates out of order):
-    the distinct values of the runs are found (``np.unique``) unless a sort
-    shows that every value differs, as in a buffer column.  They are
-    formatted by one ``%`` over the template repeated once per value."""
+    Equal values share one ``str`` wherever they recur (``c_est`` returns to
+    earlier estimates out of order): the runs of equal neighbours are found,
+    then their distinct values (``np.unique``) unless a sort shows that every
+    value differs, as in a buffer column.  The values are formatted by one
+    ``%`` over the template repeated once per value."""
     if len(column) == 0:
         return []
     bits = column.view(f"u{column.itemsize}")
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    if fmt is None:
-        values = column[starts].tolist()
-        if len(values) == len(column):
-            return values
-        runs = np.diff(starts, append=len(column)).tolist()
-        return list(chain.from_iterable(map(repeat, values, runs)))
     if len(starts) == len(column) and (np.diff(np.sort(bits)) != 0).all():
         index = None  # every value differs
     else:
@@ -235,14 +228,16 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     draining at the playback rate only while playing (from the startup on,
     with the buffer at or above the chunk duration), clamped at empty.  Step
     0 is reached from an empty buffer at zero capacity, which leaves it empty.
-    The plant's two increments (playing, filling) are computed once per run of
-    a held capacity: ``held_list`` gives each run one float object.  Each step
-    it records the measured buffer, the held correction and the estimate's
-    validity.  A step is valid from one threshold step on, ``valid_from``: a
-    whole window after the last step that spoiled the window (out of
-    playback, the measured buffer at or below the chunk duration, or a
-    bitrate change), and not before the clock is a whole window into
-    playback.  The threshold is reset wherever the window is spoiled.
+    The capacity is piecewise constant: the steps where each run of it starts
+    are found once per episode, and the plant's two increments (playing,
+    filling) are computed at each run start and at each interval's first
+    step, where the bitrate may have changed.  Each step it records the
+    measured buffer, the held correction and the estimate's validity.  A
+    step is valid from one threshold step on, ``valid_from``: a whole window
+    after the last step that spoiled the window (out of playback, the
+    measured buffer at or below the chunk duration, or a bitrate change),
+    and not before the clock is a whole window into playback.  The
+    threshold is reset wherever the window is spoiled.
 
     With replanning on, the controller's stage runs at every step: every step
     is a read, so a read is that step's own estimate, taken if the step is
@@ -307,13 +302,15 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         cm_bar = np.cumsum(c_meas - c_out) / np.minimum(np.arange(1, n + 1), win)
 
     # convert once: the loop computes on Python floats and stores into lists,
-    # returned as they are (the log converts them when read); a held
-    # capacity and a noise-free buffer are one float object per run.  The
-    # plant's input at step k is the capacity that Euler-steps the buffer
-    # from step k - 1 into step k: zero at step 0, which leaves the empty
-    # buffer empty
-    c_in = held_list(np.concatenate(([0.0], c_true[:-1])))
-    x_gain = held_list(1.0 + x_noise)  # measured buffer per unit of buffer
+    # returned as they are (the log converts them when read).  The plant's
+    # input at step k is the capacity that Euler-steps the buffer from step
+    # k - 1 into step k: zero at step 0, which leaves the empty buffer empty.
+    # It is held in runs: run i starts at step run_start[i] at capacity
+    # run_c[i], and the last run ends at the sentinel n
+    c_in = np.concatenate(([0.0], c_true[:-1]))
+    run_start = [0, *(np.flatnonzero(np.diff(c_in)) + 1).tolist(), n]
+    run_c = c_in[run_start[:-1]].tolist()
+    x_gain = (1.0 + x_noise).tolist()  # measured buffer per unit of buffer
     ladder = [float(r) for r in cfg.ladder]
     w_lin = tuple(w_lin.tolist())
     # the reference ramp per step, which reads nothing the loop computes; one
@@ -361,15 +358,17 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         hi = e + 1 if e < n else n
 
         # the plant, Euler-stepped into each step lo..hi-1 at the held bitrate
-        # and correction
+        # and correction.  Its increments are computed at the interval's
+        # first step (the bitrate may have changed) and at each run start
         u_hist[lo + pad:hi + pad] = [u_held] * (hi - lo)
-        C_run = None  # the capacity the increments are for; the bitrate may have changed
+        run = bisect_right(run_start, lo) - 1  # the run that holds step lo
+        next_inc = lo
         for k in range(lo, hi):
-            C = c_in[k]
-            if C is not C_run:
-                C_run = C
-                r = C / cur_R
+            if k == next_inc:
+                r = run_c[run] / cur_R
                 inc_play, inc_fill = te * (r - 1.0), te * r
+                run += 1
+                next_inc = run_start[run]
             x += inc_play if playing else inc_fill
             if x < 0.0:
                 x = 0.0

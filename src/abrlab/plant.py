@@ -110,18 +110,17 @@ class EpisodeLog:
 
     def text(self, name: str) -> list:
         """The column ``name`` as text, formatted on first use only, one
-        ``str`` per distinct value (``kernels.held_list``)."""
+        ``str`` per distinct value (``kernels.column_text``)."""
         text = self._text.get(name)
         if text is None:
             if name == "t":
                 text = clock_text(len(self.c_true), self.cfg.te)
-            elif name == "x_meas" and np.array_equal(self.x_meas.view(np.int64),
-                                                     self.x.view(np.int64)):
-                text = self.text("x")  # no buffer-measurement noise
+            elif name == "x_meas" and not self.x_noise.any():
+                text = self.text("x")  # no buffer-measurement noise: x_meas is x bitwise
             elif name == "regime":
                 text = REGIME_LABELS[self.regime].tolist()
             else:
-                text = kernels.held_list(getattr(self, name), FMT)
+                text = kernels.column_text(getattr(self, name), FMT)
             self._text[name] = text
         return text
 
@@ -133,7 +132,7 @@ class EpisodeLog:
 def clock_text(n: int, te: float) -> list:
     """Text of the clock column ``arange(n) * te``.  Every episode of a run has
     the same clock, so it is formatted once and its text shared."""
-    return kernels.held_list(np.arange(n) * te, FMT)
+    return kernels.column_text(np.arange(n) * te, FMT)
 
 
 def write_columns(path, header, columns) -> None:
@@ -141,7 +140,7 @@ def write_columns(path, header, columns) -> None:
     line endings.  Every CSV file of a run is written here.
 
     An episode's columns are turned into text once per log (``EpisodeLog.text``
-    through ``kernels.held_list``: one ``str`` per distinct value of a column)
+    through ``kernels.column_text``: one ``str`` per distinct value of a column)
     and shared by its three files; the QoE and table writers format their few
     values directly.  Rows are joined WRITE_ROWS at a time to bound the memory
     held."""

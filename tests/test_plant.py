@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from abrlab.cli import _write_plotdata, run_single
 from abrlab.config import S3_DIP_MAX, ConfigError, RunConfig
-from abrlab.kernels import clock_step, held_list
+from abrlab.kernels import clock_step, column_text
 from abrlab.metrics import qoe_report
 from abrlab.plant import (FMT, LOG_COLUMNS, S3_FORCE_BELOW, ChannelTrace, build_scenario,
                           run_episode)
@@ -261,6 +261,13 @@ class TestEpisode:
 
     @settings(max_examples=40, deadline=None)
     @given(cfg=run_configs(), seed=st.integers(0, 1000))
+    # the kernel's capacity runs: one run per step, and a run that ends
+    # inside a decision interval
+    @example(cfg=RunConfig(scenario=2, s2_segment=0.1, duration=60.0), seed=0)
+    @example(cfg=RunConfig(scenario=2, replan=True, s2_segment=0.1, duration=60.0), seed=0)
+    @example(cfg=RunConfig(scenario=3, s3_segment=0.1, duration=60.0), seed=0)
+    @example(cfg=RunConfig(scenario=3, replan=True, s3_segment=0.1, duration=60.0), seed=0)
+    @example(cfg=RunConfig(scenario=3, replan=True, s3_segment=2.7, duration=60.0), seed=0)
     def test_buffer_steps_by_the_logged_regime(self, cfg, seed):
         # each step drains at the playback rate exactly where the log says
         # playing, and the buffer is clamped at empty
@@ -322,11 +329,24 @@ class TestEpisode:
         assert derived & set(vars(log)) == {"t_k", "x_k"}
         assert set(log.lists) == {"x", "ref"}
 
+    def test_noise_free_x_meas_shares_the_text_of_x(self):
+        # zero noise (0.0 or -0.0 per step) leaves x_meas bitwise x, so its
+        # text is x's; with noise it is x_meas's own
+        cfg = scenario(2, duration=60.0)
+        trace = build_scenario(cfg, 0)
+        trace.x_noise[::2] = -0.0
+        log = run_episode(trace, cfg)
+        assert log.text("x_meas") is log.text("x")
+        assert log.text("x_meas") == [FMT % v for v in log.x_meas.tolist()]
+        noisy = run_single(replace(cfg, x_noise=0.05), 0)
+        assert noisy.text("x_meas") == [FMT % v for v in noisy.x_meas.tolist()]
+        assert noisy.text("x_meas") != noisy.text("x")
+
     def test_clock_text_shared(self):
         cfg = RunConfig(duration=20.0, te=0.05)
         a, b = (run_episode(build_scenario(cfg, seed), cfg) for seed in (0, 1))
         assert a.text("t") is b.text("t")
-        assert a.text("t") == held_list(a.t, FMT)
+        assert a.text("t") == column_text(a.t, FMT)
 
     def test_episode_csv(self, tmp_path):
         cfg = RunConfig(duration=20.0)
@@ -346,22 +366,9 @@ class TestCsv:
     @example(values=[np.nan, np.nan, np.nan, 0.25, 0.25])  # c_est before its first estimate
     @example(values=[np.inf, -np.inf, -np.inf, np.inf])
     @example(values=[2.5])
-    def test_held_list_formats_every_value(self, values):
+    def test_column_text_formats_every_value(self, values):
         column = np.array(values, dtype=np.float64)
-        assert held_list(column, FMT) == [FMT % v for v in values]
-
-    @settings(max_examples=200, deadline=None)
-    @given(values=st.lists(st.sampled_from([0.0, -0.0, 0.7, np.nan]) | st.floats(), max_size=40))
-    @example(values=[0.7] * 5 + [0.0, -0.0, -0.0])
-    def test_held_list_shares_one_float_per_run(self, values):
-        # the episode loop's inputs: the values of tolist(), bitwise, with one
-        # object per run of bitwise-equal neighbours
-        column = np.array(values, dtype=np.float64)
-        held = held_list(column)
-        bits = column.view(np.uint64).tolist()
-        assert np.array(held, dtype=np.float64).view(np.uint64).tolist() == bits
-        for i in range(1, len(held)):
-            assert (held[i] is held[i - 1]) == (bits[i] == bits[i - 1])
+        assert column_text(column, FMT) == [FMT % v for v in values]
 
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(st.sampled_from([0.0, -0.0, 0.1, 1.5, np.nan, OTHER_NAN, np.inf,
@@ -370,21 +377,22 @@ class TestCsv:
     @example(values=[1.5, 0.0, 1.5, -0.0, 1.5, 0.0])  # recurring, never neighbours
     @example(values=[np.nan, 0.25, 0.25, np.nan, OTHER_NAN, 0.25])
     @example(values=[5e-324, -5e-324, 5e-324, np.inf, -np.inf, np.inf])
-    def test_held_list_shares_one_text_per_distinct_value(self, values):
+    def test_column_text_shares_one_text_per_distinct_value(self, values):
         # c_est returns to earlier estimates out of order: equal bits anywhere
         # in the column share one str, and each text is the value's own
         column = np.array(values, dtype=np.float64)
-        held = held_list(column, FMT)
+        held = column_text(column, FMT)
         assert held == [FMT % v for v in column.tolist()]
         first = {}
         for b, text in zip(column.view(np.uint64).tolist(), held):
             assert first.setdefault(b, text) is text
 
-    def test_held_list_int_bool_and_object_columns(self):
+    def test_column_text_int_bool_and_object_columns(self):
         d = "%d"
-        assert held_list(np.array([0, 0, 1, 1, 0], dtype=np.int8), d) == ["0", "0", "1", "1", "0"]
-        assert held_list(np.array([True, True, False]), d) == ["1", "1", "0"]
-        assert held_list(np.array([], dtype=np.float64), FMT) == []
+        assert (column_text(np.array([0, 0, 1, 1, 0], dtype=np.int8), d)
+                == ["0", "0", "1", "1", "0"])
+        assert column_text(np.array([True, True, False]), d) == ["1", "1", "0"]
+        assert column_text(np.array([], dtype=np.float64), FMT) == []
 
     @settings(max_examples=40, deadline=None)
     @given(cfg=run_configs(), seed=st.integers(0, 1000))
