@@ -16,7 +16,11 @@ loop.  The loop's docstring states what it computes and returns, and
 how its per-step bodies keep to arithmetic: clock tests on step indices, one
 validity threshold step, the estimate and the Euler step written in line,
 the Euler step's increments computed where a run of held capacity starts
-(the run starts found once per episode) or an interval does.
+(the run starts found once per episode) or an interval does.  A buffer
+measured exactly, as in every run of the paper, is its own measurement: the
+loop then stores one float per step, in the measured-buffer history, and
+returns that history's steps as the buffer; only buffer noise costs a gain
+per step and a second list.
 """
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
@@ -207,13 +211,17 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     implementation of the controller and of the plant.
 
     Returns what the loop alone records: the buffer ``x`` and the reference
-    ``ref`` per step as the lists it appended them to, the estimate's validity
-    flag ``valid`` per step as an array, and the held bitrate ``R_k`` and iP
-    correction ``u_k`` per decision as arrays.  ``plant.EpisodeLog`` holds
-    those and derives each other log column on its first read: ``x`` and
-    ``ref`` as arrays, the bitrate and correction held between decisions, the
-    regime and stall flag as functions of the clock and the buffer, and
-    ``c_est`` as the last positive estimate at a valid step
+    ``ref`` per step as lists, the estimate's validity flag ``valid`` per step
+    as an array, and the held bitrate ``R_k`` and iP correction ``u_k`` per
+    decision as arrays.  ``ref`` is the list the loop appended to.  ``x`` is
+    the steps' slice of the measured-buffer history when the buffer is
+    measured exactly (every noise 0.0 or -0.0, as in the paper's runs: the
+    measured buffer is then the buffer, bitwise), and otherwise the list the
+    loop stored the buffer in beside its noisy measurement.
+    ``plant.EpisodeLog`` holds those and derives each other log column on its
+    first read: ``x`` and ``ref`` as arrays, the bitrate and correction held
+    between decisions, the regime and stall flag as functions of the clock and
+    the buffer, and ``c_est`` as the last positive estimate at a valid step
     (``held_estimates``).
 
     The loop runs one decision interval at a time, up to and including the
@@ -310,7 +318,14 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     c_in = np.concatenate(([0.0], c_true[:-1]))
     run_start = [0, *(np.flatnonzero(np.diff(c_in)) + 1).tolist(), n]
     run_c = c_in[run_start[:-1]].tolist()
-    x_gain = (1.0 + x_noise).tolist()  # measured buffer per unit of buffer
+    # the measured buffer per unit of buffer, and the buffer beside its
+    # measurement, for a noisy buffer only: a noise of 0.0 or -0.0 gives a
+    # gain of exactly 1.0, and x * 1.0 is x bitwise, so an exactly measured
+    # buffer is stored once, in the measured history, whose steps are the
+    # returned x
+    noisy = bool(x_noise.any())
+    x_gain = (1.0 + x_noise).tolist() if noisy else None
+    x_a = [0.0] * n if noisy else None
     ladder = [float(r) for r in cfg.ladder]
     w_lin = tuple(w_lin.tolist())
     # the reference ramp per step, which reads nothing the loop computes; one
@@ -337,7 +352,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     x_hist = [0.0] * (n + pad + b - 1)
     u_hist = [0.0] * (n + pad)
     valid = bytearray(n)
-    x_a, Rk, uk = [], [], []
+    Rk, uk = [], []
 
     x = 0.0
     playing = False
@@ -372,8 +387,11 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
             x += inc_play if playing else inc_fill
             if x < 0.0:
                 x = 0.0
-            x_a.append(x)
-            xm = x * x_gain[k]
+            if noisy:
+                x_a[k] = x
+                xm = x * x_gain[k]
+            else:
+                xm = x
             x_hist[k + pad] = xm
             # the estimate's window conditions: late enough, in playback
             # regime with x above the chunk duration and an unchanged bitrate
@@ -467,8 +485,8 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         uk.append(u_held)
         lo = hi
 
-    return (x_a, ref_a, np.frombuffer(valid, dtype=bool), np.array(Rk, dtype=float),
-            np.array(uk, dtype=float))
+    return (x_a if noisy else x_hist[pad:pad + n], ref_a, np.frombuffer(valid, dtype=bool),
+            np.array(Rk, dtype=float), np.array(uk, dtype=float))
 
 
 # perfbench traces ``episode_loop`` and profiles ``_episode_loop`` by its code name

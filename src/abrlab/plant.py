@@ -87,14 +87,16 @@ class EpisodeLog:
     # text of the formatted columns, shared by every file written from the log
     _text: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    # The derived columns.  A list is dropped once its array exists; regime
-    # holds from the startup on, and stalled is the rest of that time (in
-    # playback and not playing); each estimate used the bitrate held before
-    # its step's decision.
+    # The derived columns.  A list is dropped once its array exists; an
+    # exactly measured buffer (every noise 0.0 or -0.0) is its own x_meas;
+    # regime holds from the startup on, and stalled is the rest of that time
+    # (in playback and not playing); each estimate used the bitrate held
+    # before its step's decision.
     x = cached_property(lambda log: np.array(log.lists.pop("x"), dtype=float))
     ref = cached_property(lambda log: np.array(log.lists.pop("ref"), dtype=float))
     t = cached_property(lambda log: np.arange(len(log.c_true)) * log.cfg.te)
-    x_meas = cached_property(lambda log: log.x * (1.0 + log.x_noise))
+    x_meas = cached_property(lambda log: log.x * (1.0 + log.x_noise) if log.x_noise.any()
+                             else log.x)
     R = cached_property(lambda log: np.repeat(log.R_k, log.cfg.decision_steps)[:len(log.c_true)])
     u = cached_property(lambda log: np.repeat(log.u_k, log.cfg.decision_steps)[:len(log.c_true)])
     c_est = cached_property(lambda log: kernels.held_estimates(
@@ -115,8 +117,8 @@ class EpisodeLog:
         if text is None:
             if name == "t":
                 text = clock_text(len(self.c_true), self.cfg.te)
-            elif name == "x_meas" and not self.x_noise.any():
-                text = self.text("x")  # no buffer-measurement noise: x_meas is x bitwise
+            elif name == "x_meas" and self.x_meas is self.x:
+                text = self.text("x")
             elif name == "regime":
                 text = REGIME_LABELS[self.regime].tolist()
             else:

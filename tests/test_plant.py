@@ -330,17 +330,42 @@ class TestEpisode:
         assert set(log.lists) == {"x", "ref"}
 
     def test_noise_free_x_meas_shares_the_text_of_x(self):
-        # zero noise (0.0 or -0.0 per step) leaves x_meas bitwise x, so its
-        # text is x's; with noise it is x_meas's own
+        # zero noise (0.0 or -0.0 per step) leaves x_meas bitwise x, so it is
+        # x, and its text is x's; with noise both are x_meas's own
         cfg = scenario(2, duration=60.0)
-        trace = build_scenario(cfg, 0)
-        trace.x_noise[::2] = -0.0
-        log = run_episode(trace, cfg)
-        assert log.text("x_meas") is log.text("x")
-        assert log.text("x_meas") == [FMT % v for v in log.x_meas.tolist()]
+        for signed in (slice(None, None, 2), slice(None)):  # every other step, every step
+            trace = build_scenario(cfg, 0)
+            trace.x_noise[signed] = -0.0
+            log = run_episode(trace, cfg)
+            assert log.x_meas is log.x
+            assert log.text("x_meas") is log.text("x")
+            assert log.text("x_meas") == [FMT % v for v in log.x_meas.tolist()]
         noisy = run_single(replace(cfg, x_noise=0.05), 0)
+        assert noisy.x_meas is not noisy.x
         assert noisy.text("x_meas") == [FMT % v for v in noisy.x_meas.tolist()]
         assert noisy.text("x_meas") != noisy.text("x")
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=run_configs(), seed=st.integers(0, 1000))
+    @example(cfg=scenario(1), seed=0)
+    @example(cfg=scenario(1, replan=True), seed=0)
+    @example(cfg=scenario(2), seed=0)
+    @example(cfg=scenario(2, replan=True), seed=0)
+    @example(cfg=scenario(3), seed=0)
+    @example(cfg=scenario(3, replan=True), seed=0)
+    def test_exact_and_noisy_buffer_paths_agree(self, cfg, seed):
+        # the kernel stores an exactly measured buffer once and a noisy one
+        # beside its measurement.  Noise of 1e-300 takes the noisy path, yet
+        # every gain 1 + noise rounds to 1.0, and the noise has its own random
+        # stream: every array and every text is the exact run's, bitwise
+        exact = run_single(replace(cfg, x_noise=0.0), seed)
+        noisy = run_single(replace(cfg, x_noise=1e-300), seed)
+        assert noisy.x_noise.any() and not exact.x_noise.any()
+        for name in LOG_COLUMNS + ("t_k", "R_k", "x_k", "u_k", "valid"):
+            a, b = getattr(exact, name), getattr(noisy, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+        for name in LOG_COLUMNS:
+            assert exact.text(name) == noisy.text(name), name
 
     def test_clock_text_shared(self):
         cfg = RunConfig(duration=20.0, te=0.05)
