@@ -20,11 +20,14 @@ the Euler step's increments computed where a run of held capacity starts
 measured exactly, as in every run of the paper, is its own measurement: the
 loop then stores one float per step, in the measured-buffer history, and
 returns that history's steps as the buffer; only buffer noise costs a gain
-per step and a second list.
+per step and a second list.  An exactly measured buffer that plays through
+an interval held at one capacity is a running sum of one increment
+(``itertools.accumulate``); the step loop runs only where the playback
+regime can change, and it is the reference for a noisy buffer.
 """
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import inf, nan
 
 import numpy as np
@@ -240,7 +243,17 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     are found once per episode, and the plant's two increments (playing,
     filling) are computed at each run start and at each interval's first
     step, where the bitrate may have changed.  Each step it records the
-    measured buffer, the held correction and the estimate's validity.  A
+    measured buffer, the held correction and the estimate's validity.  An
+    interval is steady when the buffer is measured exactly, the plant is
+    playing as it starts (so past the startup), and its steps, at least
+    one, lie in one capacity run.  There the buffer is ``accumulate`` of the
+    one increment from the last step's buffer, the same additions in the
+    same order, kept when the interval's first and last buffers are above
+    the chunk duration: the partial sums are monotone, so every step then
+    plays, no clamp fires, and the steps are valid from ``valid_from`` on.
+    Any other interval, and every interval of a noisy buffer, runs the step
+    loop, which is the reference: on a steady interval it gives the same
+    floats.  A
     step is valid from one threshold step on, ``valid_from``: a whole window
     after the last step that spoiled the window (out of playback, the
     measured buffer at or below the chunk duration, or a bitrate change),
@@ -352,6 +365,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     x_hist = [0.0] * (n + pad + b - 1)
     u_hist = [0.0] * (n + pad)
     valid = bytearray(n)
+    ones = memoryview(b"\x01" * ratio)  # an interval's validity flags, all set
     Rk, uk = [], []
 
     x = 0.0
@@ -377,8 +391,19 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         # first step (the bitrate may have changed) and at each run start
         u_hist[lo + pad:hi + pad] = [u_held] * (hi - lo)
         run = bisect_right(run_start, lo) - 1  # the run that holds step lo
-        next_inc = lo
-        for k in range(lo, hi):
+        next_inc = first = lo  # the step loop's first step
+        if playing and not noisy and lo < hi <= run_start[run + 1]:
+            # a steady interval: one running sum, kept only if its monotone
+            # partial sums all play; else the step loop overwrites the slots
+            x_hist[lo + pad - 1:hi + pad] = accumulate(
+                repeat(te * (run_c[run] / cur_R - 1.0), hi - lo), initial=x)
+            if x_hist[lo + pad] > chunk_duration and x_hist[hi + pad - 1] > chunk_duration:
+                x = x_hist[hi + pad - 1]
+                if valid_from < hi:
+                    m = max(lo, valid_from)
+                    valid[m:hi] = ones[:hi - m]
+                first = hi
+        for k in range(first, hi):
             if k == next_inc:
                 r = run_c[run] / cur_R
                 inc_play, inc_fill = te * (r - 1.0), te * r

@@ -353,11 +353,19 @@ class TestEpisode:
     @example(cfg=scenario(2, replan=True), seed=0)
     @example(cfg=scenario(3), seed=0)
     @example(cfg=scenario(3, replan=True), seed=0)
+    # the buffer lands exactly on the chunk duration at an interval's end,
+    # where the steady-interval path must hand over to the step loop
+    @example(cfg=scenario(1, ladder=[1.0], c0=0.5, te=0.125, delta_startup=6.0,
+                          duration=60.0), seed=0)
+    @example(cfg=scenario(1, ladder=[1.0], c0=0.5, te=0.125, delta_startup=6.0,
+                          duration=60.0, replan=True), seed=0)
     def test_exact_and_noisy_buffer_paths_agree(self, cfg, seed):
         # the kernel stores an exactly measured buffer once and a noisy one
-        # beside its measurement.  Noise of 1e-300 takes the noisy path, yet
-        # every gain 1 + noise rounds to 1.0, and the noise has its own random
-        # stream: every array and every text is the exact run's, bitwise
+        # beside its measurement, and advances a steady interval of an exact
+        # buffer as one running sum; a noisy one runs the step loop.  Noise
+        # of 1e-300 takes the noisy path, yet every gain 1 + noise rounds to
+        # 1.0, and the noise has its own random stream: every array and every
+        # text is the exact run's, bitwise
         exact = run_single(replace(cfg, x_noise=0.0), seed)
         noisy = run_single(replace(cfg, x_noise=1e-300), seed)
         assert noisy.x_noise.any() and not exact.x_noise.any()
