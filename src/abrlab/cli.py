@@ -23,7 +23,7 @@ def _episode_tag(cfg: RunConfig, seed: int) -> str:
     return f"s{cfg.scenario}_{'replan' if cfg.replan else 'noreplan'}_{seed}"
 
 
-def _write_plotdata(log: EpisodeLog, cfg: RunConfig, outdir: Path, tag: str) -> list:
+def _write_plotdata(log: EpisodeLog, outdir: Path, tag: str) -> list:
     """Write the episode's plot data; returns the names of the files written."""
     names = [f"capacity_{tag}.csv", f"buffer_{tag}.csv"]
     write_columns(outdir / names[0], ("t", "c_true", "c_est"),
@@ -31,7 +31,7 @@ def _write_plotdata(log: EpisodeLog, cfg: RunConfig, outdir: Path, tag: str) -> 
     # the stall threshold is constant: formatted once
     write_columns(outdir / names[1], ("t", "x", "ref", "stall_threshold"),
                   [log.text("t"), log.text("x"), log.text("ref"),
-                   [FMT % cfg.chunk_duration] * cfg.n_steps])
+                   [FMT % log.cfg.chunk_duration] * log.cfg.n_steps])
     return names
 
 
@@ -52,13 +52,13 @@ def run(cfg: RunConfig) -> int:
             log = last = None  # free the last episode before the next one runs
             log = run_episode(trace, cfg)
         last = trace
-        reports.append(metrics.qoe_report(log, cfg, seed))
+        reports.append(metrics.qoe_report(log, seed))
         tag = _episode_tag(cfg, seed)
         if "log" in cfg.emit:
             log.to_csv(outdir / f"episode_{tag}.csv")
             written.add(f"episode_{tag}.csv")
         if "plotdata" in cfg.emit:
-            written.update(_write_plotdata(log, cfg, outdir, tag))
+            written.update(_write_plotdata(log, outdir, tag))
     if "qoe" in cfg.emit:
         metrics.reports_to_csv(reports, outdir / "qoe.csv")
         metrics.reports_to_json(reports, outdir / "qoe.json")
@@ -67,7 +67,7 @@ def run(cfg: RunConfig) -> int:
     if "table" in cfg.emit:
         metrics.table_to_csv(row, outdir / "table.csv")
         written.add("table.csv")
-    for name in sorted(p.name for p in outdir.iterdir()):
+    for name in sorted(p.name for p in outdir.iterdir() if p.is_file()):
         if name not in written and any(fnmatchcase(name, pat) for pat in OUTPUT_PATTERNS):
             print(f"abrlab: {outdir / name}: not written by this run", file=sys.stderr)
     print(metrics.format_table(row))

@@ -1,29 +1,13 @@
 """The control law and the plant, as numeric kernels in plain Python.
 
-The callees take arrays or lists alike: the episode loop hands them Python
-floats, which are much cheaper to compute with than NumPy scalars and give
-the same IEEE results.  The fused ``episode_loop`` is the one implementation
-of the controller and of the plant.  It runs one decision interval at a
-time: the plant over the interval's steps, then the controller's stage at
-the steps its arm reads, then the decision.  That order is exact because the
-bitrate is held between decisions, so the plant there reads neither the
-bandwidth estimate nor the reference.  With replanning the controller runs
-at every step, a read being that step's own estimate, and its reads take
-their window dots from one generated call per block of steps
-(``window_dot``); without it the controller runs at the decision step
-alone, and the reference is the ramp, which both arms write once before the
-loop.  The loop's docstring states what it computes and returns, and
-how its per-step bodies keep to arithmetic: clock tests on step indices, one
-validity threshold step, the estimate and the Euler step written in line,
-the Euler step's increments computed where a run of held capacity starts
-(the run starts found once per episode) or an interval does.  A buffer
-measured exactly, as in every run of the paper, is its own measurement: the
-loop then stores one float per step, in the measured-buffer history, and
-returns that history's steps as the buffer; only buffer noise costs a gain
-per step and a second list.  An exactly measured buffer that plays through
-an interval held at one capacity is a running sum of one increment
-(``itertools.accumulate``); the step loop runs only where the playback
-regime can change, and it is the reference for a noisy buffer.
+The fused ``episode_loop`` is the one implementation of the controller and
+of the plant; its docstring states what it computes and returns, and how.
+The other functions are its pieces: the reference ramp, the quantizer, the
+replanning rung, the control law and the generated window dots, and the
+per-step estimate column that the episode log derives (``held_estimates``).
+They take arrays or lists alike: the loop hands them Python floats, which
+are much cheaper to compute with than NumPy scalars and give the same IEEE
+results.
 """
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
@@ -185,30 +169,6 @@ def clock_step(n, passes):
     return bisect_left(range(n), True, key=passes)
 
 
-def column_text(column, fmt) -> list:
-    """The values of a 1-D array as text, each value formatted by the ``%``
-    template ``fmt`` (``"%.10g"``, ``"%d"``).  Bitwise, ``-0.0`` and ``0.0``
-    stay apart and NaNs of one payload are equal.
-
-    Equal values share one ``str`` wherever they recur (``c_est`` returns to
-    earlier estimates out of order): the runs of equal neighbours are found,
-    then their distinct values (``np.unique``) unless a sort shows that every
-    value differs, as in a buffer column.  The values are formatted by one
-    ``%`` over the template repeated once per value."""
-    if len(column) == 0:
-        return []
-    bits = column.view(f"u{column.itemsize}")
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    if len(starts) == len(column) and (np.diff(np.sort(bits)) != 0).all():
-        index = None  # every value differs
-    else:
-        bits, index = np.unique(bits[starts], return_inverse=True)
-        index = np.repeat(index, np.diff(starts, append=len(column)))
-    values = bits.view(column.dtype).tolist()
-    texts = ((fmt + "\n") * len(values) % tuple(values)).split("\n")[:-1]
-    return texts if index is None else np.array(texts, dtype=object)[index].tolist()
-
-
 def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     """Fused inner loop for one episode of the config ``cfg``, and the one
     implementation of the controller and of the plant.
@@ -216,7 +176,9 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     Returns what the loop alone records: the buffer ``x`` and the reference
     ``ref`` per step as lists, the estimate's validity flag ``valid`` per step
     as an array, and the held bitrate ``R_k`` and iP correction ``u_k`` per
-    decision as arrays.  ``ref`` is the list the loop appended to.  ``x`` is
+    decision as arrays.  ``ref`` is the reference ramp's list, each step
+    overwritten with the replanned reference when replanning is on; ``u_k``
+    is read from the held-correction history at the decision steps.  ``x`` is
     the steps' slice of the measured-buffer history when the buffer is
     measured exactly (every noise 0.0 or -0.0, as in the paper's runs: the
     measured buffer is then the buffer, bitwise), and otherwise the list the
@@ -275,8 +237,8 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     drift estimate reuses the dot at its step.  The reference ramp,
     ``bezier_eval(k * te) + 0.0`` per step (so a ``-0.0`` level is recorded
     as ``+0.0``), is written once, before the loop, for both arms: without
-    replanning it is the reference, and with replanning each step's reference
-    adds the replanning correction to it.
+    replanning it is the reference, and with replanning the controller's
+    stage overwrites each step with the ramp plus the replanning correction.
 
     Replanning starts at the first positive estimate at a valid step, with
     its correction aligned with the measured buffer.  The replanning slope
@@ -341,22 +303,20 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     x_a = [0.0] * n if noisy else None
     ladder = [float(r) for r in cfg.ladder]
     w_lin = tuple(w_lin.tolist())
-    # the reference ramp per step, which reads nothing the loop computes; one
-    # float object from k_flat on
+    # the reference per step: the ramp, which reads nothing the loop computes
+    # (one float object from k_flat on); with replanning on, the controller
+    # overwrites each step's slot with the ramp plus its correction
     ramp = [bezier_eval(k * te, t0, tf, x0, xf) + 0.0 for k in range(k_flat)]
     ramp += [xf + 0.0] * (n - k_flat)
     # with replanning on, the reads' window dots come in blocks of b windows:
     # the fewest blocks of at most BLOCK_TERMS products that cover an
-    # interval, evenly sized; with it off, the decision's one window, and
-    # the reference is the ramp
+    # interval, evenly sized; with it off, the decision's one window
     if replan:
         blocks = -(-ratio // max(1, BLOCK_TERMS // win))  # rounded up
         b = -(-ratio // blocks)
         dots = [0.0] * (ratio + b)  # an interval's window dots, by step from its first
-        ref_a = []
     else:
         b = 1
-        ref_a = ramp
     read_dot = window_dot(w_lin, b)
     bump_dot = window_dot(tuple(w_bump.tolist()), 1)
     # measured buffer and held correction, zero-padded by win - 1 samples
@@ -366,7 +326,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     u_hist = [0.0] * (n + pad)
     valid = bytearray(n)
     ones = memoryview(b"\x01" * ratio)  # an interval's validity flags, all set
-    Rk, uk = [], []
+    Rk = []
 
     x = 0.0
     playing = False
@@ -468,7 +428,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
                     # switches on the transient
                     if abs(xm - (base + y_ad)) > RESTART_GAP:
                         y_ad = xm - base
-                ref_a.append(base + y_ad)
+                ramp[k] = base + y_ad
             dot = dots[e - lo]
         elif e < n:
             # the decision's read: the newest valid step of the interval with
@@ -493,25 +453,23 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
             ref_rate += ad_rate
         if e >= win - 1:
             f_est = f_from_window(dot, bump_dot(u_hist, e)[0], alpha, tau)
-            u_cont = ip_control(f_est, ref_rate, x_hist[e + pad] - ref_a[e], alpha, kp)
+            u_held = ip_control(f_est, ref_rate, x_hist[e + pad] - ramp[e], alpha, kp)
         else:
-            u_cont = 0.0  # estimator warm-up: pure feedforward
+            u_held = 0.0  # estimator warm-up: pure feedforward
         # flat inversion along the full (replanned) reference; a reference
         # draining at least as fast as playback requests an unbounded rate,
         # the inversion's limit as the slope falls to -1: the top rung
-        new_R = quantize(feedforward(c_known, ref_rate) + u_cont if ref_rate > -1.0
+        new_R = quantize(feedforward(c_known, ref_rate) + u_held if ref_rate > -1.0
                          else inf, ladder)
         if new_R != cur_R:
             valid_from = max(e + win, k_valid)  # a bitrate change spoils the window too
             cur_R = new_R
-        u_held = u_cont
         u_hist[e + pad] = u_held
         Rk.append(cur_R)
-        uk.append(u_held)
         lo = hi
 
-    return (x_a if noisy else x_hist[pad:pad + n], ref_a, np.frombuffer(valid, dtype=bool),
-            np.array(Rk, dtype=float), np.array(uk, dtype=float))
+    return (x_a if noisy else x_hist[pad:pad + n], ramp, np.frombuffer(valid, dtype=bool),
+            np.array(Rk, dtype=float), np.array(u_hist[pad::ratio], dtype=float))
 
 
 # perfbench traces ``episode_loop`` and profiles ``_episode_loop`` by its code name

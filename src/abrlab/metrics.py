@@ -4,7 +4,6 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .config import RunConfig
 from .plant import FMT, EpisodeLog, write_columns
 
 INT, FLOAT = "%d".__mod__, FMT.__mod__  # text of one int (or bool) / float value
@@ -30,13 +29,14 @@ class QoEReport:
     seed: int
 
 
-def qoe_report(log: EpisodeLog, cfg: RunConfig, seed: int) -> QoEReport:
-    """Full QoE report for one episode of the config and seed: the mean chunk
-    bitrate, the bitrate switches between consecutive chunks (raw and per
-    chunk pair) and the rebuffering count, the chunks whose buffer is at or
-    below the chunk duration (H(0)=1).  Chunks before the startup delay are
-    excluded from the rebuffering count: the buffer is legitimately below
-    the chunk duration while it first fills."""
+def qoe_report(log: EpisodeLog, seed: int) -> QoEReport:
+    """Full QoE report for one episode, run under the log's config, and its
+    seed: the mean chunk bitrate, the bitrate switches between consecutive
+    chunks (raw and per chunk pair) and the rebuffering count, the chunks
+    whose buffer is at or below the chunk duration (H(0)=1).  Chunks before
+    the startup delay are excluded from the rebuffering count: the buffer is
+    legitimately below the chunk duration while it first fills."""
+    cfg = log.cfg
     R = log.R_k
     live = log.x_k[log.t_k >= cfg.delta_startup]
     if len(R) < 2 or len(live) == 0:

@@ -112,7 +112,7 @@ class EpisodeLog:
 
     def text(self, name: str) -> list:
         """The column ``name`` as text, formatted on first use only, one
-        ``str`` per distinct value (``kernels.column_text``)."""
+        ``str`` per distinct value (``column_text``)."""
         text = self._text.get(name)
         if text is None:
             if name == "t":
@@ -122,7 +122,7 @@ class EpisodeLog:
             elif name == "regime":
                 text = REGIME_LABELS[self.regime].tolist()
             else:
-                text = kernels.column_text(getattr(self, name), FMT)
+                text = column_text(getattr(self, name))
             self._text[name] = text
         return text
 
@@ -130,11 +130,35 @@ class EpisodeLog:
         write_columns(path, LOG_COLUMNS, [self.text(name) for name in LOG_COLUMNS])
 
 
+def column_text(column) -> list:
+    """The values of a 1-D array as text, each value formatted by ``FMT``
+    (an int8 or bool column as its integers).  Bitwise, ``-0.0`` and ``0.0``
+    stay apart and NaNs of one payload are equal.
+
+    Equal values share one ``str`` wherever they recur (``c_est`` returns to
+    earlier estimates out of order): the runs of equal neighbours are found,
+    then their distinct values (``np.unique``) unless a sort shows that every
+    value differs, as in a buffer column.  The values are formatted by one
+    ``%`` over the template repeated once per value."""
+    if len(column) == 0:
+        return []
+    bits = column.view(f"u{column.itemsize}")
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if len(starts) == len(column) and (np.diff(np.sort(bits)) != 0).all():
+        index = None  # every value differs
+    else:
+        bits, index = np.unique(bits[starts], return_inverse=True)
+        index = np.repeat(index, np.diff(starts, append=len(column)))
+    values = bits.view(column.dtype).tolist()
+    texts = ((FMT + "\n") * len(values) % tuple(values)).split("\n")[:-1]
+    return texts if index is None else np.array(texts, dtype=object)[index].tolist()
+
+
 @lru_cache(maxsize=1)
 def clock_text(n: int, te: float) -> list:
     """Text of the clock column ``arange(n) * te``.  Every episode of a run has
     the same clock, so it is formatted once and its text shared."""
-    return kernels.column_text(np.arange(n) * te, FMT)
+    return column_text(np.arange(n) * te)
 
 
 def write_columns(path, header, columns) -> None:
@@ -142,7 +166,7 @@ def write_columns(path, header, columns) -> None:
     line endings.  Every CSV file of a run is written here.
 
     An episode's columns are turned into text once per log (``EpisodeLog.text``
-    through ``kernels.column_text``: one ``str`` per distinct value of a column)
+    through ``column_text``: one ``str`` per distinct value of a column)
     and shared by its three files; the QoE and table writers format their few
     values directly.  Rows are joined WRITE_ROWS at a time to bound the memory
     held."""

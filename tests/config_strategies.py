@@ -7,7 +7,7 @@ a finite box, inside the declared magnitude ranges of the rates and gains.
 The boxes bound the magnitudes, and with them an example's cost, for two
 reasons: tier-1 time, and that the rules do not yet bound products of
 fields (such as duration x capacity / rung), so some configs they accept far
-out of the boxes do not run (ROADMAP item 7, fuzz by exponent).  te takes
+out of the boxes do not run (ROADMAP item 8, fuzz by exponent).  te takes
 three values and the grid fields whole multiples of it."""
 from dataclasses import fields, replace
 from itertools import accumulate

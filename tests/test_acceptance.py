@@ -36,7 +36,7 @@ def _batch(scenario, replan, seeds):
     reports = []
     for seed in seeds:
         cfg = RunConfig(scenario=scenario, replan=replan)
-        reports.append(qoe_report(run_single(cfg, seed), cfg, seed))
+        reports.append(qoe_report(run_single(cfg, seed), seed))
     return reports
 
 
@@ -45,7 +45,7 @@ def test_criterion_1_scenario1_baseline():
     start = time.perf_counter()
     log = run_single(cfg, 0)
     elapsed = time.perf_counter() - start
-    r = qoe_report(log, cfg, 0)
+    r = qoe_report(log, 0)
     ok = (r.rebuffer_count == 0
           and 0.65 <= r.avg_quality <= 0.85
           and elapsed < 1.0)

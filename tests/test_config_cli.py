@@ -349,18 +349,20 @@ class TestMain:
 
     def test_rerun_names_the_files_it_did_not_write(self, tmp_path, capsys):
         # a fresh --out gets no stderr line; a rerun with fewer seeds names
-        # each earlier episode file, one line each, and deletes nothing
+        # each earlier episode file, one line each, and deletes nothing.  A
+        # directory whose name matches an output's is not a file: not named
         out = tmp_path / "out"
         assert main(["--seeds", "0..2", "--emit", "qoe,log", "--duration", "20",
                      "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
+        (out / "episode_figures").mkdir()
         assert main(["--seeds", "5", "--duration", "20", "--out", str(out)]) == 0
         stale = [out / f"episode_s1_noreplan_{seed}.csv" for seed in range(3)]
         assert capsys.readouterr().err.splitlines() == [
             f"abrlab: {path}: not written by this run" for path in stale]
         assert all(path.exists() for path in stale)
         assert sorted(p.name for p in out.iterdir()) == sorted(
-            [p.name for p in stale] + ["qoe.csv", "qoe.json", "table.csv"])
+            [p.name for p in stale] + ["episode_figures", "qoe.csv", "qoe.json", "table.csv"])
 
     def test_batch_matches_singles(self, tmp_path):
         # scenario 1 at zero buffer noise (the default) draws bitwise-equal

@@ -22,8 +22,8 @@ def report(R=(1.0, 1.0), x=(3.0,), t=None):
     (by default all at the startup, so every buffer counts)."""
     t = np.full(len(x), CFG.delta_startup) if t is None else t
     chunks = SimpleNamespace(R_k=np.array(R, dtype=float), x_k=np.array(x, dtype=float),
-                             t_k=np.array(t, dtype=float))
-    return qoe_report(chunks, CFG, 0)
+                             t_k=np.array(t, dtype=float), cfg=CFG)
+    return qoe_report(chunks, 0)
 
 
 class TestAvgQuality:
@@ -82,14 +82,14 @@ def log():
 
 class TestReport:
     def test_full_report(self, log):
-        r = qoe_report(log, CFG, 0)
+        r = qoe_report(log, 0)
         assert r.M == 300
         assert 0.0 < r.avg_quality <= 5.0
         assert r.quality_variation_normalized == pytest.approx(
             r.switch_count / (r.M - 1))
 
     def test_startup_exclusion(self, log):
-        default = qoe_report(log, CFG, 0)
+        default = qoe_report(log, 0)
         # the buffer is below the chunk duration while it first fills
         counted = np.count_nonzero(log.x_k <= CFG.chunk_duration)
         assert counted >= default.rebuffer_count + 1

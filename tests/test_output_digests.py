@@ -129,12 +129,12 @@ def table_digest(scenario: int, replan: bool, outdir: Path) -> str:
     digest = hashlib.sha256()
     qoe_report = metrics.qoe_report
 
-    def hashing_report(log, cfg, seed):  # cli.run reports every seed's log
+    def hashing_report(log, seed):  # cli.run reports every seed's log
         for name in ARRAY_COLUMNS:
             value = getattr(log, name)
             digest.update(f"{name}:{value.dtype.str}:".encode())
             digest.update(value.tobytes())
-        return qoe_report(log, cfg, seed)
+        return qoe_report(log, seed)
 
     argv = ["--scenario", str(scenario), _arm(replan), "--seeds", "0..99",
             "--emit", "table", "--out", str(outdir)]

@@ -12,10 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from abrlab.cli import _write_plotdata, run_single
 from abrlab.config import S3_DIP_MAX, ConfigError, RunConfig
-from abrlab.kernels import clock_step, column_text
+from abrlab.kernels import clock_step
 from abrlab.metrics import qoe_report
 from abrlab.plant import (FMT, LOG_COLUMNS, S3_FORCE_BELOW, ChannelTrace, build_scenario,
-                          run_episode)
+                          column_text, run_episode)
 
 from config_strategies import run_configs
 
@@ -324,7 +324,7 @@ class TestEpisode:
         # and derives no per-step column
         cfg = scenario(2, replan=True, duration=60.0)
         log = run_single(cfg, 0)
-        qoe_report(log, cfg, 0)
+        qoe_report(log, 0)
         derived = {*LOG_COLUMNS, "t_k", "x_k"} - {"c_true"}
         assert derived & set(vars(log)) == {"t_k", "x_k"}
         assert set(log.lists) == {"x", "ref"}
@@ -379,7 +379,7 @@ class TestEpisode:
         cfg = RunConfig(duration=20.0, te=0.05)
         a, b = (run_episode(build_scenario(cfg, seed), cfg) for seed in (0, 1))
         assert a.text("t") is b.text("t")
-        assert a.text("t") == column_text(a.t, FMT)
+        assert a.text("t") == column_text(a.t)
 
     def test_episode_csv(self, tmp_path):
         cfg = RunConfig(duration=20.0)
@@ -401,7 +401,7 @@ class TestCsv:
     @example(values=[2.5])
     def test_column_text_formats_every_value(self, values):
         column = np.array(values, dtype=np.float64)
-        assert column_text(column, FMT) == [FMT % v for v in values]
+        assert column_text(column) == [FMT % v for v in values]
 
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(st.sampled_from([0.0, -0.0, 0.1, 1.5, np.nan, OTHER_NAN, np.inf,
@@ -414,18 +414,18 @@ class TestCsv:
         # c_est returns to earlier estimates out of order: equal bits anywhere
         # in the column share one str, and each text is the value's own
         column = np.array(values, dtype=np.float64)
-        held = column_text(column, FMT)
+        held = column_text(column)
         assert held == [FMT % v for v in column.tolist()]
         first = {}
         for b, text in zip(column.view(np.uint64).tolist(), held):
             assert first.setdefault(b, text) is text
 
     def test_column_text_int_bool_and_object_columns(self):
-        d = "%d"
-        assert (column_text(np.array([0, 0, 1, 1, 0], dtype=np.int8), d)
+        # int8 and bool columns (the stalled column) are their integers' text
+        assert (column_text(np.array([0, 0, 1, 1, 0], dtype=np.int8))
                 == ["0", "0", "1", "1", "0"])
-        assert column_text(np.array([True, True, False]), d) == ["1", "1", "0"]
-        assert column_text(np.array([], dtype=np.float64), FMT) == []
+        assert column_text(np.array([True, True, False])) == ["1", "1", "0"]
+        assert column_text(np.array([], dtype=np.float64)) == []
 
     @settings(max_examples=40, deadline=None)
     @given(cfg=run_configs(), seed=st.integers(0, 1000))
@@ -452,7 +452,7 @@ class TestCsv:
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             log.to_csv(out / "episode.csv")
-            _write_plotdata(log, cfg, out, "k")
+            _write_plotdata(log, out, "k")
             assert (out / "episode.csv").read_bytes() == oracle(
                 ["t", "x", "x_meas", "R", "c_true", "c_est", "u", "ref", "regime", "stalled"],
                 text(log.t), text(log.x), text(log.x_meas), text(log.R), text(log.c_true),
