@@ -5,13 +5,13 @@ from pathlib import Path
 
 from . import metrics
 from .config import ConfigError, RunConfig, parse_config
-from .plant import FMT, EpisodeLog, build_scenario, run_episode, write_columns
+from .plant import PLOT_FILES, EpisodeLog, build_scenario, run_episode, write_columns
 
 
 # The names of the files a run writes.  A file in the output directory that
 # matches one and that the run did not write is an earlier run's: the run
 # names it on stderr and leaves it there.
-OUTPUT_PATTERNS = ("episode_*", "capacity_*", "buffer_*", "qoe.*", "table.csv")
+OUTPUT_PATTERNS = ("episode_*", *(f"{prefix}_*" for prefix in PLOT_FILES), "qoe.*", "table.csv")
 
 
 def run_single(cfg: RunConfig, seed: int) -> EpisodeLog:
@@ -19,20 +19,10 @@ def run_single(cfg: RunConfig, seed: int) -> EpisodeLog:
     return run_episode(build_scenario(cfg, seed), cfg)
 
 
-def _episode_tag(cfg: RunConfig, seed: int) -> str:
-    return f"s{cfg.scenario}_{'replan' if cfg.replan else 'noreplan'}_{seed}"
-
-
-def _write_plotdata(log: EpisodeLog, outdir: Path, tag: str) -> list:
-    """Write the episode's plot data; returns the names of the files written."""
-    names = [f"capacity_{tag}.csv", f"buffer_{tag}.csv"]
-    write_columns(outdir / names[0], ("t", "c_true", "c_est"),
-                  [log.text("t"), log.text("c_true"), log.text("c_est")])
-    # the stall threshold is constant: formatted once
-    write_columns(outdir / names[1], ("t", "x", "ref", "stall_threshold"),
-                  [log.text("t"), log.text("x"), log.text("ref"),
-                   [FMT % log.cfg.chunk_duration] * log.cfg.n_steps])
-    return names
+def _write_plotdata(log: EpisodeLog, capacity_path: Path, buffer_path: Path) -> None:
+    """Write the episode's plot data, each file with its ``PLOT_FILES`` columns."""
+    for path, header in zip((capacity_path, buffer_path), PLOT_FILES.values()):
+        write_columns(path, header, [log.text(name) for name in header])
 
 
 def run(cfg: RunConfig) -> int:
@@ -42,7 +32,12 @@ def run(cfg: RunConfig) -> int:
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     reports = []
-    written = set()
+    names = []  # the run's files, in the order written
+
+    def path(name: str) -> Path:
+        names.append(name)
+        return outdir / name
+
     log = last = None
     for seed in cfg.seeds:
         trace = build_scenario(cfg, seed)
@@ -53,22 +48,19 @@ def run(cfg: RunConfig) -> int:
             log = run_episode(trace, cfg)
         last = trace
         reports.append(metrics.qoe_report(log, seed))
-        tag = _episode_tag(cfg, seed)
+        tag = f"s{cfg.scenario}_{'replan' if cfg.replan else 'noreplan'}_{seed}"
         if "log" in cfg.emit:
-            log.to_csv(outdir / f"episode_{tag}.csv")
-            written.add(f"episode_{tag}.csv")
+            log.to_csv(path(f"episode_{tag}.csv"))
         if "plotdata" in cfg.emit:
-            written.update(_write_plotdata(log, outdir, tag))
+            _write_plotdata(log, *(path(f"{prefix}_{tag}.csv") for prefix in PLOT_FILES))
     if "qoe" in cfg.emit:
-        metrics.reports_to_csv(reports, outdir / "qoe.csv")
-        metrics.reports_to_json(reports, outdir / "qoe.json")
-        written.update(("qoe.csv", "qoe.json"))
+        metrics.reports_to_csv(reports, path("qoe.csv"))
+        metrics.reports_to_json(reports, path("qoe.json"))
     row = metrics.batch_report(reports)
     if "table" in cfg.emit:
-        metrics.table_to_csv(row, outdir / "table.csv")
-        written.add("table.csv")
-    for name in sorted(p.name for p in outdir.iterdir() if p.is_file()):
-        if name not in written and any(fnmatchcase(name, pat) for pat in OUTPUT_PATTERNS):
+        metrics.table_to_csv(row, path("table.csv"))
+    for name in sorted({p.name for p in outdir.iterdir() if p.is_file()}.difference(names)):
+        if any(fnmatchcase(name, pat) for pat in OUTPUT_PATTERNS):
             print(f"abrlab: {outdir / name}: not written by this run", file=sys.stderr)
     print(metrics.format_table(row))
     return 0

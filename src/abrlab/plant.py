@@ -14,6 +14,9 @@ FMT = "%.10g"  # stable float formatting for byte-identical reruns
 REGIME_LABELS = np.array(("filling", "playing"), dtype=object)
 WRITE_ROWS = 1000  # CSV rows joined per write
 LOG_COLUMNS = ("t", "x", "x_meas", "R", "c_true", "c_est", "u", "ref", "regime", "stalled")
+# The plot-data files' columns, by file-name prefix; the stall threshold is
+# the chunk duration at every step.
+PLOT_FILES = {"capacity": ("t", "c_true", "c_est"), "buffer": ("t", "x", "ref", "stall_threshold")}
 
 # First entropy word of the buffer-measurement noise stream, which keeps it
 # apart from the capacity stream of the same scenario and seed.
@@ -111,8 +114,9 @@ class EpisodeLog:
         (log.lists["x"] if "x" in log.lists else log.x)[::log.cfg.decision_steps], dtype=float))
 
     def text(self, name: str) -> list:
-        """The column ``name`` as text, formatted on first use only, one
-        ``str`` per distinct value (``column_text``)."""
+        """The column ``name`` of ``LOG_COLUMNS`` or ``PLOT_FILES`` as text,
+        formatted on first use only, one ``str`` per distinct value
+        (``column_text``); the constant stall threshold is formatted once."""
         text = self._text.get(name)
         if text is None:
             if name == "t":
@@ -121,6 +125,8 @@ class EpisodeLog:
                 text = self.text("x")
             elif name == "regime":
                 text = REGIME_LABELS[self.regime].tolist()
+            elif name == "stall_threshold":
+                text = [FMT % self.cfg.chunk_duration] * len(self.c_true)
             else:
                 text = column_text(getattr(self, name))
             self._text[name] = text

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import get_origin
 from unittest import mock
@@ -20,7 +21,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 import abrlab
 from abrlab import config, kernels
-from abrlab.cli import main, run_single
+from abrlab.cli import OUTPUT_PATTERNS, main, run_single
 from abrlab.config import (ConfigError, RunConfig, build_arg_parser, emit_config,
                            parse_config, parse_seeds, read_config_file)
 from abrlab.plant import LOG_COLUMNS, build_scenario, run_episode
@@ -363,6 +364,38 @@ class TestMain:
         assert all(path.exists() for path in stale)
         assert sorted(p.name for p in out.iterdir()) == sorted(
             [p.name for p in stale] + ["episode_figures", "qoe.csv", "qoe.json", "table.csv"])
+
+    # The files each --emit choice writes for seeds 0..1 of scenario 2.
+    EMITTED = {"log": ["episode_s2_noreplan_{}.csv"],
+               "plotdata": ["capacity_s2_noreplan_{}.csv", "buffer_s2_noreplan_{}.csv"],
+               "qoe": ["qoe.csv", "qoe.json"], "table": ["table.csv"]}
+    EMIT_ARGS = ["--scenario", "2", "--seeds", "0..1", "--duration", "20"]
+
+    def emitted(self, choices):
+        return sorted({name.format(seed) for choice in choices
+                       for name in self.EMITTED[choice] for seed in (0, 1)})
+
+    @pytest.mark.parametrize("choice", config.EMIT_CHOICES)
+    def test_every_emitted_file_is_recorded(self, tmp_path, capsys, choice):
+        # a fresh --out gets no stderr line, so the run recorded each file it
+        # wrote that an output pattern matches, and every file matches one
+        out = tmp_path / "out"
+        assert main(self.EMIT_ARGS + ["--emit", choice, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in out.iterdir()) == self.emitted([choice])
+        assert all(any(fnmatchcase(p.name, pat) for pat in OUTPUT_PATTERNS)
+                   for p in out.iterdir())
+
+    def test_rerun_names_each_output_kind_it_did_not_write(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(self.EMIT_ARGS + ["--emit", ",".join(self.EMITTED), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(self.EMIT_ARGS + ["--emit", "qoe", "--out", str(out)]) == 0
+        stale = [name for name in self.emitted(self.EMITTED) if not name.startswith("qoe.")]
+        assert len(stale) == 7
+        assert capsys.readouterr().err.splitlines() == [
+            f"abrlab: {out / name}: not written by this run" for name in stale]
+        assert sorted(p.name for p in out.iterdir()) == self.emitted(self.EMITTED)
 
     def test_batch_matches_singles(self, tmp_path):
         # scenario 1 at zero buffer noise (the default) draws bitwise-equal

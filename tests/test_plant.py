@@ -452,7 +452,7 @@ class TestCsv:
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             log.to_csv(out / "episode.csv")
-            _write_plotdata(log, out, "k")
+            _write_plotdata(log, out / "capacity_k.csv", out / "buffer_k.csv")
             assert (out / "episode.csv").read_bytes() == oracle(
                 ["t", "x", "x_meas", "R", "c_true", "c_est", "u", "ref", "regime", "stalled"],
                 text(log.t), text(log.x), text(log.x_meas), text(log.R), text(log.c_true),
