@@ -175,19 +175,19 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
 
     Returns what the loop alone records: the buffer ``x`` and the reference
     ``ref`` per step as lists, the estimate's validity flag ``valid`` per step
-    as an array, and the held bitrate ``R_k`` and iP correction ``u_k`` per
-    decision as arrays.  ``ref`` is the reference ramp's list, each step
-    overwritten with the replanned reference when replanning is on; ``u_k``
-    is read from the held-correction history at the decision steps.  ``x`` is
-    the steps' slice of the measured-buffer history when the buffer is
-    measured exactly (every noise 0.0 or -0.0, as in the paper's runs: the
-    measured buffer is then the buffer, bitwise), and otherwise the list the
-    loop stored the buffer in beside its noisy measurement.
-    ``plant.EpisodeLog`` holds those and derives each other log column on its
-    first read: ``x`` and ``ref`` as arrays, the bitrate and correction held
-    between decisions, the regime and stall flag as functions of the clock and
-    the buffer, and ``c_est`` as the last positive estimate at a valid step
-    (``held_estimates``).
+    as an array, and the held bitrate ``R_k``, iP correction ``u_k`` and
+    buffer ``x_k`` per decision as arrays.  ``ref`` is the reference ramp's
+    list, each step overwritten with the replanned reference when replanning
+    is on.  ``x`` is the steps' slice of the measured-buffer history when the
+    buffer is measured exactly (every noise 0.0 or -0.0, as in the paper's
+    runs: the measured buffer is then the buffer, bitwise), and otherwise the
+    list the loop stored the buffer in beside its noisy measurement.  ``u_k``
+    and ``x_k`` are read at the decision steps, from the held-correction
+    history and from ``x``.  ``plant.EpisodeLog`` holds those and derives each
+    other log column on its first read: ``x`` and ``ref`` as arrays, the
+    bitrate and correction held between decisions, the regime and stall flag
+    as functions of the clock and the buffer, and ``c_est`` as the last
+    positive estimate at a valid step (``held_estimates``).
 
     The loop runs one decision interval at a time, up to and including the
     next decision step (or the episode's end), in three stages: the plant over
@@ -325,7 +325,6 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     x_hist = [0.0] * (n + pad + b - 1)
     u_hist = [0.0] * (n + pad)
     valid = bytearray(n)
-    ones = memoryview(b"\x01" * ratio)  # an interval's validity flags, all set
     Rk = []
 
     x = 0.0
@@ -361,7 +360,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
                 x = x_hist[hi + pad - 1]
                 if valid_from < hi:
                     m = max(lo, valid_from)
-                    valid[m:hi] = ones[:hi - m]
+                    valid[m:hi] = b"\x01" * (hi - m)
                 first = hi
         for k in range(first, hi):
             if k == next_inc:
@@ -468,8 +467,9 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
         Rk.append(cur_R)
         lo = hi
 
-    return (x_a if noisy else x_hist[pad:pad + n], ramp, np.frombuffer(valid, dtype=bool),
-            np.array(Rk, dtype=float), np.array(u_hist[pad::ratio], dtype=float))
+    xs = x_a if noisy else x_hist[pad:pad + n]
+    return (xs, ramp, np.frombuffer(valid, dtype=bool), np.array(Rk, dtype=float),
+            np.array(u_hist[pad::ratio], dtype=float), np.array(xs[::ratio], dtype=float))
 
 
 # perfbench traces ``episode_loop`` and profiles ``_episode_loop`` by its code name

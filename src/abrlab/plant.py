@@ -73,15 +73,17 @@ class EpisodeLog:
     """Per-step and per-chunk records of one simulated episode.
 
     The log holds what the episode kernel records and the kernel's inputs
-    that the other columns are derived from.  Each of the 13 array columns
-    (``LOG_COLUMNS`` and the per-decision ``t_k``, ``R_k`` and ``x_k``) that
-    is not one of these is a ``cached_property``, derived on its first read
-    and kept: a batch that reads only the QoE columns derives no per-step
-    column."""
+    that the other columns are derived from.  Each array column
+    (``LOG_COLUMNS`` and the per-decision ``t_k``, ``R_k``, ``u_k`` and
+    ``x_k``) that is not one of these is a ``cached_property``, derived on
+    its first read and kept.  The QoE reads the kernel's per-decision records
+    and the decision clock ``t_k``, so a batch that writes only the QoE
+    derives no per-step column."""
     lists: dict             # the kernel's "x" and "ref" lists, each until converted
     valid: np.ndarray       # bool per step: the estimate's window conditions hold
     R_k: np.ndarray
     u_k: np.ndarray
+    x_k: np.ndarray         # the buffer at each decision step
     c_true: np.ndarray
     x_noise: np.ndarray
     w_lin: np.ndarray       # the bandwidth estimate's window weights
@@ -110,8 +112,6 @@ class EpisodeLog:
     stalled = cached_property(lambda log: (log.t >= log.cfg.delta_startup) - log.regime)
     t_k = cached_property(lambda log: np.arange(0, len(log.c_true), log.cfg.decision_steps)
                           * log.cfg.te)
-    x_k = cached_property(lambda log: np.array(
-        (log.lists["x"] if "x" in log.lists else log.x)[::log.cfg.decision_steps], dtype=float))
 
     def text(self, name: str) -> list:
         """The column ``name`` of ``LOG_COLUMNS`` or ``PLOT_FILES`` as text,
@@ -213,7 +213,7 @@ def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
         raise ValueError("x_noise must be finite with magnitude below 1 at every step")
     w_lin = estimation.linear_kernel_weights(cfg.tau, n_seg)
     w_bump = estimation.bump_kernel_weights(cfg.tau, n_seg)
-    x, ref, valid, R_k, u_k = kernels.episode_loop(
+    x, ref, valid, R_k, u_k, x_k = kernels.episode_loop(
         c_true, c_meas, x_noise, w_lin, w_bump, cfg)
     for name, column, steps_per_value in (("x", x, 1), ("ref", ref, 1),
                                           ("u", u_k.tolist(), cfg.decision_steps)):
@@ -223,4 +223,4 @@ def run_episode(trace: ChannelTrace, cfg: RunConfig) -> EpisodeLog:
             bad = np.flatnonzero(~np.isfinite(column))
             if len(bad):
                 raise ValueError(f"{name} is not finite, first at step {bad[0] * steps_per_value}")
-    return EpisodeLog({"x": x, "ref": ref}, valid, R_k, u_k, c_true, x_noise, w_lin, cfg)
+    return EpisodeLog({"x": x, "ref": ref}, valid, R_k, u_k, x_k, c_true, x_noise, w_lin, cfg)

@@ -1,20 +1,26 @@
-"""Hypothesis strategies over valid configurations (a ``RunConfig`` checks
-its rules when it is made), alone and with a batch of seeds, and the table
-of configurations that are refused (``REFUSED``).
+"""Hypothesis strategies over configurations (a ``RunConfig`` checks its
+rules when it is made), and the table of configurations that are refused
+(``REFUSED``).
 
-A float field is drawn from its declared bounds (``_param`` metadata) cut to
-a finite box, inside the declared magnitude ranges of the rates and gains.
-The boxes bound the magnitudes, and with them an example's cost, for two
-reasons: tier-1 time, and that the rules do not yet bound products of
-fields (such as duration x capacity / rung), so some configs they accept far
-out of the boxes do not run (ROADMAP item 8, fuzz by exponent).  te takes
-three values and the grid fields whole multiples of it."""
+``run_configs`` and ``seed_batches`` draw valid configs, alone and with a
+batch of seeds.  A float field is drawn uniformly from its declared bounds
+(``_param`` metadata) cut to a box of the magnitudes the paper's runs use;
+te takes three values and the grid fields whole multiples of it.
+
+``exponent_fields`` draws the field values of a config by binary exponent
+over the whole declared magnitude range of each float field, so a draw may
+still break a rule across fields and be refused.  Its box bounds only the
+step and tap counts: an episode spans at most ``FUZZ_STEPS`` te steps and a
+window at most ``FUZZ_TAPS``, so one example costs at most one short
+episode."""
+import math
 from dataclasses import fields, replace
 from itertools import accumulate
 
 from hypothesis import strategies as st
 
-from abrlab.config import EMIT_CHOICES, RAMP_PEAK_SLOPE, RunConfig
+from abrlab.config import (BUFFER_MAX, EMIT_CHOICES, RAMP_PEAK_SLOPE, RATE_MAX, TAU_MAX,
+                           TAU_MIN, RunConfig)
 
 _RULES = {f.name: f.metadata["rules"] for f in fields(RunConfig)}
 
@@ -89,6 +95,80 @@ def seed_batches(draw):
         cfg = replace(cfg, x_noise=0.0)
     gaps = draw(st.lists(st.integers(1, 100), min_size=1, max_size=2))
     return cfg, draw(st.permutations(list(accumulate([draw(st.integers(0, 1000)), *gaps]))))
+
+
+# The box of exponent_fields: the most te steps in an episode and in a window.
+FUZZ_STEPS, FUZZ_TAPS = 300, 30
+# A magnitude range that reaches 0 is drawn by exponent down to 2**EXP_FLOOR,
+# with 0.0 as the binade below it where the field accepts 0.
+EXP_FLOOR = -40
+
+
+def _by_exponent(lo, hi):
+    """Floats in the declared range [lo, hi], lo >= 0, by binary exponent: an
+    exponent uniform over the binades from lo (or 2**EXP_FLOOR, and 0.0
+    below it, when lo is 0) to hi, a mantissa in [1, 2), clamped to the
+    range."""
+    top = math.frexp(hi)[1] - 1
+    floor = min(math.frexp(max(lo, 2.0**EXP_FLOOR))[1] - 1, top)
+    return st.builds(lambda e, m: min(max(math.ldexp(m, e), lo), hi) if e >= floor else 0.0,
+                     st.integers(floor - (lo == 0.0), top), st.floats(1.0, 2.0, exclude_max=True))
+
+
+def _field(name, lo=None, hi=None):
+    """Floats by binary exponent within the rules of the field ``name``, an
+    exclusive bound moved to the nearest float inside; from ``lo`` where a
+    rule across fields raises the lower bound, and up to ``hi`` where the
+    field declares no upper bound.  alpha (negative) is drawn by magnitude."""
+    b = _RULES[name]
+    bottom = b["ge"] if "ge" in b else math.nextafter(b.get("gt", 0.0), math.inf)
+    top = b["le"] if "le" in b else math.nextafter(b["lt"], -math.inf) if "lt" in b else hi
+    if top < 0.0:
+        return _by_exponent(-top, -bottom).map(float.__neg__)
+    return _by_exponent(bottom if lo is None else lo, top)
+
+
+@st.composite
+def exponent_fields(draw):
+    """The field values of a config, each positive float field drawn by
+    binary exponent within its declared range (``_field``): the rates and
+    gains within RATE_MIN..RATE_MAX, the buffer levels below BUFFER_MAX and
+    the noises below 1.  te is drawn over the binades where a window of 2 to
+    ``FUZZ_TAPS`` steps can lie within TAU_MIN..TAU_MAX, and the grid fields
+    and the duration are whole multiples of it, up to ``FUZZ_STEPS`` steps.
+    The times (t0, the ramp's span and the startup) are drawn up to the
+    duration and the last decision.  Where a pair of fields must be ordered,
+    the pair is drawn in order.  Half the draws measure the buffer exactly."""
+    te = draw(_by_exponent(TAU_MIN / FUZZ_TAPS, TAU_MAX / 2))
+    steps = draw(st.integers(1, FUZZ_STEPS))
+    ratio = draw(st.integers(1, 40))
+    duration = te * steps
+    last_decision = (steps - 1) // ratio * ratio * te
+    xf = draw(_field("xf"))
+    t0, span = draw(_by_exponent(0.0, duration)), draw(_by_exponent(2.0**EXP_FLOOR, duration))
+    if draw(st.booleans()):  # a rising ramp, or one falling slower than playback drains
+        x0 = draw(_by_exponent(0.0, xf))
+    else:
+        x0 = xf + draw(_by_exponent(0.0, span / RAMP_PEAK_SLOPE))
+    ladder = draw(st.lists(_field("ladder"), min_size=1, max_size=6, unique=True))
+    lower = draw(_field("replan_lower", hi=BUFFER_MAX))
+    upper = draw(_field("replan_upper", lo=math.nextafter(lower, math.inf)))
+    levels = {}
+    for sid in (2, 3):
+        lo = draw(_field(f"s{sid}_level_lo", hi=RATE_MAX))
+        levels.update({f"s{sid}_segment": te * draw(st.integers(1, FUZZ_STEPS)),
+                       f"s{sid}_level_lo": lo,
+                       f"s{sid}_level_hi": draw(_field(f"s{sid}_level_hi", lo=lo)),
+                       f"s{sid}_noise": draw(_field(f"s{sid}_noise"))})
+    return dict(
+        scenario=draw(st.sampled_from((2, 1, 3))), replan=draw(st.booleans()), te=te,
+        tau=te * draw(st.integers(2, FUZZ_TAPS)), decision_interval=te * ratio,
+        replan_lower=lower, replan_upper=upper, ladder=sorted(ladder),
+        x_noise=draw(st.just(0.0) | _field("x_noise")),
+        t0=t0, tf=t0 + span, x0=x0, xf=xf, duration=duration,
+        c0=draw(_field("c0")), kp=draw(_field("kp")), alpha=draw(_field("alpha")),
+        delta_startup=draw(_by_exponent(0.0, last_decision)),
+        chunk_duration=te * draw(st.integers(1, FUZZ_STEPS)), **levels)
 
 
 # Every configuration the command line refuses, as (flags, field): run as

@@ -24,9 +24,11 @@ from abrlab import config, kernels
 from abrlab.cli import OUTPUT_PATTERNS, main, run_single
 from abrlab.config import (ConfigError, RunConfig, build_arg_parser, emit_config,
                            parse_config, parse_seeds, read_config_file)
+from abrlab.metrics import qoe_report
 from abrlab.plant import LOG_COLUMNS, build_scenario, run_episode
 
-from config_strategies import REFUSED, check_refused, run_configs, seed_batches
+from config_strategies import (REFUSED, check_refused, exponent_fields, run_configs,
+                               seed_batches)
 
 # A valid value different from the default for every RunConfig field.
 NON_DEFAULT = {
@@ -312,7 +314,8 @@ class TestMain:
         n, decisions = cfg.n_steps, len(range(0, cfg.n_steps, cfg.decision_steps))
         assert sum([1e308, 1e308]) == math.inf
         records = ([1e308] * n, [-1e308] * n, np.zeros(n, dtype=bool),
-                   np.full(decisions, cfg.ladder[0]), np.full(decisions, 1e308))
+                   np.full(decisions, cfg.ladder[0]), np.full(decisions, 1e308),
+                   np.full(decisions, 1e308))
         with mock.patch.object(kernels, "episode_loop", return_value=records), \
                 warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -535,7 +538,35 @@ def test_every_valid_config_runs(cfg, seed):
             assert np.isfinite(getattr(log, name)).all(), name
     assert (np.isnan(log.c_est) | (log.c_est > 0.0)).all()
     assert (log.x >= 0.0).all()
+    # the kernel's per-decision buffer is the buffer at every decision step
+    assert log.x_k.tobytes() == log.x[::cfg.decision_steps].tobytes()
     assert np.isin(log.R_k, cfg.ladder).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=exponent_fields(), seed=st.integers(0, 1000))
+def test_every_config_by_exponent_is_refused_or_runs(values, seed):
+    """Field values drawn by binary exponent over their declared ranges
+    (``exponent_fields``, at most one short episode each; 100 examples) make
+    a config that ``RunConfig`` refuses, naming a field, or one that runs
+    with every NumPy ``RuntimeWarning`` raised as an error and gives finite
+    columns and a QoE report."""
+    try:
+        cfg = RunConfig(**values)
+    except ConfigError as err:
+        field = str(err).split(":")[0]
+        assert field in {f.name for f in fields(RunConfig)}, err
+        event(f"refused: {field}")
+        return
+    event("runs")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        log = run_single(cfg, seed)
+        qoe_report(log, seed)
+        for name in LOG_COLUMNS + ("t_k", "R_k", "u_k", "x_k"):
+            if name != "c_est":
+                assert np.isfinite(getattr(log, name)).all(), name
+        assert (np.isnan(log.c_est) | (log.c_est > 0.0)).all()
 
 
 @settings(max_examples=40, deadline=None)
