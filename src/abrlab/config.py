@@ -22,9 +22,10 @@ from typing import get_args, get_origin
 
 EMIT_CHOICES = ("log", "qoe", "table", "plotdata")
 
-# Scenario 3 always dips under this capacity, the smallest default bitrate:
-# when no segment level is below it, one is redrawn at most S3_DIP_MAX.
-S3_FORCE_BELOW = 0.35
+# The default bitrate ladder.  Scenario 3 always dips under its smallest
+# rung: when no segment level is below it, one is redrawn at most S3_DIP_MAX.
+DEFAULT_LADDER = (0.35, 0.6, 1.0, 2.0, 3.0, 5.0)
+S3_FORCE_BELOW = DEFAULT_LADDER[0]
 S3_DIP_MAX = 0.97 * S3_FORCE_BELOW
 
 # Magnitude range of every rate (ladder rung, capacity level, c0) and of the
@@ -117,7 +118,7 @@ class RunConfig:
     # gain -C/R^2 is; rungs and |alpha| within RATE_MIN..RATE_MAX, kp at most
     # RATE_MAX; tau within TAU_MIN..TAU_MAX, bounded below by gt because
     # tau = TAU_MIN is less than 2 te at the default te
-    ladder: list[float] = _param("controller", [0.35, 0.6, 1.0, 2.0, 3.0, 5.0],
+    ladder: list[float] = _param("controller", list(DEFAULT_LADDER),
                                  "comma list of admissible bitrates", ge=RATE_MIN, le=RATE_MAX)
     alpha: float = _param("controller", -10.0, ge=-RATE_MAX, le=-RATE_MIN)
     kp: float = _param("controller", 0.25, gt=0.0, le=RATE_MAX)
@@ -197,12 +198,15 @@ class RunConfig:
             yield "ladder: rates must be strictly increasing"
         if self.tau < 2.0 * self.te:
             yield "tau: must be at least 2*te"
-        # before n_steps rounds it: a quotient past the int range overflows
-        if self.duration / self.te > MAX_STEPS:
+        # the step count as n_steps rounds it, not the quotient, which may
+        # lie an ulp past a whole count; a quotient past the int range, which
+        # round() cannot take, is clipped to one step past the cap first
+        if round(min(self.duration / self.te, MAX_STEPS + 1)) > MAX_STEPS:
             yield (f"duration: must span at most {MAX_STEPS} te steps,"
                    f" got {self.duration / self.te:.4g}")
-        # before any weight vector is built: one of 10^200 taps cannot be
-        if self.tau / self.te > MAX_TAPS:
+        # before any weight vector is built: one of 10^200 taps cannot be.
+        # tau is a whole number of te steps by now (the grid rule)
+        if round(self.tau / self.te) > MAX_TAPS:
             yield f"tau: must span at most {MAX_TAPS} te steps, got {self.tau / self.te:.4g}"
         ratio = self.decision_steps
         if self.n_steps <= ratio:

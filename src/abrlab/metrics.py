@@ -1,20 +1,27 @@
 """Chunk-grained QoE metrics and batch aggregation."""
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .plant import FMT, EpisodeLog, write_columns
 
-INT, FLOAT = "%d".__mod__, FMT.__mod__  # text of one int (or bool) / float value
-# CSV header -> (report field, text of one value)
-QOE_COLUMNS = {"scenario": ("scenario_id", INT), "replan": ("replan_enabled", INT),
-               "seed": ("seed", INT), "avg_quality": ("avg_quality", FLOAT),
-               "switch_count": ("switch_count", INT),
-               "variation_norm": ("quality_variation_normalized", FLOAT),
-               "rebuffer_count": ("rebuffer_count", INT)}
-TABLE_COLUMNS = {"scenario": INT, "replan": INT, "episodes": INT, "avg_quality": FLOAT,
-                 "quality_variation": FLOAT, "rebuffering_time": FLOAT}
+# qoe.csv header -> report field
+QOE_COLUMNS = {"scenario": "scenario_id", "replan": "replan_enabled", "seed": "seed",
+               "avg_quality": "avg_quality", "switch_count": "switch_count",
+               "variation_norm": "quality_variation_normalized",
+               "rebuffer_count": "rebuffer_count"}
+# table.csv column -> report field whose batch mean it holds; the last two
+# hold mean counts (switches, rebuffer chunks), not a variation and a time
+TABLE_MEANS = {"avg_quality": "avg_quality", "quality_variation": "switch_count",
+               "rebuffering_time": "rebuffer_count"}
+TABLE_COLUMNS = ("scenario", "replan", "episodes", *TABLE_MEANS)
+
+
+def value_text(v) -> str:
+    """Text of one report or table value: a float by ``FMT``, an int or a
+    bool as its integer."""
+    return (FMT if isinstance(v, float) else "%d") % v
 
 
 @dataclass(frozen=True)
@@ -52,29 +59,25 @@ def batch_report(reports) -> dict:
     scenario, one arm, its seeds) into the batch's table row."""
     if not reports:
         raise ValueError("no episodes to aggregate")
-    return {
-        "scenario": reports[0].scenario_id,
-        "replan": reports[0].replan_enabled,
-        "episodes": len(reports),
-        "avg_quality": float(np.mean([r.avg_quality for r in reports])),
-        "quality_variation": float(np.mean([r.switch_count for r in reports])),
-        "rebuffering_time": float(np.mean([r.rebuffer_count for r in reports])),
-    }
+    first = reports[0]
+    return {"scenario": first.scenario_id, "replan": first.replan_enabled, "episodes": len(reports),
+            **{column: float(np.mean([getattr(r, name) for r in reports]))
+               for column, name in TABLE_MEANS.items()}}
 
 
 def reports_to_csv(reports, path) -> None:
-    write_columns(path, QOE_COLUMNS, [[fmt(getattr(r, name)) for r in reports]
-                                      for name, fmt in QOE_COLUMNS.values()])
+    write_columns(path, QOE_COLUMNS, [[value_text(getattr(r, name)) for r in reports]
+                                      for name in QOE_COLUMNS.values()])
 
 
 def reports_to_json(reports, path) -> None:
     with open(path, "w") as fh:
-        json.dump([asdict(r) for r in reports], fh, indent=2, sort_keys=True)
+        json.dump([vars(r) for r in reports], fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def table_to_csv(row, path) -> None:
-    write_columns(path, TABLE_COLUMNS, [[fmt(row[name])] for name, fmt in TABLE_COLUMNS.items()])
+    write_columns(path, TABLE_COLUMNS, [[value_text(row[name])] for name in TABLE_COLUMNS])
 
 
 def format_table(row) -> str:

@@ -12,7 +12,9 @@ over the whole declared magnitude range of each float field, so a draw may
 still break a rule across fields and be refused.  Its box bounds only the
 step and tap counts: an episode spans at most ``FUZZ_STEPS`` te steps and a
 window at most ``FUZZ_TAPS``, so one example costs at most one short
-episode."""
+episode.  ``cap_fields`` draws those two counts by binary exponent across
+the same bounds, for a test that makes them the caps MAX_STEPS and
+MAX_TAPS."""
 import math
 from dataclasses import fields, replace
 from itertools import accumulate
@@ -169,6 +171,39 @@ def exponent_fields(draw):
         c0=draw(_field("c0")), kp=draw(_field("kp")), alpha=draw(_field("alpha")),
         delta_startup=draw(_by_exponent(0.0, last_decision)),
         chunk_duration=te * draw(st.integers(1, FUZZ_STEPS)), **levels)
+
+
+def _count(lo, hi):
+    """Whole numbers in [lo, hi] by binary exponent: an exponent uniform over
+    the binades from lo to hi, then a number within its binade."""
+    return st.integers(lo.bit_length() - 1, hi.bit_length() - 1).flatmap(
+        lambda e: st.integers(max(lo, 1 << e), min(hi, (2 << e) - 1)))
+
+
+@st.composite
+def cap_fields(draw):
+    """The field values of a config, its te steps and its window taps, for a
+    test that patches MAX_STEPS and MAX_TAPS down to ``FUZZ_STEPS`` and
+    ``FUZZ_TAPS``: the config breaks no rule unless a count passes its cap.
+    Each count is drawn by binary exponent up to four times its cap, or is
+    the cap or one past it.  te is drawn by exponent where every window of 2
+    to ``FUZZ_TAPS`` steps lies within TAU_MIN..TAU_MAX; the decision
+    interval, the startup, the chunk and the segments lie on the te grid and
+    within the episode.  The other fields keep their defaults, except the
+    scenario, the arm and the buffer noise."""
+    te = draw(_by_exponent(math.nextafter(TAU_MIN / 2, math.inf),
+                           math.nextafter(TAU_MAX / FUZZ_TAPS, 0.0)))
+    steps, taps = (draw(st.sampled_from((cap, cap + 1)) | _count(2, 4 * cap))
+                   for cap in (FUZZ_STEPS, FUZZ_TAPS))
+    ratio = draw(st.integers(1, min(40, steps - 1)))
+    values = dict(
+        scenario=draw(st.sampled_from((2, 1, 3))), replan=draw(st.booleans()),
+        x_noise=draw(st.just(0.0) | _field("x_noise")), te=te, duration=te * steps,
+        tau=te * taps, decision_interval=te * ratio,
+        delta_startup=draw(_by_exponent(0.0, (steps - 1) // ratio * ratio * te)),
+        **{name: te * draw(st.integers(1, FUZZ_STEPS))
+           for name in ("chunk_duration", "s2_segment", "s3_segment")})
+    return values, steps, taps
 
 
 # Every configuration the command line refuses, as (flags, field): run as

@@ -27,8 +27,8 @@ from abrlab.config import (ConfigError, RunConfig, build_arg_parser, emit_config
 from abrlab.metrics import qoe_report
 from abrlab.plant import LOG_COLUMNS, build_scenario, run_episode
 
-from config_strategies import (REFUSED, check_refused, exponent_fields, run_configs,
-                               seed_batches)
+from config_strategies import (FUZZ_STEPS, FUZZ_TAPS, REFUSED, cap_fields, check_refused,
+                               exponent_fields, run_configs, seed_batches)
 
 # A valid value different from the default for every RunConfig field.
 NON_DEFAULT = {
@@ -345,6 +345,18 @@ class TestMain:
             with pytest.raises(ConfigError, match="^duration: must span at most 200 te steps"):
                 RunConfig(duration=20.1)
 
+    def test_caps_count_whole_steps(self):
+        # a count at each cap whose float quotient lies an ulp above it is at
+        # the cap, not past it
+        assert 700000.0 / 0.7 > config.MAX_STEPS and 257.0 / 0.00257 > config.MAX_TAPS
+        cfg = RunConfig(te=0.7, duration=700000.0, tau=1.4, decision_interval=1.4,
+                        chunk_duration=1.4, s2_segment=70.0, s3_segment=21.0)
+        assert cfg.n_steps == config.MAX_STEPS
+        te = 0.00257
+        cfg = RunConfig(te=te, tau=257.0, decision_interval=800 * te, chunk_duration=800 * te,
+                        s2_segment=20000 * te, s3_segment=8000 * te)
+        assert cfg.steps(cfg.tau) == config.MAX_TAPS
+
     def test_unwritable_out_exits_1(self, tmp_path):
         target = tmp_path / "file"
         target.write_text("occupied")
@@ -559,6 +571,12 @@ def test_every_config_by_exponent_is_refused_or_runs(values, seed):
         event(f"refused: {field}")
         return
     event("runs")
+    assert_runs_to_finite_columns(cfg, seed)
+
+
+def assert_runs_to_finite_columns(cfg, seed):
+    """The config's episode runs with every NumPy ``RuntimeWarning`` raised
+    as an error and gives finite columns and a QoE report."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         log = run_single(cfg, seed)
@@ -567,6 +585,32 @@ def test_every_config_by_exponent_is_refused_or_runs(values, seed):
             if name != "c_est":
                 assert np.isfinite(getattr(log, name)).all(), name
         assert (np.isnan(log.c_est) | (log.c_est > 0.0)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=cap_fields(), seed=st.integers(0, 1000))
+def test_step_and_tap_counts_across_the_caps(drawn, seed):
+    """With MAX_STEPS and MAX_TAPS patched down to ``FUZZ_STEPS`` and
+    ``FUZZ_TAPS``, a config whose step or tap count (``cap_fields``, by
+    binary exponent across each cap) passes a cap is refused, naming
+    duration or tau; one at or under both caps runs to finite columns.  An
+    example costs at most one episode of 300 steps with a 30-tap window (100
+    examples, about 0.5 s)."""
+    values, steps, taps = drawn
+    past = {"duration"} if steps > FUZZ_STEPS else set()
+    past |= {"tau"} if taps > FUZZ_TAPS else set()
+    with mock.patch.object(config, "MAX_STEPS", FUZZ_STEPS), \
+            mock.patch.object(config, "MAX_TAPS", FUZZ_TAPS):
+        try:
+            cfg = RunConfig(**values)
+        except ConfigError as err:
+            assert str(err).split(":")[0] in past, err
+            event("refused")
+            return
+    assert not past, (steps, taps)
+    assert (cfg.n_steps, cfg.steps(cfg.tau)) == (steps, taps)
+    event("runs at a cap" if steps == FUZZ_STEPS or taps == FUZZ_TAPS else "runs")
+    assert_runs_to_finite_columns(cfg, seed)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,6 +2,7 @@
 import csv
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from abrlab.metrics import (QoEReport, batch_report, format_table, qoe_report,
-                            reports_to_csv, reports_to_json, table_to_csv)
+from abrlab.metrics import (QOE_COLUMNS, TABLE_COLUMNS, QoEReport, batch_report,
+                            format_table, qoe_report, reports_to_csv, reports_to_json,
+                            table_to_csv)
 from abrlab.config import RunConfig
 from abrlab.plant import FMT, build_scenario, run_episode
+from config_strategies import run_configs
 
 CFG = RunConfig()
 
@@ -183,3 +186,32 @@ def test_writers_match_the_csv_module(reports, row):
             [[row["scenario"], int(row["replan"]), row["episodes"],
               FMT % row["avg_quality"], FMT % row["quality_variation"],
               FMT % row["rebuffering_time"]]])
+
+
+# The columns written as FMT text; every other qoe.csv and table.csv column
+# holds an integer or a flag
+FLOAT_COLUMNS = {"avg_quality", "variation_norm", "quality_variation", "rebuffering_time"}
+
+
+def assert_value_types(reports):
+    """Each value the QoE and table writers turn into text is a Python float
+    in a ``FLOAT_COLUMNS`` column and an int or bool in every other one, so a
+    NumPy scalar or an integer mean fails here instead of in a digest."""
+    row = batch_report(reports)
+    values = [(h, getattr(r, name)) for r in reports for h, name in QOE_COLUMNS.items()]
+    for column, value in values + [(c, row[c]) for c in TABLE_COLUMNS]:
+        want = (float,) if column in FLOAT_COLUMNS else (int, bool)
+        assert type(value) in want, (column, type(value))
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+@pytest.mark.parametrize("replan", [False, True])
+def test_paper_cells_report_python_values(scenario, replan):
+    cfg = replace(CFG, scenario=scenario, replan=replan)
+    assert_value_types([qoe_report(run_episode(build_scenario(cfg, 0), cfg), 0)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(cfg=run_configs(), seeds=st.lists(st.integers(0, 1000), min_size=1, max_size=2))
+def test_every_valid_config_reports_python_values(cfg, seeds):
+    assert_value_types([qoe_report(run_episode(build_scenario(cfg, s), cfg), s) for s in seeds])
