@@ -169,6 +169,19 @@ def clock_step(n, passes):
     return bisect_left(range(n), True, key=passes)
 
 
+@lru_cache(maxsize=1)
+def reference_ramp(n, te, t0, tf, x0, xf):
+    """The reference ramp's first flat step ``k_flat`` and its values at
+    steps 0..n-1 as a tuple: ``bezier_eval(k * te) + 0.0`` (so a ``-0.0``
+    level is recorded as ``+0.0``), one float object from ``k_flat`` on.
+    Every episode of a run has the same ramp, so it is computed once; the
+    episode loop copies it, as replanning overwrites its reference in place.
+    """
+    k_flat = clock_step(n, lambda k: not k * te < tf)
+    return k_flat, (*(bezier_eval(k * te, t0, tf, x0, xf) + 0.0 for k in range(k_flat)),
+                    *repeat(xf + 0.0, n - k_flat))
+
+
 def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     """Fused inner loop for one episode of the config ``cfg``, and the one
     implementation of the controller and of the plant.
@@ -240,6 +253,18 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     replanning it is the reference, and with replanning the controller's
     stage overwrites each step with the ramp plus the replanning correction.
 
+    A steady interval is steady for the replanning controller too when it
+    starts on the ramp's plateau (at or past ``k_flat``), every step of it is
+    valid (``valid_from`` at or before its first step) and replanning has
+    started: no step of it can then change the validity test, the start of
+    replanning or the ramp value read.  There the steady controller takes
+    each step's own estimate and runs the flip test, the rung test and
+    lookup, the correction and the restart test against the plateau ``xf +
+    0.0``: the step controller's float operations, in its order.  It stores
+    the held estimate and its step once, at its end.  At a non-positive
+    estimate it hands the rest of the interval to the step controller, which
+    runs every other interval and is the reference.
+
     Replanning starts at the first positive estimate at a valid step, with
     its correction aligned with the measured buffer.  The replanning slope
     divides the read by the rung below it on the way up, above it on the way
@@ -270,11 +295,9 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     ratio = cfg.decision_steps
     gain = 6.0 / tau**3  # bandwidth_from_window's kernel gain
 
-    # the first step of each clock test: t >= delta_startup, t > valid_after
-    # and t >= tf (the ramp profile is constant from tf on)
+    # the first step of each clock test: t >= delta_startup and t > valid_after
     k_startup = clock_step(n, lambda k: k * te >= delta_startup)
     k_valid = clock_step(n, lambda k: k * te > valid_after)
-    k_flat = clock_step(n, lambda k: not k * te < tf)
 
     # the window-averaged capacity measurement, the fallback for a stale
     # estimate: one sequential running sum of sample in minus sample out;
@@ -303,11 +326,12 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     x_a = [0.0] * n if noisy else None
     ladder = [float(r) for r in cfg.ladder]
     w_lin = tuple(w_lin.tolist())
-    # the reference per step: the ramp, which reads nothing the loop computes
-    # (one float object from k_flat on); with replanning on, the controller
-    # overwrites each step's slot with the ramp plus its correction
-    ramp = [bezier_eval(k * te, t0, tf, x0, xf) + 0.0 for k in range(k_flat)]
-    ramp += [xf + 0.0] * (n - k_flat)
+    # the reference per step: a copy of the ramp, which reads nothing the
+    # loop computes, flat from k_flat on (t >= tf); with replanning on, the
+    # controller overwrites each step's slot with the ramp plus its correction
+    k_flat, ramp = reference_ramp(n, te, t0, tf, x0, xf)
+    ramp = list(ramp)
+    plateau = xf + 0.0
     # with replanning on, the reads' window dots come in blocks of b windows:
     # the fewest blocks of at most BLOCK_TERMS products that cover an
     # interval, evenly sized; with it off, the decision's one window
@@ -392,11 +416,37 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
             for s in range(lo, hi, b):
                 if s + b > e or valid.find(1, s, s + b) >= 0:
                     dots[s - lo:s - lo + b] = read_dot(x_hist, s)
+            # the steady controller: on a steady interval (the plant kept its
+            # running sum, so first > lo) of valid steps on the plateau, once
+            # replanning has started, each read is its step's estimate until
+            # one is not positive, from which step on the step loop below runs
+            start = lo  # the step loop's first step
+            if first > lo and lo >= k_flat and valid_from <= lo and last_valid >= 0:
+                for start, d, xm in zip(range(lo, hi), dots, x_hist[lo + pad:hi + pad]):
+                    if not (c_new := cur_R * (1.0 - gain * d)) > 0.0:
+                        break
+                    c_known = c_new
+                    if (xm > replan_upper) if dirn == 1 else (xm < replan_lower):
+                        dirn = -dirn
+                        coef_lo = coef_hi
+                    if not coef_lo < c_known < coef_hi:
+                        coef, coef_lo, coef_hi = replan_rung(c_known, dirn, ladder)
+                    ad_rate = c_known / coef - 1.0
+                    y_ad += ad_rate * te
+                    ref = plateau + y_ad
+                    if abs(xm - ref) > RESTART_GAP:
+                        y_ad = xm - plateau
+                        ref = plateau + y_ad
+                    ramp[start] = ref
+                else:
+                    start = hi
+                if start > lo:
+                    cest, last_valid = c_known, start - 1
             # the controller over the same steps: every step is a read, so a
             # read is its own step's estimate.  A non-positive value
             # (measurement noise) is never acted on: the last positive
             # estimate and its validity clock are kept instead
-            for k in range(lo, hi):
+            for k in range(start, hi):
                 base = ramp[k]
                 if valid[k] and (c_new := cur_R * (1.0 - gain * dots[k - lo])) > 0.0:
                     if last_valid < 0:

@@ -617,11 +617,15 @@ def test_step_and_tap_counts_across_the_caps(drawn, seed):
 @given(batch=seed_batches())
 @example(batch=(RunConfig(duration=20.0), [3, 0]))
 @example(batch=(RunConfig(scenario=2, duration=20.0), [0, 1, 2]))
+@example(batch=(RunConfig(scenario=2, replan=True), [0, 1, 2]))
+@example(batch=(RunConfig(scenario=3, replan=True), [0, 1, 2]))
 def test_batch_writes_what_each_seed_writes_alone(batch):
     """A valid config run on two or three seeds writes, for each seed, the
     bytes of that seed's own run, whether the seeds share an episode or not.
     The kernel runs once per seed whose inputs differ from the previous
-    seed's, and once in all for scenario 1 with an exact buffer measurement."""
+    seed's, and once in all for scenario 1 with an exact buffer measurement.
+    The full-length replanning examples run the steady controller on the
+    reference ramp's copy and the memoized weights that the seeds share."""
     cfg, seeds = batch
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.cfg"

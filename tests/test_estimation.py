@@ -1,15 +1,17 @@
 """Windowed bandwidth and drift estimators."""
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from abrlab import estimation
 from abrlab.cli import run_single
 from abrlab.config import RunConfig, parse_config
-from abrlab.estimation import bump_kernel_weights, linear_kernel_weights
+from abrlab.estimation import _pl_weights, bump_kernel_weights, linear_kernel_weights
 from abrlab.kernels import BLOCK_TERMS, bandwidth_from_window, f_from_window, window_dot
 
 from config_strategies import run_configs
@@ -57,6 +59,29 @@ class TestWeights:
         # integral of the kernels themselves (constant signal of ones)
         assert linear_kernel_weights(TAU, 10).sum() == pytest.approx(0.0, abs=1e-14)
         assert bump_kernel_weights(TAU, 10).sum() == pytest.approx(TAU**3 / 6, rel=1e-13)
+
+
+    @pytest.mark.parametrize("tau, n_seg", [(TAU, N_SEG), (2.0, 200), (40.0, 4000)])
+    def test_weights_are_memoized_and_read_only(self, tau, n_seg):
+        # every episode of a config shares one weight vector, which no caller
+        # may change, and it is the weights computed afresh, bitwise
+        for weights, kfun in ((linear_kernel_weights, lambda s: tau - 2.0 * s),
+                              (bump_kernel_weights, lambda s: s * (tau - s))):
+            w = weights(tau, n_seg)
+            assert weights(tau, n_seg) is w
+            with pytest.raises(ValueError):
+                w[0] = 1.0
+            assert w.tobytes() == _pl_weights(tau, n_seg, kfun).tobytes()
+
+    def test_run_episode_asks_for_each_weight_vector_once(self):
+        cfg = RunConfig(scenario=2, replan=True, duration=20.0)
+        with mock.patch.object(estimation, "linear_kernel_weights",
+                               wraps=estimation.linear_kernel_weights) as lin, \
+                mock.patch.object(estimation, "bump_kernel_weights",
+                                  wraps=estimation.bump_kernel_weights) as bump:
+            for seed in (0, 1, 2):
+                run_single(cfg, seed)
+        assert lin.call_count == bump.call_count == 3
 
 
 class TestPaddedHistory:

@@ -5,14 +5,16 @@ import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from abrlab import kernels
 from abrlab.cli import _write_plotdata, run_single
 from abrlab.config import S3_DIP_MAX, ConfigError, RunConfig
-from abrlab.kernels import clock_step
+from abrlab.kernels import clock_step, window_dot
 from abrlab.metrics import qoe_report
 from abrlab.plant import (FMT, LOG_COLUMNS, S3_FORCE_BELOW, ChannelTrace, build_scenario,
                           column_text, run_episode)
@@ -359,13 +361,24 @@ class TestEpisode:
                           duration=60.0), seed=0)
     @example(cfg=scenario(1, ladder=[1.0], c0=0.5, te=0.125, delta_startup=6.0,
                           duration=60.0, replan=True), seed=0)
+    # replanning where the steady controller's gate is at its edges: a ramp
+    # that ends at step 73, inside a decision interval, and decisions closer
+    # together than a window
+    @example(cfg=scenario(2, replan=True, x0=-0.0, xf=-0.0, t0=3.0, tf=7.3), seed=0)
+    @example(cfg=scenario(2, replan=True, x0=6.0, xf=4.0, tf=7.3), seed=0)
+    @example(cfg=scenario(2, replan=True, decision_interval=0.5, tau=2.0), seed=0)
     def test_exact_and_noisy_buffer_paths_agree(self, cfg, seed):
         # the kernel stores an exactly measured buffer once and a noisy one
         # beside its measurement, and advances a steady interval of an exact
-        # buffer as one running sum; a noisy one runs the step loop.  Noise
-        # of 1e-300 takes the noisy path, yet every gain 1 + noise rounds to
-        # 1.0, and the noise has its own random stream: every array and every
-        # text is the exact run's, bitwise
+        # buffer as one running sum; a noisy one runs the step loop.  With
+        # replanning, the steady controller runs only on such a running sum,
+        # so a noisy buffer runs the general controller everywhere: this is
+        # the check of the steady controller over the whole config space (the
+        # full-length default examples hold flips, restarts and rung lookups
+        # inside steady intervals).  Noise of 1e-300 takes the noisy path,
+        # yet every gain 1 + noise rounds to 1.0, and the noise has its own
+        # random stream: every array and every text is the exact run's,
+        # bitwise
         exact = run_single(replace(cfg, x_noise=0.0), seed)
         noisy = run_single(replace(cfg, x_noise=1e-300), seed)
         assert noisy.x_noise.any() and not exact.x_noise.any()
@@ -374,6 +387,32 @@ class TestEpisode:
             assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
         for name in LOG_COLUMNS:
             assert exact.text(name) == noisy.text(name), name
+
+    def test_steady_controller_hands_a_non_positive_estimate_to_the_step_loop(self):
+        # an exactly measured buffer gives a steady interval positive
+        # estimates, so some reads are spoiled: a huge window dot at one step
+        # of every third block makes its estimate negative.  The exact run's
+        # steady controller hands over at that step and the noisy run's
+        # general controller reads it; both keep the held estimate
+        def spoiled_window_dot(w, m):
+            dot = window_dot(w, m)
+            if m == 1:  # the bump dot
+                return dot
+
+            def spoiled(xs, start):
+                dots = dot(xs, start)
+                if start // m % 3 == 0:
+                    dots[m // 2] = 1e9
+                return dots
+            return spoiled
+
+        cfg = scenario(3, replan=True, duration=120.0)
+        with mock.patch.object(kernels, "window_dot", spoiled_window_dot):
+            exact, noisy = (run_single(replace(cfg, x_noise=x_noise), 0)
+                            for x_noise in (0.0, 1e-300))
+        for name in ("x", "ref", "valid", "R_k", "u_k"):
+            a, b = getattr(exact, name), getattr(noisy, name)
+            assert a.tobytes() == b.tobytes(), name
 
     def test_clock_text_shared(self):
         cfg = RunConfig(duration=20.0, te=0.05)
