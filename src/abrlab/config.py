@@ -300,10 +300,11 @@ _FIELDS_BY_KEY = {_file_key(f): f for f in fields(RunConfig)}
 
 
 def read_config_file(path) -> dict:
-    """Flat 'section.key = value' file; '#' starts a comment.  A key may
-    appear once."""
+    """Flat 'section.key = value' file in UTF-8, whatever the locale, a
+    leading byte-order mark allowed; '#' starts a comment.  A key may appear
+    once."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
@@ -325,8 +326,8 @@ def read_config_file(path) -> dict:
 
 
 def emit_config(cfg: RunConfig, path) -> None:
-    """Write a config file that parses back to an equal RunConfig."""
-    with open(path, "w") as fh:
+    """Write a config file, in UTF-8, that parses back to an equal RunConfig."""
+    with open(path, "w", encoding="utf-8") as fh:
         for f in fields(RunConfig):
             fh.write(f"{_file_key(f)} = {_format_value(f, getattr(cfg, f.name))}\n")
 

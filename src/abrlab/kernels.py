@@ -125,15 +125,16 @@ def held_estimates(x_meas, valid, R_before, w_lin, tau):
     """Per-step bandwidth estimate column: the last positive estimate at a
     valid step, NaN before the first.
 
-    Each window dot is the read's ``window_dot`` over the zero-padded measured
-    buffer, the same products added in the same order elementwise, and each
+    ``w_lin`` is the linear kernel's weights, a tuple of floats.  Each window
+    dot is the read's ``window_dot`` over the zero-padded measured buffer, the
+    same products added in the same order elementwise, and each
     estimate uses the bitrate held before its step's decision, so every value
     is bitwise the loop's scalar estimate.
     """
     n = len(x_meas)
     xp = np.concatenate((np.zeros(len(w_lin) - 1), x_meas))
     # row i is xp[i:i + n]: the i-th sample of every window
-    (dot,) = window_dot(tuple(w_lin.tolist()), 1)([xp[i:i + n] for i in range(len(w_lin))], 0)
+    (dot,) = window_dot(w_lin, 1)([xp[i:i + n] for i in range(len(w_lin))], 0)
     est = bandwidth_from_window(R_before, dot, tau)
     keep = valid & (est > 0.0)
     # the running count of kept steps indexes the m-th kept estimate after a
@@ -245,7 +246,11 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     stage is the decision step alone: its read scans back over the interval
     for the newest valid step with a positive estimate, one window dot per
     step it tries.  In both arms an estimate more than one window old is
-    stale, and the window-averaged capacity measurement is read instead.  The
+    stale, and the window-averaged capacity measurement is read instead.  A
+    read that is neither fresh nor stale leaves the last read's value,
+    ``c_known``, unchanged, and that value is the held estimate: the read
+    before it was the estimate's own or held it, and once a read is stale
+    every later read is stale until the next estimate.  The
     estimate is ``bandwidth_from_window`` written in line, and the decision's
     drift estimate reuses the dot at its step.  The reference ramp,
     ``bezier_eval(k * te) + 0.0`` per step (so a ``-0.0`` level is recorded
@@ -261,7 +266,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     each step's own estimate and runs the flip test, the rung test and
     lookup, the correction and the restart test against the plateau ``xf +
     0.0``: the step controller's float operations, in its order.  It stores
-    the held estimate and its step once, at its end.  At a non-positive
+    the held estimate's step once, at its end.  At a non-positive
     estimate it hands the rest of the interval to the step controller, which
     runs every other interval and is the reference.
 
@@ -325,7 +330,6 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     x_gain = (1.0 + x_noise).tolist() if noisy else None
     x_a = [0.0] * n if noisy else None
     ladder = [float(r) for r in cfg.ladder]
-    w_lin = tuple(w_lin.tolist())
     # the reference per step: a copy of the ramp, which reads nothing the
     # loop computes, flat from k_flat on (t >= tf); with replanning on, the
     # controller overwrites each step's slot with the ramp plus its correction
@@ -342,7 +346,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     else:
         b = 1
     read_dot = window_dot(w_lin, b)
-    bump_dot = window_dot(tuple(w_bump.tolist()), 1)
+    bump_dot = window_dot(w_bump, 1)
     # measured buffer and held correction, zero-padded by win - 1 samples
     # so the window ending at step k starts at index k; the buffer has b - 1
     # more at the end, read by a block that runs past the last step
@@ -355,7 +359,6 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
     playing = False
     cur_R = ladder[0]
     u_held = 0.0  # zero-order-held continuous correction, the estimator's input
-    cest = 0.0
     valid_from = max(win, k_valid)  # first step that may be valid (x = 0 at step 0)
     last_valid = -win - 1   # step of the held estimate; stale from the start
     dirn = 1  # replanning starts on the way up
@@ -382,9 +385,8 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
                 repeat(te * (run_c[run] / cur_R - 1.0), hi - lo), initial=x)
             if x_hist[lo + pad] > chunk_duration and x_hist[hi + pad - 1] > chunk_duration:
                 x = x_hist[hi + pad - 1]
-                if valid_from < hi:
-                    m = max(lo, valid_from)
-                    valid[m:hi] = b"\x01" * (hi - m)
+                m = max(lo, valid_from)
+                valid[m:hi] = b"\x01" * (hi - m)  # empty when m >= hi
                 first = hi
         for k in range(first, hi):
             if k == next_inc:
@@ -441,7 +443,7 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
                 else:
                     start = hi
                 if start > lo:
-                    cest, last_valid = c_known, start - 1
+                    last_valid = start - 1
             # the controller over the same steps: every step is a read, so a
             # read is its own step's estimate.  A non-positive value
             # (measurement noise) is never acted on: the last positive
@@ -454,13 +456,14 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
                         # the measured buffer so the combined reference takes
                         # over without an error jump
                         y_ad = x_hist[k + pad] - base
-                    c_known = cest = c_new
+                    c_known = c_new
                     last_valid = k
-                else:
+                elif k - last_valid > win:
                     # the held estimate goes stale one window after validity
                     # is lost; fall back to the window-averaged capacity
-                    # measurement until it recovers
-                    c_known = cest if k - last_valid <= win else cm_bar[k].item()
+                    # measurement until it recovers.  A read that is neither
+                    # fresh nor stale keeps c_known, the held estimate
+                    c_known = cm_bar[k].item()
                 if last_valid >= 0:
                     xm = x_hist[k + pad]
                     # past the bound ahead, the direction flips and the
@@ -487,12 +490,13 @@ def _episode_loop(c_true, c_meas, x_noise, w_lin, w_bump, cfg):
             while j >= 0:
                 c_new = cur_R * (1.0 - gain * (dot if j == e else read_dot(x_hist, j)[0]))
                 if c_new > 0.0:
-                    cest = c_new
+                    c_known = c_new
                     last_valid = j
                     break
                 j = valid.rfind(1, lo, j)
             # the same staleness fallback as with replanning
-            c_known = cest if e - last_valid <= win else cm_bar[e].item()
+            if e - last_valid > win:
+                c_known = cm_bar[e].item()
         if e == n:
             break
 

@@ -71,7 +71,7 @@ def reports_to_csv(reports, path) -> None:
 
 
 def reports_to_json(reports, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump([vars(r) for r in reports], fh, indent=2, sort_keys=True)
         fh.write("\n")
 

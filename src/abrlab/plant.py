@@ -86,7 +86,7 @@ class EpisodeLog:
     x_k: np.ndarray         # the buffer at each decision step
     c_true: np.ndarray
     x_noise: np.ndarray
-    w_lin: np.ndarray       # the bandwidth estimate's window weights
+    w_lin: tuple            # the bandwidth estimate's window weights
     cfg: RunConfig
 
     # text of the formatted columns, shared by every file written from the log
@@ -177,7 +177,7 @@ def write_columns(path, header, columns) -> None:
     values directly.  Rows are joined WRITE_ROWS at a time to bound the memory
     held."""
     rows = map(",".join, zip(*columns))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         while block := list(islice(rows, WRITE_ROWS)):
             fh.write("\r\n".join(block) + "\r\n")

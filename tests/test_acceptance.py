@@ -15,10 +15,11 @@ from abrlab.estimation import bump_kernel_weights, linear_kernel_weights
 from abrlab.kernels import (bandwidth_from_window, bezier_derivative, bezier_eval,
                             f_from_window, ip_control, window_dot)
 from abrlab.metrics import qoe_report
+from abrlab.plant import build_scenario, run_episode
 
 TE = 0.1
-LIN_DOT = window_dot(tuple(linear_kernel_weights(1.0, 10).tolist()), 1)
-BUMP_DOT = window_dot(tuple(bump_kernel_weights(1.0, 10).tolist()), 1)
+LIN_DOT = window_dot(linear_kernel_weights(1.0, 10), 1)
+BUMP_DOT = window_dot(bump_kernel_weights(1.0, 10), 1)
 
 
 def _verdict(num, desc, ok):
@@ -84,6 +85,33 @@ def test_criterion_2_scenarios_2_3_relaxed():
         ok = ok and sw_off / sw_on >= 1.5 and qdiff < 0.10
         msgs.append(f"s{scenario} ratio {sw_off / sw_on:.2f} qdiff {qdiff * 100:.1f}%")
     _verdict(2, "scenarios 2-3, relaxed switch ratio >= 1.5: " + ", ".join(msgs), ok)
+
+
+def _mean_switches(cfg, seeds):
+    """Mean switch count of the config over the seeds; a seed that draws the
+    previous seed's inputs bitwise (every seed of scenario 1) reuses its
+    episode, as a command-line batch does."""
+    switches, last = [], None
+    for seed in seeds:
+        trace = build_scenario(cfg, seed)
+        if last is None or not trace.bitwise_equal(last):
+            count = qoe_report(run_episode(trace, cfg), seed).switch_count
+        last = trace
+        switches.append(count)
+    return np.mean(switches)
+
+
+@pytest.mark.parametrize("scenario", (1, 2, 3))
+def test_criterion_2_holds_at_every_te(scenario):
+    # the switch figures move with te (s1 with replanning reads 22-33), but
+    # at each te replanning cuts the mean switch count
+    msgs, ok = [], True
+    for te in (0.1, 0.05, 0.025, 0.02):
+        off, on = (_mean_switches(RunConfig(scenario=scenario, replan=replan, te=te), range(5))
+                   for replan in (False, True))
+        ok = ok and on < off
+        msgs.append(f"te {te}: {off:.1f} -> {on:.1f}")
+    _verdict(2, f"scenario {scenario}, seeds 0..4, switches " + ", ".join(msgs), ok)
 
 
 def test_criterion_3_bandwidth_estimator_exact_on_affine():

@@ -241,6 +241,30 @@ class TestParsing:
         path.write_text("# comment\n\ncontroller.kp = 0.4  # inline\n")
         assert read_config_file(path) == {"kp": 0.4}
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # a UTF-8 file that starts with a byte-order mark, as some editors
+        # save one, is read without it
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfrun.scenario = 2\n")
+        assert read_config_file(path) == {"scenario": 2}
+
+    def test_non_ascii_out_round_trips_under_an_ascii_locale(self, tmp_path):
+        # a config file is UTF-8 whatever the locale: under the C locale,
+        # with neither UTF-8 mode nor locale coercion, a non-ASCII out is
+        # written and read back.  The program names it by escapes, as
+        # non-ASCII text on the command line cannot be decoded there
+        src = str(Path(abrlab.__file__).parents[1])
+        program = ("from abrlab.config import RunConfig, emit_config, parse_config\n"
+                   "cfg = RunConfig(out='r\\u00e9sum\\u00e9')\n"
+                   "emit_config(cfg, 'run.cfg')\n"
+                   "assert parse_config(['--config', 'run.cfg']) == cfg\n")
+        run = subprocess.run([sys.executable, "-c", program], cwd=tmp_path,
+                             env={**os.environ, "PYTHONPATH": src, "LC_ALL": "C",
+                                  "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert "out = résumé\n".encode() in (tmp_path / "run.cfg").read_bytes()
+
     @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1"])
     def test_negative_exponent_value_after_flag(self, value):
         # a flag's value, not an unknown option

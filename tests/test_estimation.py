@@ -19,8 +19,8 @@ from config_strategies import run_configs
 TAU = 1.0
 TE = 0.1
 N_SEG = 10
-LIN_DOT = window_dot(tuple(linear_kernel_weights(TAU, N_SEG).tolist()), 1)
-BUMP_DOT = window_dot(tuple(bump_kernel_weights(TAU, N_SEG).tolist()), 1)
+LIN_DOT = window_dot(linear_kernel_weights(TAU, N_SEG), 1)
+BUMP_DOT = window_dot(bump_kernel_weights(TAU, N_SEG), 1)
 
 
 def affine(a, b):
@@ -57,21 +57,22 @@ class TestWeights:
 
     def test_weight_sums(self):
         # integral of the kernels themselves (constant signal of ones)
-        assert linear_kernel_weights(TAU, 10).sum() == pytest.approx(0.0, abs=1e-14)
-        assert bump_kernel_weights(TAU, 10).sum() == pytest.approx(TAU**3 / 6, rel=1e-13)
+        assert math.fsum(linear_kernel_weights(TAU, 10)) == pytest.approx(0.0, abs=1e-14)
+        assert math.fsum(bump_kernel_weights(TAU, 10)) == pytest.approx(TAU**3 / 6, rel=1e-13)
 
 
     @pytest.mark.parametrize("tau, n_seg", [(TAU, N_SEG), (2.0, 200), (40.0, 4000)])
     def test_weights_are_memoized_and_read_only(self, tau, n_seg):
-        # every episode of a config shares one weight vector, which no caller
-        # may change, and it is the weights computed afresh, bitwise
+        # every episode of a config shares one weight vector, an immutable
+        # tuple of floats, and it is the weights computed afresh, bitwise
         for weights, kfun in ((linear_kernel_weights, lambda s: tau - 2.0 * s),
                               (bump_kernel_weights, lambda s: s * (tau - s))):
             w = weights(tau, n_seg)
             assert weights(tau, n_seg) is w
-            with pytest.raises(ValueError):
-                w[0] = 1.0
-            assert w.tobytes() == _pl_weights(tau, n_seg, kfun).tobytes()
+            assert type(w) is tuple and len(w) == n_seg + 1
+            assert all(type(wi) is float for wi in w)
+            assert (np.array(w).tobytes()
+                    == np.array(_pl_weights(tau, n_seg, kfun)).tobytes())
 
     def test_run_episode_asks_for_each_weight_vector_once(self):
         cfg = RunConfig(scenario=2, replan=True, duration=20.0)
@@ -176,9 +177,9 @@ class TestWindowDot:
 
     def test_equal_weights_share_one_function(self):
         w = linear_kernel_weights(TAU, N_SEG)
-        assert window_dot(tuple(w.tolist()), 1) is window_dot(tuple(w.tolist()), 1)
-        assert window_dot(tuple(w.tolist()), 1) is not window_dot(tuple((2.0 * w).tolist()), 1)
-        assert window_dot(tuple(w.tolist()), 1) is not window_dot(tuple(w.tolist()), 2)
+        assert window_dot(w, 1) is window_dot(tuple(np.array(w).tolist()), 1)
+        assert window_dot(w, 1) is not window_dot(tuple((2.0 * np.array(w)).tolist()), 1)
+        assert window_dot(w, 1) is not window_dot(w, 2)
 
     def test_long_window_compiles_one_function_per_weight_vector(self):
         # at 4,001 taps a block of the replanning reads is one window, so the
@@ -245,7 +246,7 @@ class TestBandwidth:
         # held before that step's decision
         log = run_single(cfg, seed)
         n_seg = int(round(cfg.tau / cfg.te))
-        lin_dot = window_dot(tuple(linear_kernel_weights(cfg.tau, n_seg).tolist()), 1)
+        lin_dot = window_dot(linear_kernel_weights(cfg.tau, n_seg), 1)
         xs = np.concatenate((np.zeros(n_seg), log.x_meas))
         R_before = np.concatenate(([cfg.ladder[0]], log.R[:-1]))
         prev = np.concatenate(([np.nan], log.c_est[:-1]))
@@ -333,14 +334,14 @@ class TestBandwidth:
         R_before = np.concatenate(([cfg.ladder[0]], log.R[:-1]))
         # each step's own estimate, computed as the log's c_est is
         xp = np.concatenate((np.zeros(win - 1), log.x_meas))
-        (dot,) = window_dot(tuple(w.tolist()), 1)([xp[i:i + n] for i in range(win)], 0)
+        (dot,) = window_dot(w, 1)([xp[i:i + n] for i in range(win)], 0)
         est = bandwidth_from_window(R_before, dot, cfg.tau)
         k = np.flatnonzero(log.valid & (est > 0.0))
         np.testing.assert_array_equal(log.c_est[k], est[k])
         k = k[self.one_capacity(log.c_true, k, win)]
         x = sliding_window_view(np.concatenate((np.zeros(win - 1), log.x)), win)[k]
         capacity = log.c_true[k - 1]
-        bound = (R_before[k] * 6.0 / cfg.tau**3 * np.abs(w * x).sum(axis=1) * cfg.x_noise
+        bound = (R_before[k] * 6.0 / cfg.tau**3 * np.abs(np.array(w) * x).sum(axis=1) * cfg.x_noise
                  + 1e-9 * capacity)
         assert (np.abs(log.c_est[k] - capacity) <= bound).all()
 
