@@ -8,16 +8,17 @@ field's name and type.  The field's rules (its bounds, choices or te grid,
 and finiteness for every float) are checked in one loop over the fields and
 printed in the flag's ``--help`` text; ``_problems`` writes out only the
 rules across fields.  A ``RunConfig`` is valid by construction: it is frozen,
-and making one (directly or by ``dataclasses.replace``) checks every rule and
-raises ``ConfigError`` naming the field of the first problem, so no entry
-point checks it again.
+its sequences are tuples (a caller's list is copied), and making one (directly
+or by ``dataclasses.replace``) checks every rule and raises ``ConfigError``
+naming the field of the first problem, so no entry point checks it again and
+nothing can change it after the check.
 """
 import argparse
 import math
 import operator
 import re
 from dataclasses import dataclass, field, fields
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import get_args, get_origin
 
 EMIT_CHOICES = ("log", "qoe", "table", "plotdata")
@@ -86,14 +87,11 @@ def _param(section: str, default, help: str | None = None, *, grid=False, **rule
     """A field with its file section, help text and rules.  The ``RULES``
     keywords (bounds ``gt``/``ge``/``lt``/``le``, a lower bound first when
     there are two, or ``choices``) apply to the value, or to each item of a
-    list field; ``grid`` marks a positive whole multiple of te.  The flag's
+    tuple field; ``grid`` marks a positive whole multiple of te.  The flag's
     help ends with the rule in words."""
     rule = _rule_text(grid, rules)
     meta = {"section": section, "help": "; ".join(filter(None, (help, rule))), "rule": rule,
-            "grid": grid, "rules": rules,
-            "tests": [partial(RULES[op][0], b) for op, b in rules.items()]}
-    if isinstance(default, list):
-        return field(default_factory=lambda: list(default), metadata=meta)
+            "grid": grid, "rules": rules}
     return field(default=default, metadata=meta)
 
 
@@ -101,9 +99,9 @@ def _param(section: str, default, help: str | None = None, *, grid=False, **rule
 class RunConfig:
     scenario: int = _param("run", 1, choices=(1, 2, 3))
     replan: bool = _param("run", False)
-    seeds: list[int] = _param("run", [0], "e.g. '0..99' or '1,2,5'", ge=0)
+    seeds: tuple[int, ...] = _param("run", (0,), "e.g. '0..99' or '1,2,5'", ge=0)
     out: str = _param("run", "out", "output directory")
-    emit: list[str] = _param("run", ["qoe", "table"], "comma list", choices=EMIT_CHOICES)
+    emit: tuple[str, ...] = _param("run", ("qoe", "table"), "comma list", choices=EMIT_CHOICES)
     # reference trajectory; the buffer levels are targets, never below empty
     # and below BUFFER_MAX (replan_lower through replan_lower < replan_upper)
     t0: float = _param("trajectory", 0.0, ge=0.0)
@@ -118,8 +116,8 @@ class RunConfig:
     # gain -C/R^2 is; rungs and |alpha| within RATE_MIN..RATE_MAX, kp at most
     # RATE_MAX; tau within TAU_MIN..TAU_MAX, bounded below by gt because
     # tau = TAU_MIN is less than 2 te at the default te
-    ladder: list[float] = _param("controller", list(DEFAULT_LADDER),
-                                 "comma list of admissible bitrates", ge=RATE_MIN, le=RATE_MAX)
+    ladder: tuple[float, ...] = _param(
+        "controller", DEFAULT_LADDER, "comma list of admissible bitrates", ge=RATE_MIN, le=RATE_MAX)
     alpha: float = _param("controller", -10.0, ge=-RATE_MAX, le=-RATE_MIN)
     kp: float = _param("controller", 0.25, gt=0.0, le=RATE_MAX)
     tau: float = _param("controller", 1.0, grid=True, gt=TAU_MIN, le=TAU_MAX)
@@ -156,22 +154,29 @@ class RunConfig:
         return self.steps(self.decision_interval)
 
     def __post_init__(self) -> None:
-        """Refuse an invalid config when it is made: raise ``ConfigError``
-        naming the field of the first problem."""
+        """Store each sequence a caller passed as a tuple, so that nothing
+        can change the config after its check, then refuse an invalid config
+        when it is made: raise ``ConfigError`` naming the field of the first
+        problem."""
+        for name, each, _, _, _ in FIELD_RULES:
+            if each:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         for problem in self._problems():
             raise ConfigError(problem)
 
     def _problems(self):
         """Yield what is wrong, in order; later checks rely on earlier ones.
-        The fields' own rules come first (``FIELD_RULES``, then the te grid),
-        then the rules across fields."""
-        for name, each, floats, tests, rule in FIELD_RULES:
+        The fields' own rules come first (``FIELD_RULES``, each field's
+        declared ``(op, bound)`` pairs in declaration order, then the te
+        grid), then the rules across fields.  Every sequence is a tuple by
+        now (``__post_init__``)."""
+        for name, each, floats, bounds, rule in FIELD_RULES:
             value = getattr(self, name)
             for v in value if each else (value,):
                 if floats and not math.isfinite(v):
                     yield f"{name}: must be finite, got {v!r}"
-                for test in tests:
-                    if not test(v):
+                for op, bound in bounds:
+                    if not RULES[op][0](bound, v):
                         yield f"{name}: {rule}, got {v!r}"
         # a positive whole number of te steps, to within 1e-9 of a step
         for name in GRID_FIELDS:
@@ -222,10 +227,12 @@ class RunConfig:
 
 
 GRID_FIELDS = tuple(f.name for f in fields(RunConfig) if f.metadata["grid"])
-# (name, a list, of floats, tests, rule) of every field: _problems checks
-# each float (or float item) finite, then each value (or item) against tests
-FIELD_RULES = [(f.name, get_origin(f.type) is list, f.type in (float, list[float]),
-                f.metadata["tests"], f.metadata["rule"]) for f in fields(RunConfig)]
+# (name, a tuple, of floats, (op, bound) pairs, rule) of every field:
+# __post_init__ stores each tuple field's value as a tuple, and _problems
+# checks each float (or float item) finite, then each value (or item) against
+# the RULES op of each pair, in declaration order
+FIELD_RULES = [(f.name, get_origin(f.type) is tuple, f.type in (float, tuple[float, ...]),
+                tuple(f.metadata["rules"].items()), f.metadata["rule"]) for f in fields(RunConfig)]
 
 # The most seeds a run may name.  A batch keeps a QoE report of about
 # 0.3 KB per seed until it ends and spends at least 0.2 ms on each (a trace
@@ -271,12 +278,12 @@ _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
 
 def _parse_value(f, text: str):
     text = text.strip()
-    if f.type == list[int]:
+    if f.type == tuple[int, ...]:
         return parse_seeds(text)
     try:
         if f.type is bool:
             return _BOOLS[text.lower()]
-        if get_origin(f.type) is list:
+        if get_origin(f.type) is tuple:
             item = get_args(f.type)[0]
             return [item(v.strip()) for v in text.split(",") if v.strip()]
         return f.type(text)
@@ -287,7 +294,7 @@ def _parse_value(f, text: str):
 def _format_value(f, value) -> str:
     if f.type is bool:
         return "true" if value else "false"
-    if get_origin(f.type) is list:
+    if get_origin(f.type) is tuple:
         return ",".join(map(str, value))
     return str(value)  # a float's shortest text that parses back to it
 

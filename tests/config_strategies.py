@@ -305,6 +305,11 @@ REFUSED = [(flags.split(" "), field) for flags, field in [
     # buffer levels whose tracking error makes the correction overflow (the
     # first) or reach about -3.6e299 (the second)
     ("--xf 1e300 --alpha -1e-6 --kp 1e6 --duration 120", "xf"), ("--xf 1e300", "xf"),
+    # two problems, the first named: a field's own rule comes before the te
+    # grid and before a rule across fields, and the te grid before a rule
+    # across fields
+    ("--tau 0.15 --x-noise 1.5", "x_noise"), ("--t0 5 --tf 1 --kp -1", "kp"),
+    ("--decision-interval 0.15 --ladder 1,0.5", "decision_interval"),
 ]]
 
 

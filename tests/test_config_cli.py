@@ -22,8 +22,8 @@ from hypothesis import event, example, given, settings, strategies as st
 import abrlab
 from abrlab import config, kernels
 from abrlab.cli import OUTPUT_PATTERNS, main, run_single
-from abrlab.config import (ConfigError, RunConfig, build_arg_parser, emit_config,
-                           parse_config, parse_seeds, read_config_file)
+from abrlab.config import (DEFAULT_LADDER, ConfigError, RunConfig, build_arg_parser,
+                           emit_config, parse_config, parse_seeds, read_config_file)
 from abrlab.metrics import qoe_report
 from abrlab.plant import LOG_COLUMNS, build_scenario, run_episode
 
@@ -131,7 +131,9 @@ class TestParsing:
         assert cfg == RunConfig()
 
     def test_fields_cannot_be_reassigned(self):
-        # a config is checked when it is made, and cannot change after it
+        # a config is checked when it is made, and cannot change after it:
+        # no field can be reassigned, and a sequence field is a tuple
+        # (test_sequences_are_tuples), so no item can either
         cfg = RunConfig()
         for f in fields(RunConfig):
             with pytest.raises(FrozenInstanceError):
@@ -141,9 +143,9 @@ class TestParsing:
         cfg = parse_config(["--scenario", "2", "--replan", "--seeds", "0..9",
                             "--kp", "0.5", "--ladder", "0.5,1,2"])
         assert cfg.scenario == 2 and cfg.replan is True
-        assert cfg.seeds == list(range(10))
+        assert cfg.seeds == tuple(range(10))
         assert cfg.kp == 0.5
-        assert cfg.ladder == [0.5, 1.0, 2.0]
+        assert cfg.ladder == (0.5, 1.0, 2.0)
 
     def test_no_replan_flag(self):
         assert parse_config(["--no-replan"]).replan is False
@@ -153,9 +155,40 @@ class TestParsing:
         assert build_arg_parser() is build_arg_parser()
         a = parse_config(["--scenario", "2", "--replan", "--seeds", "3..4"])
         b = parse_config(["--kp", "0.5"])
-        assert (a.scenario, a.replan, a.seeds, a.kp) == (2, True, [3, 4], RunConfig().kp)
+        assert (a.scenario, a.replan, a.seeds, a.kp) == (2, True, (3, 4), RunConfig().kp)
         assert b == RunConfig(kp=0.5)
-        assert a.seeds is not b.seeds and a.ladder is not b.ladder
+
+    def test_sequences_are_tuples(self, tmp_path):
+        # however a config is made, each of its sequence fields is a tuple
+        sequences = ["seeds", "emit", "ladder"]
+        path = tmp_path / "run.cfg"
+        emit_config(RunConfig(**NON_DEFAULT), path)
+        for cfg in (RunConfig(), RunConfig(**NON_DEFAULT), replace(RunConfig(), **NON_DEFAULT),
+                    parse_config(["--seeds", "0..3", "--emit", "log", "--ladder", "0.5,1"]),
+                    parse_config([]), parse_config(["--config", str(path)])):
+            for name in sequences:
+                assert type(getattr(cfg, name)) is tuple, (name, getattr(cfg, name))
+        assert sequences == [f.name for f in fields(RunConfig) if get_origin(f.type) is tuple]
+
+    def test_a_callers_list_changed_later_leaves_the_config_unchanged(self):
+        # the config holds tuples of the lists' items, so it and its run
+        # stay as checked
+        seeds, emit, ladder = [1, 2], ["qoe"], [0.35, 0.6, 1.0]
+        cfg = RunConfig(scenario=2, duration=60.0, seeds=seeds, emit=emit, ladder=ladder)
+        seeds.extend([1, -5])
+        emit.append("bogus")
+        ladder.clear()
+        assert set(run_single(cfg, 0).R.tolist()) <= {0.35, 0.6, 1.0}
+        assert (cfg.seeds, cfg.emit, cfg.ladder) == ((1, 2), ("qoe",), (0.35, 0.6, 1.0))
+
+    def test_equal_configs_hash_equal(self):
+        # a config made from lists is the one made from tuples
+        lists = RunConfig(**NON_DEFAULT)
+        tuples = RunConfig(**{name: tuple(value) if isinstance(value, list) else value
+                              for name, value in NON_DEFAULT.items()})
+        assert hash(lists) == hash(tuples) and lists == tuples
+        assert hash(RunConfig()) == hash(RunConfig(seeds=[0], ladder=list(DEFAULT_LADDER)))
+        assert len({RunConfig(), parse_config([]), lists, tuples}) == 2
 
     def test_out_a_config_file_cannot_hold(self):
         # an output directory a config file would read back otherwise (flag
@@ -494,14 +527,14 @@ def test_declared_rule(f):
     with the field's name; a closed bound and each choice are accepted; the
     rule is in the flag's help."""
     def check(value, valid):
-        changes = {f.name: [value] if get_origin(f.type) is list else value}
+        changes = {f.name: (value,) if get_origin(f.type) is tuple else value}
         if valid:
             replace(RunConfig(), **changes)
         else:
             with pytest.raises(ConfigError, match=f"^{f.name}: "):
                 replace(RunConfig(), **changes)
 
-    te, floats = RunConfig().te, f.type in (float, list[float])
+    te, floats = RunConfig().te, f.type in (float, tuple[float, ...])
     for value in (math.nan, math.inf, -math.inf) if floats else ():
         check(value, False)
     for value in (0.0, -te, 1.5 * te) if f.metadata["grid"] else ():

@@ -17,7 +17,7 @@ ALPHA, KP = CFG.alpha, CFG.kp
 
 class TestLadder:
     def test_defaults(self):
-        assert CFG.ladder == [0.35, 0.6, 1.0, 2.0, 3.0, 5.0]
+        assert CFG.ladder == (0.35, 0.6, 1.0, 2.0, 3.0, 5.0)
         assert np.diff(LADDER).max() == 2.0
 
     def test_single_rate(self):
